@@ -14,7 +14,6 @@ from bibench.core import (
     ProblemSpec,
     dominates,
     normalize,
-    set_dominates,
     ulp_distance,
 )
 from bibench.indicator import Branch, IndicatorValue
@@ -39,7 +38,6 @@ __all__ = [
     "normalize",
     "precision_grid",
     "recompute_from_scratch",
-    "set_dominates",
     "ulp_distance",
     "__version__",
 ]

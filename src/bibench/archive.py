@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from bibench.core import NormalizedObjectives
 
@@ -39,12 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArchiveEntry:
-    """One archived solution: normalized objectives, the evaluation index at
-    which it was produced, and optionally the decision vector."""
+    """One archived solution: normalized objectives and the evaluation
+    index at which it was produced."""
 
     objectives: NormalizedObjectives
     eval_index: int
-    decision: tuple[float, ...] | None = None
 
     @property
     def u(self) -> float:
@@ -109,10 +108,13 @@ class _CompensatedSum:
 
 
 class Archive:
-    """Mutable single-writer archive of mutually non-dominated entries."""
+    """Mutable single-writer archive of mutually non-dominated entries, held
+    as parallel ``u``, ``v`` and evaluation-index lists."""
 
     def __init__(self) -> None:
-        self._entries: list[ArchiveEntry] = []
+        self._u: list[float] = []
+        self._v: list[float] = []
+        self._eval: list[int] = []
         self._hv = _CompensatedSum()
         self._dist = math.inf
         self._nadir_dominated = False
@@ -120,15 +122,15 @@ class Archive:
         self.clamp_warnings = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[ArchiveEntry]:
-        return iter(self._entries)
+        return len(self._u)
 
     @property
     def entries(self) -> tuple[ArchiveEntry, ...]:
         """Entries in strictly increasing ``u`` order."""
-        return tuple(self._entries)
+        return tuple(
+            ArchiveEntry(NormalizedObjectives(u, v), t)
+            for u, v, t in zip(self._u, self._v, self._eval)
+        )
 
     @property
     def evaluations(self) -> int:
@@ -151,16 +153,11 @@ class Archive:
 
     def min_distance_to_roi(self) -> float:
         """Cached minimum entry-to-ROI distance; raises on an empty archive."""
-        if not self._entries:
+        if not self._u:
             raise ValueError("min_distance_to_roi: archive is empty")
         return self._dist
 
-    def insert(
-        self,
-        y: NormalizedObjectives,
-        eval_index: int,
-        decision: Sequence[float] | None = None,
-    ) -> InsertOutcome:
+    def insert(self, y: NormalizedObjectives, eval_index: int) -> InsertOutcome:
         """Attempt to add ``y`` (produced at ``eval_index``) to the archive.
 
         The point is rejected if any current entry weakly dominates it or
@@ -173,71 +170,70 @@ class Archive:
                 f"eval_index must increase strictly: got {eval_index} "
                 f"after {self._last_eval}"
             )
-        if not math.isfinite(y.u):
-            raise ValueError(f"u is not finite: {y.u!r}")
-        if not math.isfinite(y.v):
-            raise ValueError(f"v is not finite: {y.v!r}")
+        yu, yv = y.u, y.v
+        if not math.isfinite(yu):
+            raise ValueError(f"u is not finite: {yu!r}")
+        if not math.isfinite(yv):
+            raise ValueError(f"v is not finite: {yv!r}")
         self._last_eval = eval_index
 
-        entries = self._entries
-        i = bisect_left(entries, y.u, key=lambda e: e.u)
+        us, vs = self._u, self._v
+        n = len(us)
+        i = bisect_left(us, yu)
         # A dominating-or-equal entry, if any, is the one with the largest
         # u <= y.u: either an equal-u entry at i or the left neighbour.
-        if i < len(entries) and entries[i].u == y.u and entries[i].v <= y.v:
+        if i < n and us[i] == yu and vs[i] <= yv:
             return _REJECTED
-        if i > 0 and entries[i - 1].v <= y.v:
+        if i > 0 and vs[i - 1] <= yv:
             return _REJECTED
 
         # Entries dominated by y form a contiguous run starting at i.
         j = i
-        while j < len(entries) and entries[j].v >= y.v:
+        while j < n and vs[j] >= yv:
             j += 1
 
-        hv_gain = self._gain(y, i, j)
-        d = roi_distance(y.u, y.v)
+        hv_gain = self._gain(yu, yv, i, j)
+        d = roi_distance(yu, yv)
         if math.isinf(self._dist):
             dist_gain = 0.0
         else:
             dist_gain = self._dist - d if d < self._dist else 0.0
         if d < self._dist:
             self._dist = d
-        if y.u <= 1.0 and y.v <= 1.0:
+        if yu <= 1.0 and yv <= 1.0:
             self._nadir_dominated = True
-        if y.u < 0.0 or y.v < 0.0:
+        if yu < 0.0 or yv < 0.0:
             self.clamp_warnings += 1
 
-        removed = j - i
-        entry = ArchiveEntry(
-            y, eval_index, None if decision is None else tuple(float(c) for c in decision)
-        )
-        entries[i:j] = [entry]
+        us[i:j] = [yu]
+        vs[i:j] = [yv]
+        self._eval[i:j] = [eval_index]
         self._hv.add(hv_gain)
-        return InsertOutcome(True, removed, hv_gain, dist_gain)
+        return InsertOutcome(True, j - i, hv_gain, dist_gain)
 
-    def _gain(self, y: NormalizedObjectives, i: int, j: int) -> float:
-        """ROI area newly covered by ``y``, as a sum of positive rectangles.
+    def _gain(self, yu: float, yv: float, i: int, j: int) -> float:
+        """ROI area newly covered by ``(yu, yv)``, as a sum of positive rectangles.
 
-        Walking from ``y`` to its surviving right neighbour, the old cover
-        boundary is the left neighbour's ``v`` and then each removed
+        Walking from the point to its surviving right neighbour, the old
+        cover boundary is the left neighbour's ``v`` and then each removed
         entry's ``v`` in turn; every term is a product of non-negative
         differences, so no cancellation occurs.
         """
-        if y.u >= 1.0 or y.v >= 1.0:
+        if yu >= 1.0 or yv >= 1.0:
             return 0.0
-        entries = self._entries
-        u = y.u if y.u > 0.0 else 0.0
-        v = y.v if y.v > 0.0 else 0.0
-        bound = min(entries[i - 1].v, 1.0) if i > 0 else 1.0
-        prev_x = u
+        us, vs = self._u, self._v
+        v = yv if yv > 0.0 else 0.0
+        bound = min(vs[i - 1], 1.0) if i > 0 else 1.0
+        prev_x = yu if yu > 0.0 else 0.0
         terms = []
         for k in range(i, j):
-            x = min(max(entries[k].u, 0.0), 1.0)
+            x = min(max(us[k], 0.0), 1.0)
             if x > prev_x and bound > v:
                 terms.append((x - prev_x) * (bound - v))
             if x > prev_x:
                 prev_x = x
-            bound = min(entries[k].v, 1.0)
-        right_x = min(entries[j].u, 1.0) if j < len(entries) else 1.0
+            bound = min(vs[k], 1.0)
+        right_x = min(us[j], 1.0) if j < len(us) else 1.0
         if right_x > prev_x and bound > v:
             terms.append((right_x - prev_x) * (bound - v))
         return math.fsum(terms)

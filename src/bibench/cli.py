@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from bibench import datalog, postprocess, refset, runner, suite
+from bibench import postprocess, runner, suite
 
 __all__ = ["main"]
 
@@ -51,8 +51,6 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", default="mini", choices=["mini"],
-                        help="problem suite (only 'mini' exists)")
     parser.add_argument("--functions", default=None,
                         help="comma list of function ids, e.g. f1,f2 (default: all)")
     parser.add_argument("--dims", default=None,
@@ -110,46 +108,8 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
 
 
 def _cmd_recalc(args: argparse.Namespace) -> int:
-    logs_dir = Path(args.logs)
-    refsets_dir = Path(args.refsets)
-    out_dir = Path(args.out)
-    index_paths = sorted(logs_dir.glob(f"*/{datalog.INDEX_FILENAME}"))
-    if not index_paths:
-        raise FileNotFoundError(
-            f"no {datalog.INDEX_FILENAME} found under {logs_dir}"
-        )
-    total = 0
-    for index_path in index_paths:
-        algorithm_dir = index_path.parent
-        new_entries = []
-        for entry in datalog.read_experiment_index(index_path):
-            log = datalog.read_log(algorithm_dir / entry.file)
-            h = log.header
-            rs_path = refset.refset_path(
-                refsets_dir, h.function_id, h.dimension, h.instance_id
-            )
-            if not rs_path.is_file():
-                raise FileNotFoundError(
-                    f"no reference set for problem "
-                    f"{suite.problem_id(h.function_id, h.dimension, h.instance_id)} "
-                    f"(expected {rs_path})"
-                )
-            spec = refset.read_reference_set(rs_path).problem_spec()
-            datalog.recalculate(log, spec)  # validates the log replays cleanly
-            new_log = datalog.rewrite_with_spec(log, spec)
-            path = datalog.log_path(
-                out_dir, h.algorithm, h.function_id, h.dimension, h.instance_id
-            )
-            datalog.write_log(new_log, path)
-            new_entries.append(
-                datalog.IndexEntry(
-                    path.name, h.function_id, h.instance_id, h.dimension,
-                    spec.refset_version,
-                )
-            )
-            total += 1
-        datalog.write_experiment_index(out_dir / algorithm_dir.name, new_entries)
-    print(f"recalculated {total} run logs into {out_dir}")
+    written = runner.recalc_experiment(Path(args.logs), Path(args.refsets), Path(args.out))
+    print(f"recalculated {len(written)} run logs into {args.out}")
     return 0
 
 

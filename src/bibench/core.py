@@ -16,16 +16,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "NormalizedObjectives",
     "ObjectiveVector",
     "ProblemSpec",
-    "denormalize",
     "dominates",
     "normalize",
-    "set_dominates",
     "ulp_distance",
 ]
 
@@ -107,33 +104,10 @@ def normalize(y: ObjectiveVector, p: ProblemSpec) -> NormalizedObjectives:
     return NormalizedObjectives(u, v)
 
 
-def denormalize(z: NormalizedObjectives, p: ProblemSpec) -> ObjectiveVector:
-    """Inverse of :func:`normalize` (up to floating-point rounding)."""
-    f_alpha = z.u * (p.nadir.f_alpha - p.ideal.f_alpha) + p.ideal.f_alpha
-    f_beta = z.v * (p.nadir.f_beta - p.ideal.f_beta) + p.ideal.f_beta
-    return ObjectiveVector(f_alpha, f_beta)
-
-
 def dominates(a: NormalizedObjectives, b: NormalizedObjectives) -> bool:
     """Weak dominance excluding equality: ``a`` better-or-equal everywhere
     and strictly better somewhere.  Equal points do not dominate."""
     return a.u <= b.u and a.v <= b.v and (a.u < b.u or a.v < b.v)
-
-
-def set_dominates(
-    a: Iterable[NormalizedObjectives], b: Iterable[NormalizedObjectives]
-) -> bool:
-    """True iff every element of ``b`` is dominated by some element of ``a``.
-
-    Raises ``ValueError`` if either set is empty.
-    """
-    a_list = list(a)
-    b_list = list(b)
-    if not a_list:
-        raise ValueError("set_dominates: first set is empty")
-    if not b_list:
-        raise ValueError("set_dominates: second set is empty")
-    return all(any(dominates(x, y) for x in a_list) for y in b_list)
 
 
 def _float_ordinal(x: float) -> int:

@@ -7,10 +7,12 @@ ideal and nadir) the run was assessed against.  Floats are written as
 shortest round-trip decimals, so ``read_log(write_log(log))`` reproduces
 the log bit-for-bit and rewriting a parsed file is byte-identical.
 
-``recalculate`` replays a log through a fresh archive under a (possibly
-different) problem spec, reproducing the live indicator trajectory and
-first-hit runtimes exactly; this is what makes reference-set updates
-retroactive without re-running experiments.
+``Assessment`` is the one per-evaluation loop (normalize, archive insert,
+indicator update, first-hit record).  Live runs feed it every evaluation
+and ``recalculate`` feeds it a log's records under a (possibly different)
+problem spec, so a replay reproduces the live indicator trajectory and
+first-hit runtimes by construction; this is what makes reference-set
+updates retroactive without re-running experiments.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from bibench.archive import Archive
 from bibench.core import ObjectiveVector, ProblemSpec, normalize
@@ -26,6 +28,7 @@ from bibench.indicator import EMPTY_ARCHIVE_VALUE, IndicatorValue, evaluate_incr
 from bibench.targets import RuntimeRecord, absolute_targets
 
 __all__ = [
+    "Assessment",
     "IndexEntry",
     "LogParseError",
     "LogReplayError",
@@ -33,6 +36,7 @@ __all__ = [
     "LogRecord",
     "RunHeader",
     "RunLog",
+    "iter_experiment",
     "log_path",
     "read_experiment_index",
     "read_log",
@@ -173,11 +177,48 @@ def write_log(log: RunLog, path: Path | str) -> Path:
     return path
 
 
+def _convert(path: Path, number: int, what: str, convert, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise LogParseError(path, number, f"{what}: {exc}") from None
+
+
+def _run_header(
+    path: Path, header: dict[str, tuple[str, int]], number: int, missing_message: str
+) -> RunHeader:
+    """Build the header from ``key -> (value, line)``; missing keys are
+    reported at line ``number``."""
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise LogParseError(path, number, f"{missing_message}: {', '.join(missing)}")
+
+    def get(key: str, convert=str):
+        return _convert(path, header[key][1], key, convert, header[key][0])
+
+    return RunHeader(
+        function_id=get("function"),
+        instance_id=get("instance", int),
+        dimension=get("dimension", int),
+        algorithm=get("algorithm"),
+        refset_version=get("refset_version"),
+        i_ref=get("i_ref", float),
+        ideal=ObjectiveVector(get("ideal_alpha", float), get("ideal_beta", float)),
+        nadir=ObjectiveVector(get("nadir_alpha", float), get("nadir_beta", float)),
+        budget=get("budget", int),
+    )
+
+
 def read_log(path: Path | str) -> RunLog:
+    """Parse a run log.  A missing or unknown format raises
+    :class:`LogVersionError`; malformed headers or records, including eval
+    counts that are not strictly increasing within ``[1, budget]``, raise
+    :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}
+    run_header: RunHeader | None = None
     records: list[LogRecord] = []
-    dimension: int | None = None
+    width = budget = last = 0
     lines = path.read_text(encoding="ascii").splitlines()
     if not lines or not lines[0].startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
@@ -191,23 +232,21 @@ def read_log(path: Path | str) -> RunLog:
         if not line:
             continue
         if line.startswith("%"):
+            if run_header is not None:
+                raise LogParseError(path, number, "header line after the first record")
             key, sep, value = line[1:].strip().partition("=")
             if sep:
-                header[key.strip()] = value.strip()
+                header[key.strip()] = (value.strip(), number)
             continue
-        if dimension is None:
-            missing = [k for k in _HEADER_KEYS if k not in header]
-            if missing:
-                raise LogParseError(
-                    path, number, f"records start before header keys: {', '.join(missing)}"
-                )
-            dimension = int(header["dimension"])
+        if run_header is None:
+            run_header = _run_header(path, header, number, "records start before header keys")
+            width = 3 + run_header.dimension
+            budget = run_header.budget
         parts = line.split("\t")
-        if len(parts) != 3 + dimension:
+        if len(parts) != width:
             raise LogParseError(
                 path, number,
-                f"expected {3 + dimension} columns (eval, f_alpha, f_beta, x), "
-                f"got {len(parts)}",
+                f"expected {width} columns (eval, f_alpha, f_beta, x), got {len(parts)}",
             )
         try:
             eval_count = int(parts[0])
@@ -217,29 +256,45 @@ def read_log(path: Path | str) -> RunLog:
             raise LogParseError(path, number, str(exc)) from None
         if not objectives.is_finite() or not all(math.isfinite(c) for c in decision):
             raise LogParseError(path, number, "non-finite value in record")
+        if eval_count <= last:
+            raise LogParseError(
+                path, number,
+                f"eval counts must increase strictly from 1: got {eval_count} after {last}",
+            )
+        if eval_count > budget:
+            raise LogParseError(path, number, f"eval count {eval_count} exceeds budget {budget}")
+        last = eval_count
         records.append(LogRecord(eval_count, objectives, decision))
 
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise LogParseError(path, len(lines), f"missing header keys: {', '.join(missing)}")
-    run_header = RunHeader(
-        function_id=header["function"],
-        instance_id=int(header["instance"]),
-        dimension=int(header["dimension"]),
-        algorithm=header["algorithm"],
-        refset_version=header["refset_version"],
-        i_ref=float(header["i_ref"]),
-        ideal=ObjectiveVector(float(header["ideal_alpha"]), float(header["ideal_beta"])),
-        nadir=ObjectiveVector(float(header["nadir_alpha"]), float(header["nadir_beta"])),
-        budget=int(header["budget"]),
-    )
+    if run_header is None:
+        run_header = _run_header(path, header, len(lines), "missing header keys")
     return RunLog(run_header, tuple(records))
+
+
+class Assessment:
+    """One run's assessment under one problem spec.  ``add`` takes every
+    evaluation in order: normalize, archive insert, indicator update, first
+    hits.  Live runs and log replay both use it, so a replay reproduces the
+    live trajectory by construction."""
+
+    def __init__(self, spec: ProblemSpec) -> None:
+        self.spec = spec
+        self.archive = Archive()
+        self.value = EMPTY_ARCHIVE_VALUE
+        self.runtimes = RuntimeRecord(absolute_targets(spec))
+
+    def add(self, eval_count: int, y: ObjectiveVector) -> bool:
+        """Assess evaluation ``eval_count``; True if it entered the archive."""
+        outcome = self.archive.insert(normalize(y, self.spec), eval_count)
+        self.value = evaluate_incremental(self.value, outcome, self.archive)
+        self.runtimes.record(eval_count, self.value)
+        return outcome.accepted
 
 
 def recalculate(
     log: RunLog, new_spec: ProblemSpec
 ) -> tuple[list[tuple[int, IndicatorValue]], RuntimeRecord]:
-    """Replay a log through a fresh archive under ``new_spec``.
+    """Replay a log through a fresh :class:`Assessment` under ``new_spec``.
 
     Returns the indicator trajectory at each logged evaluation and the
     runtime record against ``new_spec``'s absolute targets.  Every logged
@@ -255,22 +310,18 @@ def recalculate(
             f"problem key mismatch: log is {h.function_id}:{h.dimension}:{h.instance_id}, "
             f"spec is {new_spec.function_id}:{new_spec.dimension}:{new_spec.instance_id}"
         )
-    arch = Archive()
-    value = EMPTY_ARCHIVE_VALUE
-    runtimes = RuntimeRecord(absolute_targets(new_spec))
+    assessment = Assessment(new_spec)
     trajectory: list[tuple[int, IndicatorValue]] = []
     for r in log.records:
-        outcome = arch.insert(normalize(r.objectives, new_spec), r.eval_count, r.decision)
-        if not outcome.accepted:
+        if not assessment.add(r.eval_count, r.objectives):
             raise LogReplayError(
                 f"record at eval {r.eval_count} was rejected on replay; "
                 f"the log is corrupt or incomplete"
             )
-        value = evaluate_incremental(value, outcome, arch)
-        trajectory.append((r.eval_count, value))
-        runtimes.record(r.eval_count, value)
+        trajectory.append((r.eval_count, assessment.value))
     # The live run recorded up to the full budget; only archive-entering
     # evaluations are logged, so restore the true total spent.
+    runtimes = assessment.runtimes
     runtimes.evaluations = max(runtimes.evaluations, h.budget)
     return trajectory, runtimes
 
@@ -308,10 +359,35 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
         parts = line.split("\t")
         if len(parts) != 5:
             raise LogParseError(path, number, f"expected 5 columns, got {len(parts)}")
-        entries.append(
-            IndexEntry(parts[0], parts[1], int(parts[2]), int(parts[3]), parts[4])
-        )
+        instance_id = _convert(path, number, "instance", int, parts[2])
+        dimension = _convert(path, number, "dimension", int, parts[3])
+        entries.append(IndexEntry(parts[0], parts[1], instance_id, dimension, parts[4]))
     return tuple(entries)
+
+
+def iter_experiment(logs_dir: Path | str) -> Iterator[tuple[str, RunLog]]:
+    """Read every run log listed by the experiment indexes under ``logs_dir``
+    (one subdirectory per algorithm), yielding ``(subdirectory name, log)``
+    in sorted index order.  A log whose header disagrees with its index row
+    on the reference-set version raises ``ValueError``."""
+    logs_dir = Path(logs_dir)
+    index_paths = sorted(logs_dir.glob(f"*/{INDEX_FILENAME}"))
+    if not index_paths:
+        raise FileNotFoundError(
+            f"no {INDEX_FILENAME} found under {logs_dir} "
+            "(expected one algorithm subdirectory per run set)"
+        )
+    for index_path in index_paths:
+        algorithm_dir = index_path.parent
+        for entry in read_experiment_index(index_path):
+            log = read_log(algorithm_dir / entry.file)
+            if entry.refset_version != log.header.refset_version:
+                raise ValueError(
+                    f"{algorithm_dir / entry.file}: index lists refset version "
+                    f"{entry.refset_version} but the log header says "
+                    f"{log.header.refset_version}"
+                )
+            yield algorithm_dir.name, log
 
 
 def rewrite_with_spec(log: RunLog, rs_spec: ProblemSpec) -> RunLog:

@@ -252,35 +252,20 @@ def write_runtime_table_csv(
 def load_labeled_records(logs_dir: Path | str) -> list[LabeledRecord]:
     """Replay every indexed run log under ``logs_dir`` (one subdirectory
     per algorithm) into labeled runtime records."""
-    logs_dir = Path(logs_dir)
     records: list[LabeledRecord] = []
-    index_paths = sorted(logs_dir.glob(f"*/{datalog.INDEX_FILENAME}"))
-    if not index_paths:
-        raise FileNotFoundError(
-            f"no {datalog.INDEX_FILENAME} found under {logs_dir} "
-            "(expected one algorithm subdirectory per run set)"
-        )
-    for index_path in index_paths:
-        algorithm_dir = index_path.parent
-        for entry in datalog.read_experiment_index(index_path):
-            log = datalog.read_log(algorithm_dir / entry.file)
-            if entry.refset_version != log.header.refset_version:
-                raise ValueError(
-                    f"{algorithm_dir / entry.file}: index lists refset version "
-                    f"{entry.refset_version} but the log header says "
-                    f"{log.header.refset_version}"
-                )
-            _, runtimes = datalog.recalculate(log, log.header.problem_spec())
-            records.append(
-                LabeledRecord(
-                    function_id=log.header.function_id,
-                    instance_id=log.header.instance_id,
-                    dimension=log.header.dimension,
-                    algorithm=log.header.algorithm,
-                    refset_version=log.header.refset_version,
-                    runtimes=runtimes,
-                )
+    for _, log in datalog.iter_experiment(logs_dir):
+        h = log.header
+        _, runtimes = datalog.recalculate(log, h.problem_spec())
+        records.append(
+            LabeledRecord(
+                function_id=h.function_id,
+                instance_id=h.instance_id,
+                dimension=h.dimension,
+                algorithm=h.algorithm,
+                refset_version=h.refset_version,
+                runtimes=runtimes,
             )
+        )
     return records
 
 

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from bibench import suite
 from bibench.archive import staircase_hypervolume
 from bibench.core import NormalizedObjectives, ObjectiveVector, ProblemSpec
 
 __all__ = [
     "ReferenceSet",
-    "compute_i_ref",
+    "load_reference_set",
     "merge",
     "nondominated_filter",
     "read_reference_set",
@@ -122,11 +123,6 @@ def _i_ref_from(
     if hv >= 1.0:
         return -1.0
     return -hv if hv > 0.0 else 0.0
-
-
-def compute_i_ref(rs: ReferenceSet, p: ProblemSpec) -> float:
-    """Negated clipped hypervolume of ``rs`` under ``p``'s normalization."""
-    return _i_ref_from(rs.points, p.ideal, p.nadir)
 
 
 def merge(
@@ -300,5 +296,22 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     if recomputed != rs.i_ref:
         raise ValueError(
             f"{path}: stored i_ref {rs.i_ref!r} does not match recomputation {recomputed!r}"
+        )
+    return rs
+
+
+def load_reference_set(
+    directory: Path | str, function_id: str, dimension: int, instance_id: int
+) -> ReferenceSet:
+    """Read one problem's reference set from its conventional location in
+    ``directory``, checking that the file is for that problem."""
+    key = suite.problem_id(function_id, dimension, instance_id)
+    path = refset_path(directory, function_id, dimension, instance_id)
+    if not path.is_file():
+        raise FileNotFoundError(f"no reference set for problem {key} (expected {path})")
+    rs = read_reference_set(path)
+    if (rs.function_id, rs.dimension, rs.instance_id) != (function_id, dimension, instance_id):
+        raise ValueError(
+            f"{path}: file is for {rs.function_id}:{rs.dimension}:{rs.instance_id}, not {key}"
         )
     return rs

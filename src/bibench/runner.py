@@ -1,4 +1,4 @@
-"""Experiment orchestration: run baselines, log runs, bootstrap refsets.
+"""Experiment orchestration: run baselines, log runs, bootstrap and recalc.
 
 Every problem gets a fresh archive and an independent random stream
 derived from the master seed and the problem key, so per-problem results
@@ -16,10 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bibench import baselines, datalog, refset, suite
-from bibench.archive import Archive
-from bibench.core import ObjectiveVector, ProblemSpec, normalize
-from bibench.indicator import EMPTY_ARCHIVE_VALUE, evaluate_incremental
-from bibench.targets import RuntimeRecord, absolute_targets
+from bibench.core import ObjectiveVector, ProblemSpec
+from bibench.targets import RuntimeRecord
 
 __all__ = [
     "ALGORITHMS",
@@ -29,6 +27,7 @@ __all__ = [
     "RunResult",
     "bootstrap_refsets",
     "default_budget",
+    "recalc_experiment",
     "run_experiment",
 ]
 
@@ -94,54 +93,23 @@ class RunResult:
     archive_size: int
 
 
-class _RunContext:
-    """Owns the evaluation counter and all per-evaluation bookkeeping.
+def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callable:
+    """The evaluation callback handed to a baseline, and the one budget guard:
+    it counts evaluations, refuses any beyond ``budget`` and passes each
+    ``(count, x, objectives)`` to ``observe``.  Baselines only ever see this
+    callback, which keeps them black-box by construction."""
+    count = 0
 
-    Baselines only ever see the bound ``evaluate`` method, which keeps
-    them black-box by construction.
-    """
-
-    def __init__(self, fn: suite.SuiteFunction, spec: ProblemSpec, budget: int) -> None:
-        self._fn = fn
-        self._spec = spec
-        self._budget = budget
-        self._count = 0
-        self.archive = Archive()
-        self.value = EMPTY_ARCHIVE_VALUE
-        self.runtimes = RuntimeRecord(absolute_targets(spec))
-        self.records: list[datalog.LogRecord] = []
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
-        if self._count >= self._budget:
-            raise RuntimeError(f"evaluation budget {self._budget} exhausted")
-        self._count += 1
-        y = self._fn.evaluate(x)
-        outcome = self.archive.insert(normalize(y, self._spec), self._count, x)
-        self.value = evaluate_incremental(self.value, outcome, self.archive)
-        self.runtimes.record(self._count, self.value)
-        if outcome.accepted:
-            self.records.append(
-                datalog.LogRecord(self._count, y, tuple(float(c) for c in x))
-            )
+    def evaluate(x: np.ndarray) -> tuple[float, float]:
+        nonlocal count
+        if count >= budget:
+            raise RuntimeError(f"evaluation budget {budget} exhausted")
+        count += 1
+        y = fn.evaluate(x)
+        observe(count, x, y)
         return y.f_alpha, y.f_beta
 
-
-class _CollectContext:
-    """Bootstrap-mode context: only counts evaluations and keeps raw pairs."""
-
-    def __init__(self, fn: suite.SuiteFunction, budget: int) -> None:
-        self._fn = fn
-        self._budget = budget
-        self._count = 0
-        self.points: list[ObjectiveVector] = []
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
-        if self._count >= self._budget:
-            raise RuntimeError(f"evaluation budget {self._budget} exhausted")
-        self._count += 1
-        y = self._fn.evaluate(x)
-        self.points.append(y)
-        return y.f_alpha, y.f_beta
+    return evaluate
 
 
 def _problem_rng(master_seed: int, purpose: int, algo_index: int,
@@ -149,22 +117,6 @@ def _problem_rng(master_seed: int, purpose: int, algo_index: int,
     fid_index = suite.FUNCTION_IDS.index(function_id) + 1
     seed = suite.mix_seed(master_seed, purpose, algo_index, fid_index, dimension, instance_id)
     return np.random.default_rng(seed)
-
-
-def _load_refset(refset_dir: Path, fid: str, dim: int, inst: int) -> refset.ReferenceSet:
-    path = refset.refset_path(refset_dir, fid, dim, inst)
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"no reference set for problem {suite.problem_id(fid, dim, inst)} "
-            f"(expected {path})"
-        )
-    rs = refset.read_reference_set(path)
-    if (rs.function_id, rs.dimension, rs.instance_id) != (fid, dim, inst):
-        raise ValueError(
-            f"{path}: file is for {rs.function_id}:{rs.dimension}:{rs.instance_id}, "
-            f"not {suite.problem_id(fid, dim, inst)}"
-        )
-    return rs
 
 
 def bootstrap_refsets(
@@ -195,10 +147,10 @@ def bootstrap_refsets(
         fn = suite.get_function(fid, inst, dim)
         collected: list[list[ObjectiveVector]] = []
         for algo_index, algo in bootstrap_algos:
-            ctx = _CollectContext(fn, budget)
+            points: list[ObjectiveVector] = []
             rng = _problem_rng(seed, _PURPOSE_BOOTSTRAP, algo_index, fid, dim, inst)
-            algo(ctx.evaluate, dim, budget, rng)
-            collected.append(ctx.points)
+            algo(_budgeted(fn, budget, lambda t, x, y: points.append(y)), dim, budget, rng)
+            collected.append(points)
         rs = refset.merge(
             collected,
             function_id=fid,
@@ -242,11 +194,17 @@ def run_experiment(
     index_entries: list[datalog.IndexEntry] = []
     for fid, dim, inst in problems:
         fn = suite.get_function(fid, inst, dim)
-        spec = _load_refset(Path(refset_dir), fid, dim, inst).problem_spec()
+        spec = refset.load_reference_set(refset_dir, fid, dim, inst).problem_spec()
         budget = cfg.budget_for(dim)
-        ctx = _RunContext(fn, spec, budget)
+        assessment = datalog.Assessment(spec)
+        records: list[datalog.LogRecord] = []
+
+        def observe(t: int, x: np.ndarray, y: ObjectiveVector) -> None:
+            if assessment.add(t, y):
+                records.append(datalog.LogRecord(t, y, tuple(float(c) for c in x)))
+
         rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
-        algo(ctx.evaluate, dim, budget, rng)
+        algo(_budgeted(fn, budget, observe), dim, budget, rng)
 
         header = datalog.RunHeader(
             function_id=fid,
@@ -260,7 +218,7 @@ def run_experiment(
             budget=budget,
         )
         path = datalog.log_path(cfg.output_dir, cfg.algorithm, fid, dim, inst)
-        datalog.write_log(datalog.RunLog(header, tuple(ctx.records)), path)
+        datalog.write_log(datalog.RunLog(header, tuple(records)), path)
         index_entries.append(
             datalog.IndexEntry(path.name, fid, inst, dim, spec.refset_version)
         )
@@ -271,16 +229,45 @@ def run_experiment(
                 dimension=dim,
                 algorithm=cfg.algorithm,
                 spec=spec,
-                runtimes=ctx.runtimes,
+                runtimes=assessment.runtimes,
                 log_path=path,
-                archive_size=len(ctx.archive),
+                archive_size=len(assessment.archive),
             )
         )
         if progress is not None:
             progress(
-                f"{fn.key} {cfg.algorithm}: {ctx.runtimes.hit_count}/"
-                f"{len(ctx.runtimes.targets)} targets hit in {budget} evaluations"
+                f"{fn.key} {cfg.algorithm}: {assessment.runtimes.hit_count}/"
+                f"{len(assessment.runtimes.targets)} targets hit in {budget} evaluations"
             )
     write_dir = Path(cfg.output_dir) / cfg.algorithm
     datalog.write_experiment_index(write_dir, index_entries)
     return results
+
+
+def recalc_experiment(
+    logs_dir: Path | str, refset_dir: Path | str, output_dir: Path | str
+) -> list[Path]:
+    """Re-assess every indexed run log under ``logs_dir`` against the
+    reference sets in ``refset_dir`` without re-running anything: each log
+    is replayed once under its new reference set, then written to
+    ``output_dir`` with the new reference data in its header.  The indexes
+    are written last.  Returns the log paths."""
+    output_dir = Path(output_dir)
+    written: list[Path] = []
+    indexes: dict[str, list[datalog.IndexEntry]] = {}
+    for algorithm_dir, log in datalog.iter_experiment(logs_dir):
+        h = log.header
+        rs = refset.load_reference_set(refset_dir, h.function_id, h.dimension, h.instance_id)
+        spec = rs.problem_spec()
+        datalog.recalculate(log, spec)  # raises LogReplayError on a corrupt log
+        path = datalog.write_log(
+            datalog.rewrite_with_spec(log, spec),
+            datalog.log_path(output_dir, h.algorithm, h.function_id, h.dimension, h.instance_id),
+        )
+        written.append(path)
+        indexes.setdefault(algorithm_dir, []).append(
+            datalog.IndexEntry(path.name, h.function_id, h.instance_id, h.dimension, rs.version)
+        )
+    for algorithm_dir, entries in indexes.items():
+        datalog.write_experiment_index(output_dir / algorithm_dir, entries)
+    return written

@@ -146,6 +146,39 @@ def test_recalc_missing_refset(tmp_path, capsys) -> None:
     assert "f1:2:1" in capsys.readouterr().err
 
 
+def _tamper_index(tmp_path, edit):
+    """Run f1 d2 i1, then rewrite the run's index text with ``edit(text, refset)``."""
+    refdir, rs = _write_analytic_refset(tmp_path)
+    logs = tmp_path / "logs"
+    main([
+        "run", "--functions", "f1", "--dims", "2", "--instances", "1",
+        "--budget", "50", "--seed", "1", "--refsets", str(refdir),
+        "--out", str(logs),
+    ])
+    index = logs / "random" / "experiment_index.tsv"
+    index.write_text(edit(index.read_text(), rs))
+    return refdir, logs
+
+
+def test_recalc_rejects_index_version_mismatch(tmp_path, capsys) -> None:
+    refdir, logs = _tamper_index(tmp_path, lambda text, rs: text.replace(rs.version, "f" * 16))
+    assert main([
+        "recalc", "--logs", str(logs), "--refsets", str(refdir),
+        "--out", str(tmp_path / "r"),
+    ]) == 1
+    assert "f1_d2_i1.tsv: index lists refset version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recalc", "postprocess"])
+def test_bad_index_number_names_file_and_line(tmp_path, capsys, command) -> None:
+    refdir, logs = _tamper_index(tmp_path, lambda text, _: text.replace("\tf1\t1\t", "\tf1\tone\t"))
+    argv = [command, "--logs", str(logs), "--out", str(tmp_path / "r")]
+    if command == "recalc":
+        argv += ["--refsets", str(refdir)]
+    assert main(argv) == 1
+    assert "experiment_index.tsv:3: instance: invalid literal" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(tmp_path) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # --out is required

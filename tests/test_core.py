@@ -11,10 +11,8 @@ from bibench.core import (
     NormalizedObjectives,
     ObjectiveVector,
     ProblemSpec,
-    denormalize,
     dominates,
     normalize,
-    set_dominates,
     ulp_distance,
 )
 
@@ -78,27 +76,6 @@ def test_dominates_examples() -> None:
     assert not dominates(NormalizedObjectives(0.9, 0.1), NormalizedObjectives(0.1, 0.9))
 
 
-def test_set_dominates_examples() -> None:
-    a = [NormalizedObjectives(0.2, 0.8), NormalizedObjectives(0.8, 0.2)]
-    b = [NormalizedObjectives(0.5, 0.9), NormalizedObjectives(0.9, 0.3)]
-    assert set_dominates(a, b)
-    assert not set_dominates(b, a)
-    with pytest.raises(ValueError, match="empty"):
-        set_dominates([], b)
-    with pytest.raises(ValueError, match="empty"):
-        set_dominates(a, [])
-
-
-def test_set_dominates_nadir_characterization() -> None:
-    nadir = [NormalizedObjectives(1.0, 1.0)]
-    # A point equal to the nadir does not strictly dominate it ...
-    assert not set_dominates([NormalizedObjectives(1.0, 1.0)], nadir)
-    # ... but any point weakly better in one coordinate does.
-    assert set_dominates([NormalizedObjectives(1.0, 0.999)], nadir)
-    assert set_dominates([NormalizedObjectives(0.4, 0.7)], nadir)
-    assert not set_dominates([NormalizedObjectives(1.2, 0.5)], nadir)
-
-
 _coords = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)
 
 
@@ -117,29 +94,6 @@ def test_dominance_is_transitive(coords: list[tuple[float, float]]) -> None:
     a, b, c = (NormalizedObjectives(u, v) for u, v in coords)
     if dominates(a, b) and dominates(b, c):
         assert dominates(a, c)
-
-
-@given(
-    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=-1.0, max_value=2.0),
-    st.floats(min_value=-1.0, max_value=2.0),
-)
-def test_normalize_round_trip_within_one_ulp(
-    ideal: float, span: float, ta: float, tb: float
-) -> None:
-    """Denormalizing a normalized vector reproduces it to within 1 ULP.
-
-    The ULP is measured at the scale of the values involved (input and
-    bounds): near a zero crossing of the raw value there is no meaningful
-    ULP of the coordinate itself.
-    """
-    p = _spec(ideal=(ideal, ideal), nadir=(ideal + span, ideal + span))
-    y = ObjectiveVector(ideal + ta * span, ideal + tb * span)
-    back = denormalize(normalize(y, p), p)
-    for got, want in ((back.f_alpha, y.f_alpha), (back.f_beta, y.f_beta)):
-        scale = max(abs(want), abs(ideal), abs(ideal + span))
-        assert abs(got - want) <= math.ulp(scale)
 
 
 def test_ulp_distance_basics() -> None:

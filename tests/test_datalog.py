@@ -59,7 +59,7 @@ def _live_run(spec: ProblemSpec, n_evals: int, seed: int):
     for t in range(1, n_evals + 1):
         raw = ObjectiveVector(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
         decision = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-        outcome = arch.insert(normalize(raw, spec), t, decision)
+        outcome = arch.insert(normalize(raw, spec), t)
         value = evaluate_incremental(value, outcome, arch)
         runtimes.record(t, value)
         if outcome.accepted:
@@ -300,4 +300,47 @@ def test_experiment_index_rejects_bad_rows(tmp_path) -> None:
     path = tmp_path / INDEX_FILENAME
     path.write_text("% format=experiment-index-v1\nonly\ttwo\n")
     with pytest.raises(LogParseError, match="expected 5 columns"):
+        read_experiment_index(path)
+
+
+def _log_text(tmp_path, rows, budget: int = 100):
+    """A log file: a written header with ``budget`` followed by the raw ``rows``."""
+    good = write_log(RunLog(_header(budget=budget), ()), tmp_path / "good.tsv")
+    path = tmp_path / "edited.tsv"
+    path.write_text(good.read_text() + "".join(row + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    ("rows", "budget", "message"),
+    [
+        (["0\t0.5\t0.5\t0.0\t0.0"], 100, r":13: eval counts must increase strictly from 1"),
+        (["3\t0.5\t0.5\t0.0\t0.0", "2\t0.4\t0.4\t0.0\t0.0"], 100, r":14: .*got 2 after 3"),
+        (["50\t0.5\t0.5\t0.0\t0.0"], 10, r":13: eval count 50 exceeds budget 10"),
+    ],
+    ids=["below-one", "not-increasing", "beyond-budget"],
+)
+def test_read_rejects_bad_eval_counts(tmp_path, rows, budget, message) -> None:
+    path = _log_text(tmp_path, rows, budget=budget)
+    with pytest.raises(LogParseError, match=r"edited\.tsv" + message):
+        read_log(path)
+
+
+def test_read_rejects_header_line_after_records(tmp_path) -> None:
+    path = _log_text(tmp_path, ["1\t0.5\t0.5\t0.0\t0.0", "% budget=5000"])
+    with pytest.raises(LogParseError, match=r"edited\.tsv:14: header line after"):
+        read_log(path)
+
+
+def test_read_reports_bad_header_number_with_line(tmp_path) -> None:
+    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path.write_text(path.read_text().replace("% instance=1", "% instance=one"))
+    with pytest.raises(LogParseError, match=r"run\.tsv:3: instance: invalid literal"):
+        read_log(path)
+
+
+def test_experiment_index_reports_bad_number_with_line(tmp_path) -> None:
+    path = tmp_path / INDEX_FILENAME
+    path.write_text("% format=experiment-index-v1\nf1_d2_i1.tsv\tf1\tone\t2\tab12\n")
+    with pytest.raises(LogParseError, match=r"experiment_index\.tsv:2: instance: invalid literal"):
         read_experiment_index(path)

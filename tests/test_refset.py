@@ -7,10 +7,9 @@ import random
 
 import pytest
 
-from bibench.core import ObjectiveVector, ProblemSpec
+from bibench.core import ObjectiveVector
 from bibench.refset import (
     ReferenceSet,
-    compute_i_ref,
     merge,
     nondominated_filter,
     read_reference_set,
@@ -25,18 +24,6 @@ KEY = dict(function_id="f1", instance_id=1, dimension=2)
 
 def _ov(a: float, b: float) -> ObjectiveVector:
     return ObjectiveVector(a, b)
-
-
-def _unit_spec(i_ref: float, version: str = "0" * 16) -> ProblemSpec:
-    return ProblemSpec(
-        function_id="f1",
-        instance_id=1,
-        dimension=2,
-        ideal=UNIT_BOUNDS["ideal"],
-        nadir=UNIT_BOUNDS["nadir"],
-        i_ref=i_ref,
-        refset_version=version,
-    )
 
 
 def test_merge_keeps_mutually_nondominated_points() -> None:
@@ -121,11 +108,9 @@ def test_nondominated_filter_collapses_duplicates() -> None:
 def test_compute_i_ref_anchors() -> None:
     nadir_only = merge([[_ov(1.0, 1.0)]], **KEY, **UNIT_BOUNDS)
     assert nadir_only.i_ref == 0.0
-    assert compute_i_ref(nadir_only, _unit_spec(0.0)) == 0.0
 
     ideal_only = merge([[_ov(0.0, 0.0)]], **KEY, **UNIT_BOUNDS)
     assert ideal_only.i_ref == -1.0
-    assert compute_i_ref(ideal_only, _unit_spec(-1.0)) == -1.0
 
 
 def test_i_ref_of_dense_double_sphere_front() -> None:

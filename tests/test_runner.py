@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from bibench import refset
-from bibench.datalog import read_experiment_index, read_log
+from bibench.datalog import read_experiment_index, read_log, recalculate
 from bibench.runner import (
     ALGORITHMS,
     BOOTSTRAP_WEIGHTS,
     ExperimentConfig,
     bootstrap_refsets,
     default_budget,
+    recalc_experiment,
     run_experiment,
 )
 from bibench.suite import analytic_front_oracle, get_function
@@ -171,6 +172,35 @@ def test_index_lists_every_run(tmp_path) -> None:
     assert {e.file for e in entries} == {"f1_d2_i1.tsv", "f1_d2_i2.tsv"}
     versions = {e.refset_version for e in entries}
     assert versions == {results[0].spec.refset_version, results[1].spec.refset_version}
+
+
+def test_recalc_experiment_rescores_against_new_refsets(tmp_path) -> None:
+    [live] = run_experiment(_f1_config(tmp_path, budget=300))
+    new_dir = tmp_path / "new"
+    coarse = refset.read_reference_set(_analytic_f1_refset_dir(new_dir, n=50) / "f1_d2_i1.tsv")
+    assert coarse.version != live.spec.refset_version
+
+    written = recalc_experiment(tmp_path / "out", new_dir / "refsets", tmp_path / "rescored")
+    assert written == [tmp_path / "rescored" / "random" / "f1_d2_i1.tsv"]
+    old, new = read_log(live.log_path), read_log(written[0])
+    assert new.records == old.records
+    assert (new.header.refset_version, new.header.i_ref) == (coarse.version, coarse.i_ref)
+    entries = read_experiment_index(tmp_path / "rescored" / "random" / "experiment_index.tsv")
+    assert [(e.file, e.refset_version) for e in entries] == [("f1_d2_i1.tsv", coarse.version)]
+    # The rewritten log replays to the old log's runtimes under the new spec.
+    _, rescored = recalculate(old, coarse.problem_spec())
+    _, reread = recalculate(new, new.header.problem_spec())
+    assert rescored.first_hit == reread.first_hit
+
+
+def test_recalc_experiment_rejects_mismatched_refset_file(tmp_path) -> None:
+    run_experiment(_f1_config(tmp_path, budget=50))
+    refdir = tmp_path / "wrong"
+    refdir.mkdir()
+    other = _analytic_f1_refset_dir(tmp_path / "i2", instance_id=2)
+    refset.refset_path(refdir, "f1", 2, 1).write_bytes((other / "f1_d2_i2.tsv").read_bytes())
+    with pytest.raises(ValueError, match="f1:2:1"):
+        recalc_experiment(tmp_path / "out", refdir, tmp_path / "rescored")
 
 
 def test_bootstrap_writes_deterministic_refsets(tmp_path) -> None:
