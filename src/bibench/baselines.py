@@ -20,6 +20,7 @@ EvaluateFn = Callable[[np.ndarray], tuple[float, float]]
 
 # The registered hill-climber baseline scans eleven scalarization weights.
 DEFAULT_WEIGHTS = tuple(k / 10.0 for k in range(11))
+_INITIAL_STEP = 2.0  # the hill climber's step size at each restart
 
 
 def random_search(
@@ -27,12 +28,10 @@ def random_search(
     dimension: int,
     budget: int,
     rng: np.random.Generator,
-    lower: float = DOMAIN_LOWER,
-    upper: float = DOMAIN_UPPER,
 ) -> None:
     """Uniform random sampling of the search domain."""
     for _ in range(budget):
-        evaluate(rng.uniform(lower, upper, dimension))
+        evaluate(rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, dimension))
 
 
 def scalarized_hill_climber(
@@ -41,9 +40,6 @@ def scalarized_hill_climber(
     budget: int,
     rng: np.random.Generator,
     weights: Sequence[float] = DEFAULT_WEIGHTS,
-    lower: float = DOMAIN_LOWER,
-    upper: float = DOMAIN_UPPER,
-    initial_step: float = 2.0,
 ) -> None:
     """(1+1) hill climber on ``w * f_alpha + (1 - w) * f_beta``.
 
@@ -57,10 +53,10 @@ def scalarized_hill_climber(
         steps = share + (1 if index < leftover else 0)
         if steps == 0:
             continue
-        x = rng.uniform(lower, upper, dimension)
+        x = rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, dimension)
         f_alpha, f_beta = evaluate(x)
         score = w * f_alpha + (1.0 - w) * f_beta
-        sigma = initial_step
+        sigma = _INITIAL_STEP
         for _ in range(steps - 1):
             candidate = x + sigma * rng.standard_normal(dimension)
             f_alpha, f_beta = evaluate(candidate)

@@ -7,6 +7,10 @@ ideal and nadir) the run was assessed against.  Floats are written as
 shortest round-trip decimals, so ``read_log(write_log(log))`` reproduces
 the log bit-for-bit and rewriting a parsed file is byte-identical.
 
+Every bibench file is a text file of lines, so their shared line handling
+lives here: ``write_lines`` (atomic), ``numbered_lines`` and ``convert_at``,
+which turns a bad value into a :class:`LogParseError` naming ``path:line``.
+
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
 indicator update, first-hit record).  Live runs feed it every evaluation
 and ``recalculate`` feeds it a log's records under a (possibly different)
@@ -18,7 +22,8 @@ updates retroactive without re-running experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -41,7 +46,6 @@ __all__ = [
     "read_experiment_index",
     "read_log",
     "recalculate",
-    "rewrite_with_spec",
     "write_experiment_index",
     "write_log",
 ]
@@ -49,27 +53,61 @@ __all__ = [
 LOG_FORMAT = "runlog-v1"
 INDEX_FILENAME = "experiment_index.tsv"
 
-_HEADER_KEYS = (
-    "function",
-    "instance",
-    "dimension",
-    "algorithm",
-    "refset_version",
-    "i_ref",
-    "ideal_alpha",
-    "ideal_beta",
-    "nadir_alpha",
-    "nadir_beta",
-    "budget",
-)
+# Header keys in file order, each with the conversion of its value.  The
+# order is RunHeader's field order, with ideal and nadir split in two.
+_HEADER = {
+    "function": str, "instance": int, "dimension": int, "algorithm": str,
+    "refset_version": str, "i_ref": float, "ideal_alpha": float, "ideal_beta": float,
+    "nadir_alpha": float, "nadir_beta": float, "budget": int,
+}
 
 
 class LogParseError(ValueError):
-    """A malformed log line; carries the 1-based line number."""
+    """A malformed line in a bibench file; carries the 1-based line number."""
 
     def __init__(self, path: Path | str, line_number: int, message: str) -> None:
         super().__init__(f"{path}:{line_number}: {message}")
         self.line_number = line_number
+
+
+def write_lines(path: Path | str, lines: Sequence[str], encoding: str = "ascii") -> Path:
+    """Write ``lines`` as a newline-terminated file, creating its directory.
+    A temporary file in that directory replaces ``path`` by ``os.replace``,
+    so ``path`` holds the old bytes or the new ones, never a part, unless
+    the machine itself fails (there is no ``fsync``)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_text("\n".join(lines) + "\n", encoding=encoding, newline="\n")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def numbered_lines(path: Path | str) -> list[tuple[int, str]]:
+    """The 1-based number and stripped text of every non-blank line of an
+    ASCII file; a non-ASCII byte raises :class:`LogParseError`."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise LogParseError(path, line, "non-ASCII byte") from None
+    return [
+        (number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())
+    ]
+
+
+def convert_at(path: Path | str, line: int, what: str, fn, text: str):
+    """``fn(text)``, with a ``ValueError`` re-raised as :class:`LogParseError`
+    naming ``path:line`` and ``what``."""
+    try:
+        return fn(text)
+    except ValueError as exc:
+        raise LogParseError(path, line, f"{what}: {exc}") from None
 
 
 class LogVersionError(ValueError):
@@ -91,6 +129,15 @@ class RunHeader:
     ideal: ObjectiveVector
     nadir: ObjectiveVector
     budget: int
+
+    @classmethod
+    def for_run(cls, spec: ProblemSpec, algorithm: str, budget: int) -> RunHeader:
+        """The header of a run of ``algorithm`` with ``budget`` evaluations,
+        assessed against ``spec``'s reference data."""
+        return cls(
+            spec.function_id, spec.instance_id, spec.dimension, algorithm,
+            spec.refset_version, spec.i_ref, spec.ideal, spec.nadir, budget,
+        )
 
     def problem_spec(self) -> ProblemSpec:
         return ProblemSpec(
@@ -152,85 +199,57 @@ def write_log(log: RunLog, path: Path | str) -> Path:
                 f"decision vector, expected {h.dimension}"
             )
 
-    lines = [
-        f"% format={LOG_FORMAT}",
-        f"% function={h.function_id}",
-        f"% instance={h.instance_id}",
-        f"% dimension={h.dimension}",
-        f"% algorithm={h.algorithm}",
-        f"% refset_version={h.refset_version}",
-        f"% i_ref={_fmt(h.i_ref)}",
-        f"% ideal_alpha={_fmt(h.ideal.f_alpha)}",
-        f"% ideal_beta={_fmt(h.ideal.f_beta)}",
-        f"% nadir_alpha={_fmt(h.nadir.f_alpha)}",
-        f"% nadir_beta={_fmt(h.nadir.f_beta)}",
-        f"% budget={h.budget}",
-    ]
+    values = (
+        h.function_id, h.instance_id, h.dimension, h.algorithm, h.refset_version,
+        _fmt(h.i_ref), _fmt(h.ideal.f_alpha), _fmt(h.ideal.f_beta),
+        _fmt(h.nadir.f_alpha), _fmt(h.nadir.f_beta), h.budget,
+    )
+    lines = [f"% format={LOG_FORMAT}"] + [f"% {k}={v}" for k, v in zip(_HEADER, values)]
     for r in log.records:
         cells = [str(r.eval_count), _fmt(r.objectives.f_alpha), _fmt(r.objectives.f_beta)]
         cells.extend(_fmt(c) for c in r.decision)
         lines.append("\t".join(cells))
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
-
-
-def _convert(path: Path, number: int, what: str, convert, text: str):
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise LogParseError(path, number, f"{what}: {exc}") from None
+    return write_lines(path, lines)
 
 
 def _run_header(
     path: Path, header: dict[str, tuple[str, int]], number: int, missing_message: str
 ) -> RunHeader:
     """Build the header from ``key -> (value, line)``; missing keys are
-    reported at line ``number``."""
-    missing = [k for k in _HEADER_KEYS if k not in header]
+    reported at line ``number``, a header that fails ``ProblemSpec``'s
+    checks at the last header line."""
+    missing = [k for k in _HEADER if k not in header]
     if missing:
         raise LogParseError(path, number, f"{missing_message}: {', '.join(missing)}")
-
-    def get(key: str, convert=str):
-        return _convert(path, header[key][1], key, convert, header[key][0])
-
-    return RunHeader(
-        function_id=get("function"),
-        instance_id=get("instance", int),
-        dimension=get("dimension", int),
-        algorithm=get("algorithm"),
-        refset_version=get("refset_version"),
-        i_ref=get("i_ref", float),
-        ideal=ObjectiveVector(get("ideal_alpha", float), get("ideal_beta", float)),
-        nadir=ObjectiveVector(get("nadir_alpha", float), get("nadir_beta", float)),
-        budget=get("budget", int),
-    )
+    v = [convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in _HEADER.items()]
+    run_header = RunHeader(*v[:6], ObjectiveVector(*v[6:8]), ObjectiveVector(*v[8:10]), v[10])
+    try:
+        run_header.problem_spec()
+    except ValueError as exc:
+        raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
+    return run_header
 
 
 def read_log(path: Path | str) -> RunLog:
     """Parse a run log.  A missing or unknown format raises
     :class:`LogVersionError`; malformed headers or records, including eval
-    counts that are not strictly increasing within ``[1, budget]``, raise
-    :class:`LogParseError` naming ``path:line``."""
+    counts that are not strictly increasing within ``[1, budget]``, and a
+    header that ``ProblemSpec`` rejects, raise :class:`LogParseError`
+    naming ``path:line``."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
     records: list[LogRecord] = []
     width = budget = last = 0
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines or not lines[0].startswith("% format="):
+    lines = numbered_lines(path)
+    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
-    declared = lines[0].partition("=")[2].strip()
+    declared = lines[0][1].partition("=")[2].strip()
     if declared != LOG_FORMAT:
         raise LogVersionError(
             f"{path}: unsupported log format {declared!r}, expected {LOG_FORMAT!r}"
         )
-    for number, raw in enumerate(lines[1:], 2):
-        line = raw.strip()
-        if not line:
-            continue
+    for number, line in lines[1:]:
         if line.startswith("%"):
             if run_header is not None:
                 raise LogParseError(path, number, "header line after the first record")
@@ -267,7 +286,7 @@ def read_log(path: Path | str) -> RunLog:
         records.append(LogRecord(eval_count, objectives, decision))
 
     if run_header is None:
-        run_header = _run_header(path, header, len(lines), "missing header keys")
+        run_header = _run_header(path, header, lines[-1][0], "missing header keys")
     return RunLog(run_header, tuple(records))
 
 
@@ -287,7 +306,7 @@ class Assessment:
         """Assess evaluation ``eval_count``; True if it entered the archive."""
         outcome = self.archive.insert(normalize(y, self.spec), eval_count)
         self.value = evaluate_incremental(self.value, outcome, self.archive)
-        self.runtimes.record(eval_count, self.value)
+        self.runtimes.record(eval_count, self.value.value)
         return outcome.accepted
 
 
@@ -337,30 +356,25 @@ class IndexEntry:
 
 def write_experiment_index(directory: Path | str, entries: Sequence[IndexEntry]) -> Path:
     """Write the per-algorithm index listing every run file (written last)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     lines = ["% format=experiment-index-v1", "% columns=file function instance dimension refset_version"]
     for e in entries:
         lines.append(
             f"{e.file}\t{e.function_id}\t{e.instance_id}\t{e.dimension}\t{e.refset_version}"
         )
-    path = directory / INDEX_FILENAME
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
+    return write_lines(Path(directory) / INDEX_FILENAME, lines)
 
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     path = Path(path)
     entries: list[IndexEntry] = []
-    for number, raw in enumerate(path.read_text(encoding="ascii").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+    for number, line in numbered_lines(path):
+        if line.startswith("%"):
             continue
         parts = line.split("\t")
         if len(parts) != 5:
             raise LogParseError(path, number, f"expected 5 columns, got {len(parts)}")
-        instance_id = _convert(path, number, "instance", int, parts[2])
-        dimension = _convert(path, number, "dimension", int, parts[3])
+        instance_id = convert_at(path, number, "instance", int, parts[2])
+        dimension = convert_at(path, number, "dimension", int, parts[3])
         entries.append(IndexEntry(parts[0], parts[1], instance_id, dimension, parts[4]))
     return tuple(entries)
 
@@ -369,7 +383,8 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[tuple[str, RunLog]]:
     """Read every run log listed by the experiment indexes under ``logs_dir``
     (one subdirectory per algorithm), yielding ``(subdirectory name, log)``
     in sorted index order.  A log whose header disagrees with its index row
-    on the reference-set version raises ``ValueError``."""
+    on the function, instance, dimension or reference-set version raises
+    ``ValueError`` naming the log."""
     logs_dir = Path(logs_dir)
     index_paths = sorted(logs_dir.glob(f"*/{INDEX_FILENAME}"))
     if not index_paths:
@@ -380,23 +395,17 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[tuple[str, RunLog]]:
     for index_path in index_paths:
         algorithm_dir = index_path.parent
         for entry in read_experiment_index(index_path):
-            log = read_log(algorithm_dir / entry.file)
-            if entry.refset_version != log.header.refset_version:
-                raise ValueError(
-                    f"{algorithm_dir / entry.file}: index lists refset version "
-                    f"{entry.refset_version} but the log header says "
-                    f"{log.header.refset_version}"
-                )
+            path = algorithm_dir / entry.file
+            log = read_log(path)
+            h = log.header
+            for what, listed, logged in (
+                ("function", entry.function_id, h.function_id),
+                ("instance", entry.instance_id, h.instance_id),
+                ("dimension", entry.dimension, h.dimension),
+                ("refset version", entry.refset_version, h.refset_version),
+            ):
+                if listed != logged:
+                    raise ValueError(
+                        f"{path}: index lists {what} {listed} but the log header says {logged}"
+                    )
             yield algorithm_dir.name, log
-
-
-def rewrite_with_spec(log: RunLog, rs_spec: ProblemSpec) -> RunLog:
-    """A copy of ``log`` whose header carries ``rs_spec``'s reference data."""
-    new_header = replace(
-        log.header,
-        refset_version=rs_spec.refset_version,
-        i_ref=rs_spec.i_ref,
-        ideal=rs_spec.ideal,
-        nadir=rs_spec.nadir,
-    )
-    return RunLog(new_header, log.records)

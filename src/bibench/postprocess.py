@@ -75,7 +75,6 @@ class EcdfCurve:
 
 def ecdf(
     records: Sequence[RuntimeRecord],
-    budgets: Sequence[int] | None = None,
     *,
     algorithm: str = "",
     slice_label: str = "",
@@ -90,12 +89,7 @@ def ecdf(
         raise ValueError("ecdf: no runtime records supplied")
     n_total = sum(len(r.targets) for r in records)
     hits = sorted(h for r in records for h in r.first_hit if h is not None)
-    if budgets is None:
-        support = sorted(set(hits) | {max(r.evaluations for r in records)})
-    else:
-        support = sorted(set(int(b) for b in budgets))
-        if not support:
-            raise ValueError("ecdf: empty budget list")
+    support = sorted(set(hits) | {max(r.evaluations for r in records)})
     proportions: list[float] = []
     n_hit: list[int] = []
     for budget in support:
@@ -211,8 +205,6 @@ def write_ecdf_csv(curve: EcdfCurve, path: Path | str, dimension: int | None = N
     Budgets are emitted both raw and per dimension; the per-dimension
     column stays empty for aggregates over mixed dimensions.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         f"# refset_version={curve.refset_version}",
         f"# algorithm={curve.algorithm} slice={curve.slice_label}",
@@ -221,15 +213,12 @@ def write_ecdf_csv(curve: EcdfCurve, path: Path | str, dimension: int | None = N
     for budget, proportion, hit in zip(curve.support, curve.proportion, curve.n_hit):
         per_dim = repr(budget / dimension) if dimension is not None else ""
         lines.append(f"{budget},{per_dim},{proportion!r},{hit},{curve.n_total}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
+    return datalog.write_lines(path, lines)
 
 
 def write_runtime_table_csv(
     rows: Sequence[TableRow], path: Path | str, refset_version: str = ""
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     instance_ids = sorted({inst for row in rows for inst, _ in row.cells})
     header = ["function", "dimension", "precision"]
     header += [f"instance_{i}" for i in instance_ids]
@@ -245,8 +234,7 @@ def write_runtime_table_csv(
                 + [str(row.n_hit), str(row.n_instances)]
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return datalog.write_lines(path, lines, encoding="utf-8")
 
 
 def load_labeled_records(logs_dir: Path | str) -> list[LabeledRecord]:

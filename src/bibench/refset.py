@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from bibench import suite
 from bibench.archive import staircase_hypervolume
 from bibench.core import NormalizedObjectives, ObjectiveVector, ProblemSpec
+from bibench.datalog import LogParseError, convert_at, numbered_lines, write_lines
 
 __all__ = [
     "ReferenceSet",
@@ -99,10 +100,8 @@ def _canonical_serialization(points: Sequence[ObjectiveVector]) -> str:
     return "\n".join(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in points)
 
 
-def version_of(points: Sequence[ObjectiveVector] | ReferenceSet) -> str:
+def version_of(points: Sequence[ObjectiveVector]) -> str:
     """Content hash of a point set's canonical serialization."""
-    if isinstance(points, ReferenceSet):
-        points = points.points
     digest = hashlib.sha256(_canonical_serialization(points).encode("ascii"))
     return digest.hexdigest()[:_VERSION_DIGITS]
 
@@ -215,8 +214,6 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     bounds = "estimated" if rs.bounds_estimated else "analytic"
     lines = [
         f"# function={rs.function_id} instance={rs.instance_id} "
@@ -228,74 +225,86 @@ def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
         "coordinates are clamped to 0",
     ]
     lines.extend(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in rs.points)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
+    return write_lines(path, lines)
+
+
+def _bounds_estimated(text: str) -> bool:
+    if text not in ("analytic", "estimated"):
+        raise ValueError(f"expected analytic or estimated, got {text!r}")
+    return text == "estimated"
+
+
+def _point(line: str) -> ObjectiveVector:
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise ValueError(f"expected 2 columns, got {len(parts)}")
+    point = ObjectiveVector(float(parts[0]), float(parts[1]))
+    if not point.is_finite():
+        raise ValueError("non-finite value")
+    return point
+
+
+# Header keys, each with the conversion of its value.
+_HEADER = {
+    "function": str, "instance": int, "dimension": int, "version": str, "i_ref": float,
+    "ideal_alpha": float, "ideal_beta": float, "nadir_alpha": float, "nadir_beta": float,
+    "bounds": _bounds_estimated,
+}
 
 
 def read_reference_set(path: Path | str) -> ReferenceSet:
-    """Parse a reference-set file, validating version and ``i_ref``.
+    """Parse a reference-set file; every failure raises :class:`LogParseError`
+    naming ``path:line``.
 
-    The stored ``i_ref`` and version must match recomputation from the
-    parsed points bit-for-bit; a mismatch means the file was edited or
-    corrupted.
+    All header keys must parse, with ``bounds`` either ``analytic`` or
+    ``estimated``; each point is two finite numbers.  The header must pass
+    ``ProblemSpec``'s checks and the points ``ReferenceSet``'s.  The stored
+    ``i_ref`` and version must match recomputation from the points
+    bit-for-bit; a mismatch means the file was edited or corrupted.
     """
     path = Path(path)
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}
     points: list[ObjectiveVector] = []
-    for number, raw in enumerate(path.read_text(encoding="ascii").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    lines = numbered_lines(path)
+    for number, line in lines:
         if line.startswith("#"):
             for token in line[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    header[key] = value
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{number}: expected 2 columns, got {len(parts)}")
-        try:
-            points.append(ObjectiveVector(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{number}: {exc}") from None
+                key, sep, value = token.partition("=")
+                if sep:
+                    header[key] = (value, number)
+        else:
+            points.append(convert_at(path, number, "point", _point, line))
 
-    required = (
-        "function",
-        "instance",
-        "dimension",
-        "version",
-        "i_ref",
-        "ideal_alpha",
-        "ideal_beta",
-        "nadir_alpha",
-        "nadir_beta",
-        "bounds",
-    )
-    missing = [k for k in required if k not in header]
+    missing = [k for k in _HEADER if k not in header]
     if missing:
-        raise ValueError(f"{path}: missing header keys: {', '.join(missing)}")
-
-    rs = ReferenceSet(
-        function_id=header["function"],
-        instance_id=int(header["instance"]),
-        dimension=int(header["dimension"]),
-        points=tuple(points),
-        ideal=ObjectiveVector(float(header["ideal_alpha"]), float(header["ideal_beta"])),
-        nadir=ObjectiveVector(float(header["nadir_alpha"]), float(header["nadir_beta"])),
-        i_ref=float(header["i_ref"]),
-        version=header["version"],
-        bounds_estimated=header["bounds"] == "estimated",
-    )
+        end = lines[-1][0] if lines else 1
+        raise LogParseError(path, end, f"missing header keys: {', '.join(missing)}")
+    values = {k: convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in _HEADER.items()}
+    try:
+        rs = ReferenceSet(
+            function_id=values["function"],
+            instance_id=values["instance"],
+            dimension=values["dimension"],
+            points=tuple(points),
+            ideal=ObjectiveVector(values["ideal_alpha"], values["ideal_beta"]),
+            nadir=ObjectiveVector(values["nadir_alpha"], values["nadir_beta"]),
+            i_ref=values["i_ref"],
+            version=values["version"],
+            bounds_estimated=values["bounds"],
+        )
+        rs.problem_spec()
+    except ValueError as exc:
+        raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
     if rs.version != version_of(rs.points):
-        raise ValueError(
-            f"{path}: stored version {rs.version} does not match point content "
-            f"{version_of(rs.points)}"
+        raise LogParseError(
+            path, header["version"][1],
+            f"stored version {rs.version} does not match point content {version_of(rs.points)}",
         )
     recomputed = _i_ref_from(rs.points, rs.ideal, rs.nadir)
     if recomputed != rs.i_ref:
-        raise ValueError(
-            f"{path}: stored i_ref {rs.i_ref!r} does not match recomputation {recomputed!r}"
+        raise LogParseError(
+            path, header["i_ref"][1],
+            f"stored i_ref {rs.i_ref!r} does not match recomputation {recomputed!r}",
         )
     return rs
 

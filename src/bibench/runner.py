@@ -206,17 +206,7 @@ def run_experiment(
         rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
         algo(_budgeted(fn, budget, observe), dim, budget, rng)
 
-        header = datalog.RunHeader(
-            function_id=fid,
-            instance_id=inst,
-            dimension=dim,
-            algorithm=cfg.algorithm,
-            refset_version=spec.refset_version,
-            i_ref=spec.i_ref,
-            ideal=spec.ideal,
-            nadir=spec.nadir,
-            budget=budget,
-        )
+        header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
         path = datalog.log_path(cfg.output_dir, cfg.algorithm, fid, dim, inst)
         datalog.write_log(datalog.RunLog(header, tuple(records)), path)
         index_entries.append(
@@ -261,7 +251,7 @@ def recalc_experiment(
         spec = rs.problem_spec()
         datalog.recalculate(log, spec)  # raises LogReplayError on a corrupt log
         path = datalog.write_log(
-            datalog.rewrite_with_spec(log, spec),
+            datalog.RunLog(datalog.RunHeader.for_run(spec, h.algorithm, h.budget), log.records),
             datalog.log_path(output_dir, h.algorithm, h.function_id, h.dimension, h.instance_id),
         )
         written.append(path)

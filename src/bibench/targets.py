@@ -16,7 +16,6 @@ from bisect import bisect_left
 from typing import Sequence
 
 from bibench.core import ProblemSpec
-from bibench.indicator import IndicatorValue
 
 __all__ = ["GRID_SIZE", "RuntimeRecord", "absolute_targets", "precision_grid"]
 
@@ -35,11 +34,9 @@ def precision_grid() -> tuple[float, ...]:
     return tuple(negative) + (0.0,) + tuple(positive)
 
 
-def absolute_targets(p: ProblemSpec, grid: Sequence[float] | None = None) -> tuple[float, ...]:
+def absolute_targets(p: ProblemSpec) -> tuple[float, ...]:
     """Absolute indicator targets ``i_ref + precision``, ascending."""
-    if grid is None:
-        grid = precision_grid()
-    return tuple(p.i_ref + g for g in grid)
+    return tuple(p.i_ref + g for g in precision_grid())
 
 
 class RuntimeRecord:
@@ -64,7 +61,7 @@ class RuntimeRecord:
         self._hit_from = len(targets)  # index of the hardest target hit so far
         self._last_t = 0
 
-    def record(self, t: int, value: IndicatorValue | float) -> None:
+    def record(self, t: int, value: float) -> None:
         """Account for the indicator ``value`` after evaluation ``t``."""
         if t <= self._last_t:
             raise ValueError(
@@ -72,8 +69,7 @@ class RuntimeRecord:
             )
         self._last_t = t
         self.evaluations = t
-        v = value.value if isinstance(value, IndicatorValue) else float(value)
-        first = bisect_left(self.targets, v)  # all targets >= v are hit
+        first = bisect_left(self.targets, value)  # all targets >= value are hit
         for k in range(first, self._hit_from):
             self.first_hit[k] = t
         if first < self._hit_from:

@@ -105,10 +105,3 @@ def test_budget_smaller_than_weight_count() -> None:
                             rng=np.random.default_rng(9))
     # Only the first four weights get one evaluation each.
     assert len(rec.calls) == 4
-
-
-def test_custom_bounds_respected() -> None:
-    rec = _Recorder()
-    random_search(rec, 2, 100, np.random.default_rng(2), lower=-1.0, upper=1.0)
-    stacked = np.stack(rec.calls)
-    assert np.all(stacked >= -1.0) and np.all(stacked <= 1.0)

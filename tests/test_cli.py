@@ -179,6 +179,26 @@ def test_bad_index_number_names_file_and_line(tmp_path, capsys, command) -> None
     assert "experiment_index.tsv:3: instance: invalid literal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["recalc", "postprocess"])
+def test_index_row_must_match_log_problem(tmp_path, capsys, command) -> None:
+    refdir, logs = _tamper_index(tmp_path, lambda text, _: text.replace("\tf1\t1\t2\t", "\tf3\t1\t5\t"))
+    argv = [command, "--logs", str(logs), "--out", str(tmp_path / "r")]
+    if command == "recalc":
+        argv += ["--refsets", str(refdir)]
+    assert main(argv) == 1
+    assert "f1_d2_i1.tsv: index lists function f3 but the log header says f1" in capsys.readouterr().err
+
+
+def test_postprocess_reports_log_header_that_fails_problem_spec(tmp_path, capsys) -> None:
+    # With dimension -1 a two-column record has the expected width.
+    _, logs = _tamper_index(tmp_path, lambda text, _: text)
+    log = logs / "random" / "f1_d2_i1.tsv"
+    header = log.read_text().replace("% dimension=2", "% dimension=-1").splitlines()[:12]
+    log.write_text("\n".join(header + ["1\t0.5"]) + "\n")
+    assert main(["postprocess", "--logs", str(logs), "--out", str(tmp_path / "p")]) == 1
+    assert "f1_d2_i1.tsv:12: dimension must be positive" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(tmp_path) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # --out is required

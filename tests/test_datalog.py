@@ -21,8 +21,8 @@ from bibench.datalog import (
     read_experiment_index,
     read_log,
     recalculate,
-    rewrite_with_spec,
     write_experiment_index,
+    write_lines,
     write_log,
 )
 from bibench.indicator import EMPTY_ARCHIVE_VALUE, evaluate_incremental
@@ -61,7 +61,7 @@ def _live_run(spec: ProblemSpec, n_evals: int, seed: int):
         decision = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         outcome = arch.insert(normalize(raw, spec), t)
         value = evaluate_incremental(value, outcome, arch)
-        runtimes.record(t, value)
+        runtimes.record(t, value.value)
         if outcome.accepted:
             records.append(LogRecord(t, raw, decision))
             live_trajectory.append((t, value))
@@ -261,9 +261,8 @@ def test_recalculate_equals_brute_force_scan() -> None:
             assert runtimes.first_hit[k] == want
 
 
-def test_rewrite_with_spec_swaps_reference_data_only() -> None:
-    log = RunLog(_header(), (LogRecord(1, ObjectiveVector(0.5, 0.5), (0.0, 0.0)),))
-    new_spec = ProblemSpec(
+def test_run_header_for_run_takes_reference_data_from_spec() -> None:
+    spec = ProblemSpec(
         function_id="f1",
         instance_id=1,
         dimension=2,
@@ -272,13 +271,9 @@ def test_rewrite_with_spec_swaps_reference_data_only() -> None:
         i_ref=-0.25,
         refset_version="ffff0000ffff0000",
     )
-    swapped = rewrite_with_spec(log, new_spec)
-    assert swapped.records is log.records
-    assert swapped.header.refset_version == "ffff0000ffff0000"
-    assert swapped.header.i_ref == -0.25
-    assert swapped.header.ideal == ObjectiveVector(-1.0, -1.0)
-    assert swapped.header.algorithm == log.header.algorithm
-    assert swapped.header.budget == log.header.budget
+    header = RunHeader.for_run(spec, "hillclimber", 300)
+    assert header.problem_spec() == spec
+    assert (header.algorithm, header.budget) == ("hillclimber", 300)
 
 
 def test_log_path_layout(tmp_path) -> None:
@@ -329,6 +324,36 @@ def test_read_rejects_bad_eval_counts(tmp_path, rows, budget, message) -> None:
 def test_read_rejects_header_line_after_records(tmp_path) -> None:
     path = _log_text(tmp_path, ["1\t0.5\t0.5\t0.0\t0.0", "% budget=5000"])
     with pytest.raises(LogParseError, match=r"edited\.tsv:14: header line after"):
+        read_log(path)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("% dimension=2", "% dimension=-1", r"run\.tsv:12: dimension must be positive"),
+        ("% ideal_beta=0.0", "% ideal_beta=2.0", r"run\.tsv:12: ideal must be strictly below"),
+    ],
+    ids=["dimension", "ideal-nadir"],
+)
+def test_read_rejects_header_that_fails_problem_spec(tmp_path, old, new, message) -> None:
+    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(LogParseError, match=message):
+        read_log(path)
+
+
+def test_write_lines_failure_keeps_old_file(tmp_path) -> None:
+    path = write_lines(tmp_path / "out" / "table.csv", ["old"])
+    with pytest.raises(UnicodeEncodeError):
+        write_lines(path, ["new", "caf\u00e9"], encoding="ascii")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in path.parent.iterdir()] == ["table.csv"]
+
+
+def test_read_reports_non_ascii_byte_with_line(tmp_path) -> None:
+    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path.write_text(path.read_text().replace("% algorithm=random", "% algorithm=caf\u00e9"))
+    with pytest.raises(LogParseError, match=r"run\.tsv:5: non-ASCII byte"):
         read_log(path)
 
 

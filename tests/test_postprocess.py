@@ -92,15 +92,6 @@ def test_ecdf_order_invariant() -> None:
     assert again.n_hit == base.n_hit
 
 
-def test_ecdf_with_explicit_budgets() -> None:
-    rec = RuntimeRecord([0.1, 0.5, 0.9])
-    rec.record(10, 0.7)
-    rec.record(100, 0.05)
-    curve = ecdf([rec], budgets=[5, 50, 500])
-    assert curve.support == (5, 50, 500)
-    assert curve.proportion == (0.0, 1 / 3, 1.0)
-
-
 def test_ecdf_requires_records() -> None:
     with pytest.raises(ValueError, match="no runtime records"):
         ecdf([])

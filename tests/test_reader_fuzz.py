@@ -1,0 +1,102 @@
+"""Fuzz tests for the file readers: each starts from a file its writer
+produced, mangles it, and requires the reader to either return or fail with
+a named error whose message starts with the path, never with an
+``IndexError``, ``KeyError`` or ``TypeError``."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bibench.core import ObjectiveVector
+from bibench.datalog import (
+    IndexEntry,
+    LogParseError,
+    LogRecord,
+    LogVersionError,
+    RunHeader,
+    RunLog,
+    read_experiment_index,
+    read_log,
+    write_experiment_index,
+    write_log,
+)
+from bibench.refset import merge, read_reference_set, write_reference_set
+
+# Stand-ins for a good token: empty, out of range, unparsable, other keys'
+# values, separators and a non-ASCII character.
+_TOKENS = ("", "0", "-1", "1e999", "nan", "-inf", "one", "%", "#", "=", "x=1",
+           "estimated", "\t", "é")
+
+
+@st.composite
+def _mangled(draw, text: str) -> str:
+    """``text`` after one to three edits: truncate it, or delete, duplicate
+    or swap a line, or replace one token of a line."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.splitlines() or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("truncate", "delete", "duplicate", "swap", "token")))
+        if edit == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+            continue
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = re.split(r"([\t =])", lines[i])
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = "".join(tokens)
+        text = "".join(line + "\n" for line in lines)
+    return text
+
+
+def _written_files(directory):
+    """One file per reader, as its writer produces it."""
+    header = RunHeader(
+        "f1", 1, 2, "random", "ab12cd34ef56ab78", -0.4,
+        ObjectiveVector(0.0, 0.0), ObjectiveVector(2.0, 2.0), 100,
+    )
+    records = tuple(
+        LogRecord(t, ObjectiveVector(2.0 - k * 0.3, 0.2 + k * 0.3), (0.5 * k, -1.5))
+        for k, t in enumerate((1, 4, 9, 30))
+    )
+    log = write_log(RunLog(header, records), directory / "log.tsv")
+    rs = merge(
+        [[ObjectiveVector(k / 4, 1 - k / 4) for k in range(5)]],
+        function_id="f1", instance_id=1, dimension=2,
+        ideal=ObjectiveVector(0.0, 0.0), nadir=ObjectiveVector(1.0, 1.0),
+    )
+    refset = write_reference_set(rs, directory / "refset.tsv")
+    index = write_experiment_index(directory, [
+        IndexEntry(f"f1_d2_i{i}.tsv", "f1", i, 2, "ab12cd34ef56ab78") for i in (1, 2, 3)
+    ])
+    return {read_log: log, read_reference_set: refset, read_experiment_index: index}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    return _written_files(tmp_path_factory.mktemp("written"))
+
+
+@pytest.mark.parametrize("reader", [read_log, read_reference_set, read_experiment_index],
+                         ids=lambda reader: reader.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reader_fails_only_with_named_errors(written, reader, data) -> None:
+    original = written[reader]
+    path = original.with_name("mangled" + original.suffix)
+    path.write_text(data.draw(_mangled(original.read_text())), encoding="utf-8")
+    try:
+        reader(path)
+    except (LogParseError, LogVersionError):
+        pass
+    except ValueError as exc:
+        assert str(exc).startswith(str(path)), repr(exc)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from bibench.core import ObjectiveVector
+from bibench.datalog import LogParseError
 from bibench.refset import (
     ReferenceSet,
     merge,
@@ -184,6 +185,25 @@ def test_read_rejects_missing_header(tmp_path) -> None:
     path = tmp_path / "rs.tsv"
     path.write_text("# function=f1 instance=1\n0.5\t0.5\n")
     with pytest.raises(ValueError, match="missing header keys"):
+        read_reference_set(path)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("instance=1 ", "instance=one ", r"rs\.tsv:1: instance: invalid literal"),
+        ("bounds=analytic", "bounds=guessed", r"rs\.tsv:2: bounds: expected analytic or estimated"),
+        ("0.75\t0.25", "0.75\tinf", r"rs\.tsv:5: point: non-finite"),
+        ("dimension=2", "dimension=0", r"rs\.tsv:2: dimension must be positive"),
+        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n0.25\t0.75", r"rs\.tsv:2: reference points must"),
+    ],
+    ids=["instance", "bounds", "non-finite", "dimension", "order"],
+)
+def test_read_reports_bad_value_with_line(tmp_path, old, new, message) -> None:
+    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    path = write_reference_set(rs, tmp_path / "rs.tsv")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(LogParseError, match=message):
         read_reference_set(path)
 
 

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from bibench.core import ObjectiveVector, ProblemSpec
-from bibench.indicator import Branch, IndicatorValue
 from bibench.targets import GRID_SIZE, RuntimeRecord, absolute_targets, precision_grid
 
 
@@ -82,18 +81,6 @@ def test_record_requires_increasing_t() -> None:
         rec.record(3, 0.05)
     with pytest.raises(ValueError, match="increase strictly"):
         rec.record(2, 0.05)
-
-
-def test_record_accepts_indicator_values() -> None:
-    rec = RuntimeRecord(absolute_targets(_spec(-0.8)))
-    rec.record(1, IndicatorValue(0.3, Branch.DISTANCE))
-    rec.record(2, IndicatorValue(-0.75, Branch.HYPERVOLUME))
-    assert 0 < rec.hit_count < 58
-    # The coarsest target (i_ref + 1.0 = 0.2) needed the second, better value.
-    assert rec.first_hit[-1] == 2
-    # Hits accumulate; earlier hits keep their first time.
-    rec.record(3, IndicatorValue(-0.75, Branch.HYPERVOLUME))
-    assert rec.first_hit[-1] == 2
 
 
 def test_hits_never_change_once_set() -> None:
