@@ -7,12 +7,11 @@ normalized objective space, and runtimes (evaluation counts) to a grid of
 reference-based targets feed empirical cumulative distribution functions.
 """
 
-from bibench.archive import Archive, ArchiveEntry, InsertOutcome, recompute_from_scratch
+from bibench.archive import Archive, InsertOutcome, recompute_from_scratch
 from bibench.core import (
     NormalizedObjectives,
     ObjectiveVector,
     ProblemSpec,
-    dominates,
     normalize,
     ulp_distance,
 )
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archive",
-    "ArchiveEntry",
     "Branch",
     "IndicatorValue",
     "InsertOutcome",
@@ -34,7 +32,6 @@ __all__ = [
     "ReferenceSet",
     "RuntimeRecord",
     "absolute_targets",
-    "dominates",
     "normalize",
     "precision_grid",
     "recompute_from_scratch",

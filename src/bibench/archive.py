@@ -29,29 +29,11 @@ from bibench.core import NormalizedObjectives
 
 __all__ = [
     "Archive",
-    "ArchiveEntry",
     "InsertOutcome",
     "recompute_from_scratch",
     "roi_distance",
     "staircase_hypervolume",
 ]
-
-
-@dataclass(frozen=True)
-class ArchiveEntry:
-    """One archived solution: normalized objectives and the evaluation
-    index at which it was produced."""
-
-    objectives: NormalizedObjectives
-    eval_index: int
-
-    @property
-    def u(self) -> float:
-        return self.objectives.u
-
-    @property
-    def v(self) -> float:
-        return self.objectives.v
 
 
 @dataclass(frozen=True)
@@ -109,42 +91,33 @@ class _CompensatedSum:
 
 class Archive:
     """Mutable single-writer archive of mutually non-dominated entries, held
-    as parallel ``u``, ``v`` and evaluation-index lists."""
+    as parallel ``u`` and ``v`` lists."""
 
     def __init__(self) -> None:
         self._u: list[float] = []
         self._v: list[float] = []
-        self._eval: list[int] = []
         self._hv = _CompensatedSum()
         self._dist = math.inf
-        self._nadir_dominated = False
-        self._last_eval = 0
+        self._roi_reached = False
+        self._last_index = 0
         self.clamp_warnings = 0
 
     def __len__(self) -> int:
         return len(self._u)
 
     @property
-    def entries(self) -> tuple[ArchiveEntry, ...]:
+    def entries(self) -> tuple[NormalizedObjectives, ...]:
         """Entries in strictly increasing ``u`` order."""
-        return tuple(
-            ArchiveEntry(NormalizedObjectives(u, v), t)
-            for u, v, t in zip(self._u, self._v, self._eval)
-        )
+        return tuple(map(NormalizedObjectives, self._u, self._v))
 
     @property
-    def evaluations(self) -> int:
-        """Largest evaluation index submitted so far."""
-        return self._last_eval
-
-    @property
-    def dominates_nadir(self) -> bool:
+    def reaches_roi(self) -> bool:
         """True once any entry is at or inside the ROI (u <= 1 and v <= 1).
 
         This is the quality-indicator branch test; it deliberately counts a
         point exactly on the nadir, unlike strict set dominance.
         """
-        return self._nadir_dominated
+        return self._roi_reached
 
     def hypervolume(self) -> float:
         """Cached ROI hypervolume dominated by the archive."""
@@ -165,17 +138,17 @@ class Archive:
         entry the point dominates.  Evaluation indices must be submitted in
         strictly increasing order, accepted or not.
         """
-        if eval_index <= self._last_eval:
+        if eval_index <= self._last_index:
             raise ValueError(
                 f"eval_index must increase strictly: got {eval_index} "
-                f"after {self._last_eval}"
+                f"after {self._last_index}"
             )
         yu, yv = y.u, y.v
         if not math.isfinite(yu):
             raise ValueError(f"u is not finite: {yu!r}")
         if not math.isfinite(yv):
             raise ValueError(f"v is not finite: {yv!r}")
-        self._last_eval = eval_index
+        self._last_index = eval_index
 
         us, vs = self._u, self._v
         n = len(us)
@@ -201,13 +174,12 @@ class Archive:
         if d < self._dist:
             self._dist = d
         if yu <= 1.0 and yv <= 1.0:
-            self._nadir_dominated = True
+            self._roi_reached = True
         if yu < 0.0 or yv < 0.0:
             self.clamp_warnings += 1
 
         us[i:j] = [yu]
         vs[i:j] = [yv]
-        self._eval[i:j] = [eval_index]
         self._hv.add(hv_gain)
         return InsertOutcome(True, j - i, hv_gain, dist_gain)
 
@@ -261,15 +233,13 @@ def staircase_hypervolume(points: Iterable[NormalizedObjectives]) -> float:
     return math.fsum(terms)
 
 
-def recompute_from_scratch(
-    entries: Iterable[ArchiveEntry | NormalizedObjectives],
-) -> tuple[float, float]:
+def recompute_from_scratch(points: Iterable[NormalizedObjectives]) -> tuple[float, float]:
     """Recompute (hypervolume, min ROI distance) without any caches.
 
-    Accepts archive entries or bare normalized points.  For an empty input
-    the hypervolume is 0 and the distance is the +infinity sentinel.
+    For an empty input the hypervolume is 0 and the distance is the
+    +infinity sentinel.
     """
-    points = [e.objectives if isinstance(e, ArchiveEntry) else e for e in entries]
+    points = list(points)
     if not points:
         return 0.0, math.inf
     hv = staircase_hypervolume(points)

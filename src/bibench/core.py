@@ -21,7 +21,6 @@ __all__ = [
     "NormalizedObjectives",
     "ObjectiveVector",
     "ProblemSpec",
-    "dominates",
     "normalize",
     "ulp_distance",
 ]
@@ -43,14 +42,11 @@ class NormalizedObjectives:
     """An objective vector in ROI coordinates (ideal at (0,0), nadir at (1,1)).
 
     Coordinates may exceed 1 (worse than the nadir) and, when the supplied
-    ideal is only an estimate, may fall below 0.
+    ideal is not a true lower bound, may fall below 0.
     """
 
     u: float
     v: float
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.u) and math.isfinite(self.v)
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,6 @@ def normalize(y: ObjectiveVector, p: ProblemSpec) -> NormalizedObjectives:
     u = (y.f_alpha - p.ideal.f_alpha) / (p.nadir.f_alpha - p.ideal.f_alpha)
     v = (y.f_beta - p.ideal.f_beta) / (p.nadir.f_beta - p.ideal.f_beta)
     return NormalizedObjectives(u, v)
-
-
-def dominates(a: NormalizedObjectives, b: NormalizedObjectives) -> bool:
-    """Weak dominance excluding equality: ``a`` better-or-equal everywhere
-    and strictly better somewhere.  Equal points do not dominate."""
-    return a.u <= b.u and a.v <= b.v and (a.u < b.u or a.v < b.v)
 
 
 def _float_ordinal(x: float) -> int:

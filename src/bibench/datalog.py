@@ -8,8 +8,9 @@ shortest round-trip decimals, so ``read_log(write_log(log))`` reproduces
 the log bit-for-bit and rewriting a parsed file is byte-identical.
 
 Every bibench file is a text file of lines, so their shared line handling
-lives here: ``write_lines`` (atomic), ``numbered_lines`` and ``convert_at``,
-which turns a bad value into a :class:`LogParseError` naming ``path:line``.
+lives here: ``write_lines`` (atomic), ``numbered_lines``, ``convert_at``,
+which turns a bad value into a :class:`LogParseError` naming ``path:line``,
+and ``build_header``, which does the same for a whole ``key=value`` header.
 
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
 indicator update, first-hit record).  Live runs feed it every evaluation
@@ -51,14 +52,23 @@ __all__ = [
 ]
 
 LOG_FORMAT = "runlog-v1"
+INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
 
 # Header keys in file order, each with the conversion of its value.  The
 # order is RunHeader's field order, with ideal and nadir split in two.
 _HEADER = {
     "function": str, "instance": int, "dimension": int, "algorithm": str,
     "refset_version": str, "i_ref": float, "ideal_alpha": float, "ideal_beta": float,
-    "nadir_alpha": float, "nadir_beta": float, "budget": int,
+    "nadir_alpha": float, "nadir_beta": float, "budget": _positive_int,
 }
 
 
@@ -110,8 +120,38 @@ def convert_at(path: Path | str, line: int, what: str, fn, text: str):
         raise LogParseError(path, line, f"{what}: {exc}") from None
 
 
+def build_header(
+    path: Path, header: dict[str, tuple[str, int]], keys: dict, build, line: int,
+    missing: str = "missing header keys",
+):
+    """``build(values)`` from a file's ``key -> (text, line)`` header, each of
+    ``keys`` converted by ``convert_at`` with its conversion.  Missing keys
+    are reported at ``line``, a ``ValueError`` from ``build`` at the last
+    header line."""
+    absent = [k for k in keys if k not in header]
+    if absent:
+        raise LogParseError(path, line, f"{missing}: {', '.join(absent)}")
+    values = {k: convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in keys.items()}
+    try:
+        return build(values)
+    except ValueError as exc:
+        raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
+
+
 class LogVersionError(ValueError):
-    """The log file declares an unknown format version."""
+    """The file declares an unknown format version."""
+
+
+def _format_body(path: Path, expected: str) -> list[tuple[int, str]]:
+    """``numbered_lines(path)`` after line 1, which must be ``% format=expected``;
+    otherwise :class:`LogVersionError`."""
+    lines = numbered_lines(path)
+    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
+        raise LogVersionError(f"{path}: missing format declaration on line 1")
+    declared = lines[0][1].partition("=")[2].strip()
+    if declared != expected:
+        raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected!r}")
+    return lines[1:]
 
 
 class LogReplayError(ValueError):
@@ -212,44 +252,27 @@ def write_log(log: RunLog, path: Path | str) -> Path:
     return write_lines(path, lines)
 
 
-def _run_header(
-    path: Path, header: dict[str, tuple[str, int]], number: int, missing_message: str
-) -> RunHeader:
-    """Build the header from ``key -> (value, line)``; missing keys are
-    reported at line ``number``, a header that fails ``ProblemSpec``'s
-    checks at the last header line."""
-    missing = [k for k in _HEADER if k not in header]
-    if missing:
-        raise LogParseError(path, number, f"{missing_message}: {', '.join(missing)}")
-    v = [convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in _HEADER.items()]
+def _run_header(values: dict) -> RunHeader:
+    """The header from ``_HEADER``'s converted values, checked by ``ProblemSpec``."""
+    v = list(values.values())
     run_header = RunHeader(*v[:6], ObjectiveVector(*v[6:8]), ObjectiveVector(*v[8:10]), v[10])
-    try:
-        run_header.problem_spec()
-    except ValueError as exc:
-        raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
+    run_header.problem_spec()
     return run_header
 
 
 def read_log(path: Path | str) -> RunLog:
     """Parse a run log.  A missing or unknown format raises
     :class:`LogVersionError`; malformed headers or records, including eval
-    counts that are not strictly increasing within ``[1, budget]``, and a
-    header that ``ProblemSpec`` rejects, raise :class:`LogParseError`
-    naming ``path:line``."""
+    counts that are not strictly increasing within ``[1, budget]``, a
+    ``budget`` below 1, and a header that ``ProblemSpec`` rejects, raise
+    :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
     records: list[LogRecord] = []
     width = budget = last = 0
-    lines = numbered_lines(path)
-    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
-        raise LogVersionError(f"{path}: missing format declaration on line 1")
-    declared = lines[0][1].partition("=")[2].strip()
-    if declared != LOG_FORMAT:
-        raise LogVersionError(
-            f"{path}: unsupported log format {declared!r}, expected {LOG_FORMAT!r}"
-        )
-    for number, line in lines[1:]:
+    lines = _format_body(path, LOG_FORMAT)
+    for number, line in lines:
         if line.startswith("%"):
             if run_header is not None:
                 raise LogParseError(path, number, "header line after the first record")
@@ -258,7 +281,9 @@ def read_log(path: Path | str) -> RunLog:
                 header[key.strip()] = (value.strip(), number)
             continue
         if run_header is None:
-            run_header = _run_header(path, header, number, "records start before header keys")
+            run_header = build_header(
+                path, header, _HEADER, _run_header, number, "records start before header keys"
+            )
             width = 3 + run_header.dimension
             budget = run_header.budget
         parts = line.split("\t")
@@ -286,7 +311,7 @@ def read_log(path: Path | str) -> RunLog:
         records.append(LogRecord(eval_count, objectives, decision))
 
     if run_header is None:
-        run_header = _run_header(path, header, lines[-1][0], "missing header keys")
+        run_header = build_header(path, header, _HEADER, _run_header, lines[-1][0] if lines else 1)
     return RunLog(run_header, tuple(records))
 
 
@@ -356,7 +381,8 @@ class IndexEntry:
 
 def write_experiment_index(directory: Path | str, entries: Sequence[IndexEntry]) -> Path:
     """Write the per-algorithm index listing every run file (written last)."""
-    lines = ["% format=experiment-index-v1", "% columns=file function instance dimension refset_version"]
+    lines = [f"% format={INDEX_FORMAT}",
+             "% columns=file function instance dimension refset_version"]
     for e in entries:
         lines.append(
             f"{e.file}\t{e.function_id}\t{e.instance_id}\t{e.dimension}\t{e.refset_version}"
@@ -365,17 +391,26 @@ def write_experiment_index(directory: Path | str, entries: Sequence[IndexEntry])
 
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
+    """Parse an experiment index.  A missing or unknown format raises
+    :class:`LogVersionError`; a malformed row, an instance or dimension
+    below 1, and a row that repeats an earlier row's file raise
+    :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
     entries: list[IndexEntry] = []
-    for number, line in numbered_lines(path):
+    rows: dict[str, int] = {}
+    for number, line in _format_body(path, INDEX_FORMAT):
         if line.startswith("%"):
             continue
         parts = line.split("\t")
         if len(parts) != 5:
             raise LogParseError(path, number, f"expected 5 columns, got {len(parts)}")
-        instance_id = convert_at(path, number, "instance", int, parts[2])
-        dimension = convert_at(path, number, "dimension", int, parts[3])
-        entries.append(IndexEntry(parts[0], parts[1], instance_id, dimension, parts[4]))
+        name = parts[0]
+        if name in rows:
+            raise LogParseError(path, number, f"{name} is already listed on line {rows[name]}")
+        rows[name] = number
+        instance_id = convert_at(path, number, "instance", _positive_int, parts[2])
+        dimension = convert_at(path, number, "dimension", _positive_int, parts[3])
+        entries.append(IndexEntry(name, parts[1], instance_id, dimension, parts[4]))
     return tuple(entries)
 
 

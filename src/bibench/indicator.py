@@ -55,21 +55,19 @@ class IndicatorValue:
 EMPTY_ARCHIVE_VALUE = IndicatorValue(math.inf, Branch.DISTANCE)
 
 
-def _from_hypervolume(hv: float) -> IndicatorValue:
+def _current(arch: Archive) -> IndicatorValue:
+    """A non-empty archive's value, on the branch ``reaches_roi`` selects."""
+    if not arch.reaches_roi:
+        return IndicatorValue(arch.min_distance_to_roi(), Branch.DISTANCE)
     # The exact clipped hypervolume is <= 1; summation may overshoot by a
     # fraction of an ULP, which must not breach the [-1, 0] invariant.
-    if hv >= 1.0:
-        return IndicatorValue(-1.0, Branch.HYPERVOLUME)
-    return IndicatorValue(-hv if hv > 0.0 else 0.0, Branch.HYPERVOLUME)
+    hv = arch.hypervolume()
+    return IndicatorValue(-min(hv, 1.0) if hv > 0.0 else 0.0, Branch.HYPERVOLUME)
 
 
 def evaluate(arch: Archive) -> IndicatorValue:
     """Full evaluation of an archive's indicator value."""
-    if len(arch) == 0:
-        return EMPTY_ARCHIVE_VALUE
-    if arch.dominates_nadir:
-        return _from_hypervolume(arch.hypervolume())
-    return IndicatorValue(arch.min_distance_to_roi(), Branch.DISTANCE)
+    return _current(arch) if len(arch) else EMPTY_ARCHIVE_VALUE
 
 
 def evaluate_incremental(
@@ -82,10 +80,6 @@ def evaluate_incremental(
     keeps the trajectory bit-identical to re-running :func:`evaluate` (a
     chain of floating subtractions of the outcome gains would drift).  The
     Distance -> Hypervolume transition happens at most once because the
-    archive's nadir flag is monotone.
+    archive's ``reaches_roi`` flag is monotone.
     """
-    if not outcome.accepted:
-        return prev
-    if prev.branch is Branch.HYPERVOLUME or arch.dominates_nadir:
-        return _from_hypervolume(arch.hypervolume())
-    return IndicatorValue(arch.min_distance_to_roi(), Branch.DISTANCE)
+    return _current(arch) if outcome.accepted else prev

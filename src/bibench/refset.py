@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from bibench import suite
 from bibench.archive import staircase_hypervolume
 from bibench.core import NormalizedObjectives, ObjectiveVector, ProblemSpec
-from bibench.datalog import LogParseError, convert_at, numbered_lines, write_lines
+from bibench.datalog import LogParseError, build_header, convert_at, numbered_lines, write_lines
 
 __all__ = [
     "ReferenceSet",
@@ -44,7 +44,7 @@ class ReferenceSet:
     ``points`` are raw objective vectors in canonical order (ascending
     ``f_alpha``, hence strictly descending ``f_beta``).  ``ideal`` and
     ``nadir`` are the normalization bounds ``i_ref`` was computed under;
-    ``bounds_estimated`` marks bounds read off the merged front's extreme
+    ``bounds_estimated`` marks a nadir read off the merged front's extreme
     points rather than known analytically.
     """
 
@@ -67,8 +67,7 @@ class ReferenceSet:
                     "reference points must be mutually non-dominated and "
                     "canonically sorted by f_alpha"
                 )
-        if not (-1.0 <= self.i_ref <= 0.0):
-            raise ValueError(f"i_ref must lie in [-1, 0], got {self.i_ref}")
+        self.problem_spec()  # dimension, bounds and i_ref
 
     def problem_spec(self) -> ProblemSpec:
         """The :class:`ProblemSpec` a run against this reference set uses."""
@@ -96,13 +95,10 @@ def nondominated_filter(points: Iterable[ObjectiveVector]) -> tuple[ObjectiveVec
     return tuple(kept)
 
 
-def _canonical_serialization(points: Sequence[ObjectiveVector]) -> str:
-    return "\n".join(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in points)
-
-
 def version_of(points: Sequence[ObjectiveVector]) -> str:
     """Content hash of a point set's canonical serialization."""
-    digest = hashlib.sha256(_canonical_serialization(points).encode("ascii"))
+    canonical = "\n".join(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in points)
+    digest = hashlib.sha256(canonical.encode("ascii"))
     return digest.hexdigest()[:_VERSION_DIGITS]
 
 
@@ -125,70 +121,27 @@ def _i_ref_from(
 
 
 def merge(
-    sets: Iterable[ReferenceSet | Iterable[ObjectiveVector]],
+    sets: Iterable[Iterable[ObjectiveVector]],
     *,
-    function_id: str | None = None,
-    instance_id: int | None = None,
-    dimension: int | None = None,
-    ideal: ObjectiveVector | None = None,
+    function_id: str,
+    instance_id: int,
+    dimension: int,
+    ideal: ObjectiveVector,
     nadir: ObjectiveVector | None = None,
 ) -> ReferenceSet:
-    """Merge reference sets and/or raw solution sets for one problem key.
+    """Merge raw solution sets for one problem key into a reference set.
 
     The result's points are the non-dominated filter of the union, so the
-    operation is order-independent and idempotent.  The problem key is
-    taken from the keyword arguments or, if omitted, from the input
-    reference sets (which must agree).  Normalization bounds work the same
-    way: explicitly passed bounds are treated as exact; bounds all input
-    reference sets agree on (and none marks estimated) are inherited;
-    anything still missing is estimated from the extreme points of the
-    merged front and flags the result as estimated.
+    operation is order-independent and idempotent.  The bounds passed are
+    exact; ``nadir=None`` estimates the nadir from the extreme points of
+    the merged front and flags the result as estimated.
     """
-    pool: list[ObjectiveVector] = []
-    rs_inputs: list[ReferenceSet] = []
-    for s in sets:
-        if isinstance(s, ReferenceSet):
-            rs_inputs.append(s)
-            pool.extend(s.points)
-        else:
-            pool.extend(s)
-    if not pool:
+    front = nondominated_filter(p for s in sets for p in s)
+    if not front:
         raise ValueError("merge: no points supplied")
-
-    def _inherit(name: str, value):
-        if value is not None:
-            return value
-        inherited = {getattr(rs, name) for rs in rs_inputs}
-        if len(inherited) == 1:
-            return inherited.pop()
-        if not inherited:
-            raise ValueError(f"merge: {name} not supplied and no reference-set inputs")
-        raise ValueError(f"merge: inputs disagree on {name}: {sorted(map(str, inherited))}")
-
-    function_id = _inherit("function_id", function_id)
-    instance_id = _inherit("instance_id", instance_id)
-    dimension = _inherit("dimension", dimension)
-
-    front = nondominated_filter(pool)
-
-    estimated = False
-    exact_bounds_inherited = (
-        ideal is None
-        and nadir is None
-        and bool(rs_inputs)
-        and not any(rs.bounds_estimated for rs in rs_inputs)
-        and len({(rs.ideal, rs.nadir) for rs in rs_inputs}) == 1
-    )
-    if exact_bounds_inherited:
-        ideal = rs_inputs[0].ideal
-        nadir = rs_inputs[0].nadir
-    else:
-        if ideal is None:
-            ideal = ObjectiveVector(front[0].f_alpha, front[-1].f_beta)
-            estimated = True
-        if nadir is None:
-            nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
-            estimated = True
+    estimated = nadir is None
+    if estimated:
+        nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
     if not (ideal.f_alpha < nadir.f_alpha and ideal.f_beta < nadir.f_beta):
         raise ValueError(
             f"degenerate bounds for {function_id}:{dimension}:{instance_id}: "
@@ -275,26 +228,21 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
         else:
             points.append(convert_at(path, number, "point", _point, line))
 
-    missing = [k for k in _HEADER if k not in header]
-    if missing:
-        end = lines[-1][0] if lines else 1
-        raise LogParseError(path, end, f"missing header keys: {', '.join(missing)}")
-    values = {k: convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in _HEADER.items()}
-    try:
-        rs = ReferenceSet(
-            function_id=values["function"],
-            instance_id=values["instance"],
-            dimension=values["dimension"],
+    rs = build_header(
+        path, header, _HEADER,
+        lambda v: ReferenceSet(
+            function_id=v["function"],
+            instance_id=v["instance"],
+            dimension=v["dimension"],
             points=tuple(points),
-            ideal=ObjectiveVector(values["ideal_alpha"], values["ideal_beta"]),
-            nadir=ObjectiveVector(values["nadir_alpha"], values["nadir_beta"]),
-            i_ref=values["i_ref"],
-            version=values["version"],
-            bounds_estimated=values["bounds"],
-        )
-        rs.problem_spec()
-    except ValueError as exc:
-        raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
+            ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
+            nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
+            i_ref=v["i_ref"],
+            version=v["version"],
+            bounds_estimated=v["bounds"],
+        ),
+        lines[-1][0] if lines else 1,
+    )
     if rs.version != version_of(rs.points):
         raise LogParseError(
             path, header["version"][1],

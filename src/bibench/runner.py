@@ -137,6 +137,8 @@ def bootstrap_refsets(
     front's extremes.  Bootstrapping twice with the same seed yields
     identical files, hence identical versions.
     """
+    if budget < 1:
+        raise ValueError(f"bootstrap budget must be at least 1, got {budget}")
     output_dir = Path(output_dir)
     hill_climber = functools.partial(
         baselines.scalarized_hill_climber, weights=BOOTSTRAP_WEIGHTS

@@ -17,14 +17,12 @@ from typing import Sequence
 
 from bibench.core import ProblemSpec
 
-__all__ = ["GRID_SIZE", "RuntimeRecord", "absolute_targets", "precision_grid"]
+__all__ = ["RuntimeRecord", "absolute_targets", "precision_grid"]
 
 # Exponents in tenths: the negative precisions walk -4.0 .. -5.0 in steps
 # of 0.2; the positive ones walk -5.0 .. 0.0 in steps of 0.1.
 _NEGATIVE_TENTHS = (-40, -42, -44, -46, -48, -50)
 _POSITIVE_TENTHS = tuple(range(-50, 1))
-
-GRID_SIZE = len(_NEGATIVE_TENTHS) + 1 + len(_POSITIVE_TENTHS)
 
 
 def precision_grid() -> tuple[float, ...]:
@@ -49,7 +47,7 @@ class RuntimeRecord:
     targets in O(log n + new hits) per call.
     """
 
-    __slots__ = ("targets", "first_hit", "evaluations", "_hit_from", "_last_t")
+    __slots__ = ("targets", "first_hit", "evaluations", "_hit_from")
 
     def __init__(self, targets: Sequence[float]) -> None:
         targets = tuple(float(t) for t in targets)
@@ -59,15 +57,13 @@ class RuntimeRecord:
         self.first_hit: list[int | None] = [None] * len(targets)
         self.evaluations = 0
         self._hit_from = len(targets)  # index of the hardest target hit so far
-        self._last_t = 0
 
     def record(self, t: int, value: float) -> None:
         """Account for the indicator ``value`` after evaluation ``t``."""
-        if t <= self._last_t:
+        if t <= self.evaluations:
             raise ValueError(
-                f"evaluation count must increase strictly: got {t} after {self._last_t}"
+                f"evaluation count must increase strictly: got {t} after {self.evaluations}"
             )
-        self._last_t = t
         self.evaluations = t
         first = bisect_left(self.targets, value)  # all targets >= value are hit
         for k in range(first, self._hit_from):
@@ -78,7 +74,3 @@ class RuntimeRecord:
     @property
     def hit_count(self) -> int:
         return len(self.targets) - self._hit_from
-
-    def missed(self) -> tuple[int, ...]:
-        """Indices of targets never hit."""
-        return tuple(k for k, h in enumerate(self.first_hit) if h is None)

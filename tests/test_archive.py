@@ -75,7 +75,7 @@ def test_duplicate_rejected_first_seen_kept() -> None:
     assert arch.insert(_nz(0.5, 0.5), 1).accepted
     out = arch.insert(_nz(0.5, 0.5), 2)
     assert not out.accepted
-    assert len(arch) == 1 and arch.entries[0].eval_index == 1
+    assert arch.entries == (_nz(0.5, 0.5),)
 
 
 def test_eval_index_must_increase() -> None:
@@ -86,8 +86,9 @@ def test_eval_index_must_increase() -> None:
     with pytest.raises(ValueError, match="increase strictly"):
         arch.insert(_nz(0.4, 0.4), 3)
     # Rejected submissions also consume the index.
-    arch.insert(_nz(0.9, 0.9), 6)
-    assert arch.evaluations == 6
+    assert not arch.insert(_nz(0.9, 0.9), 6).accepted
+    with pytest.raises(ValueError, match="got 6 after 6"):
+        arch.insert(_nz(0.1, 0.1), 6)
 
 
 def test_non_finite_rejected_with_domain_error() -> None:
@@ -110,7 +111,7 @@ def test_points_outside_roi_contribute_nothing() -> None:
     # A point on the boundary u = 1 also covers no area.
     arch2 = _filled([(1.0, 0.5)])
     assert arch2.hypervolume() == 0.0
-    assert arch2.dominates_nadir
+    assert arch2.reaches_roi
 
 
 def test_negative_coordinates_clamped_and_counted() -> None:
@@ -276,7 +277,7 @@ def test_staircase_hypervolume_against_monte_carlo(mc_hypervolume) -> None:
     arch = Archive()
     for t in range(1, 301):
         arch.insert(_nz(rng.uniform(0.0, 1.1), rng.uniform(0.0, 1.1)), t)
-    hv = staircase_hypervolume(e.objectives for e in arch.entries)
+    hv = staircase_hypervolume(arch.entries)
     assert hv == pytest.approx(mc_hypervolume(arch.entries, n_samples=400_000), abs=5e-3)
 
 

@@ -74,6 +74,18 @@ def test_run_bootstraps_when_no_refsets_given(tmp_path) -> None:
     assert (logs / "hillclimber" / "f1_d2_i1.tsv").is_file()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bootstrap-refsets", "--budget", "0"], ["run", "--bootstrap-budget", "0"]],
+    ids=["bootstrap-refsets", "run"],
+)
+def test_bootstrap_budget_below_one_is_named(tmp_path, capsys, argv) -> None:
+    out = tmp_path / "out"
+    assert main(argv + ["--functions", "f1", "--dims", "2", "--out", str(out)]) == 1
+    assert "bootstrap budget must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_instance_range_syntax(tmp_path) -> None:
     refdir, _ = _write_analytic_refset(tmp_path, instance_id=1)
     _write_analytic_refset(tmp_path, instance_id=2)
@@ -187,6 +199,18 @@ def test_index_row_must_match_log_problem(tmp_path, capsys, command) -> None:
         argv += ["--refsets", str(refdir)]
     assert main(argv) == 1
     assert "f1_d2_i1.tsv: index lists function f3 but the log header says f1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recalc", "postprocess"])
+def test_repeated_index_row_names_file_and_line(tmp_path, capsys, command) -> None:
+    refdir, logs = _tamper_index(tmp_path, lambda text, _: text + text.splitlines()[-1] + "\n")
+    argv = [command, "--logs", str(logs), "--out", str(tmp_path / "r")]
+    if command == "recalc":
+        argv += ["--refsets", str(refdir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "experiment_index.tsv:4: f1_d2_i1.tsv is already listed on line 3" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_postprocess_reports_log_header_that_fails_problem_spec(tmp_path, capsys) -> None:

@@ -1,17 +1,15 @@
-"""Tests for the core value types, normalization, and dominance."""
+"""Tests for the core value types and normalization."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bibench.core import (
     NormalizedObjectives,
     ObjectiveVector,
     ProblemSpec,
-    dominates,
     normalize,
     ulp_distance,
 )
@@ -64,36 +62,6 @@ def test_problem_spec_validates_bounds_and_i_ref() -> None:
     # The closed endpoints are legal.
     _spec(i_ref=0.0)
     _spec(i_ref=-1.0)
-
-
-def test_dominates_examples() -> None:
-    assert dominates(NormalizedObjectives(0.2, 0.3), NormalizedObjectives(0.2, 0.4))
-    assert not dominates(NormalizedObjectives(0.2, 0.4), NormalizedObjectives(0.2, 0.3))
-    # Equal points do not dominate in either direction.
-    assert not dominates(NormalizedObjectives(0.5, 0.5), NormalizedObjectives(0.5, 0.5))
-    # Incomparable points.
-    assert not dominates(NormalizedObjectives(0.1, 0.9), NormalizedObjectives(0.9, 0.1))
-    assert not dominates(NormalizedObjectives(0.9, 0.1), NormalizedObjectives(0.1, 0.9))
-
-
-_coords = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)
-
-
-@given(_coords, _coords, _coords, _coords)
-def test_dominance_is_irreflexive_and_antisymmetric(
-    au: float, av: float, bu: float, bv: float
-) -> None:
-    a = NormalizedObjectives(au, av)
-    b = NormalizedObjectives(bu, bv)
-    assert not dominates(a, a)
-    assert not (dominates(a, b) and dominates(b, a))
-
-
-@given(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=3))
-def test_dominance_is_transitive(coords: list[tuple[float, float]]) -> None:
-    a, b, c = (NormalizedObjectives(u, v) for u, v in coords)
-    if dominates(a, b) and dominates(b, c):
-        assert dominates(a, c)
 
 
 def test_ulp_distance_basics() -> None:

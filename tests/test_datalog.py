@@ -369,3 +369,46 @@ def test_experiment_index_reports_bad_number_with_line(tmp_path) -> None:
     path.write_text("% format=experiment-index-v1\nf1_d2_i1.tsv\tf1\tone\t2\tab12\n")
     with pytest.raises(LogParseError, match=r"experiment_index\.tsv:2: instance: invalid literal"):
         read_experiment_index(path)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_read_rejects_budget_below_one(tmp_path, budget) -> None:
+    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path.write_text(path.read_text().replace("% budget=100", f"% budget={budget}"))
+    with pytest.raises(LogParseError, match=rf"run\.tsv:12: budget: must be at least 1, got {budget}"):
+        read_log(path)
+
+
+def test_experiment_index_requires_format_line(tmp_path) -> None:
+    path = tmp_path / INDEX_FILENAME
+    row = "f1_d2_i1.tsv\tf1\t1\t2\tab12\n"
+    path.write_text(row)
+    with pytest.raises(LogVersionError, match="line 1"):
+        read_experiment_index(path)
+    path.write_text("% format=experiment-index-v9\n" + row)
+    with pytest.raises(LogVersionError, match="experiment-index-v9"):
+        read_experiment_index(path)
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("f1_d2_i1.tsv\tf1\t0\t2\tab12", r":2: instance: must be at least 1, got 0"),
+        ("f1_d2_i1.tsv\tf1\t1\t-3\tab12", r":2: dimension: must be at least 1, got -3"),
+    ],
+    ids=["instance", "dimension"],
+)
+def test_experiment_index_rejects_numbers_below_one(tmp_path, row, message) -> None:
+    path = tmp_path / INDEX_FILENAME
+    path.write_text(f"% format=experiment-index-v1\n{row}\n")
+    with pytest.raises(LogParseError, match=r"experiment_index\.tsv" + message):
+        read_experiment_index(path)
+
+
+def test_experiment_index_rejects_repeated_file(tmp_path) -> None:
+    entries = [IndexEntry(f"f1_d2_i{i}.tsv", "f1", i, 2, "ab12cd34ef56ab78") for i in (1, 2)]
+    path = write_experiment_index(tmp_path, entries + entries[:1])
+    with pytest.raises(
+        LogParseError, match=r"experiment_index\.tsv:5: f1_d2_i1\.tsv is already listed on line 3"
+    ):
+        read_experiment_index(path)

@@ -1,7 +1,8 @@
 """Fuzz tests for the file readers: each starts from a file its writer
-produced, mangles it, and requires the reader to either return or fail with
-a named error whose message starts with the path, never with an
-``IndexError``, ``KeyError`` or ``TypeError``."""
+produced, mangles it, and requires the reader to either fail with a named
+error whose message starts with the path, never with an ``IndexError``,
+``KeyError`` or ``TypeError``, or return a result that keeps the reader's
+guarantees."""
 
 from __future__ import annotations
 
@@ -95,8 +96,14 @@ def test_reader_fails_only_with_named_errors(written, reader, data) -> None:
     path = original.with_name("mangled" + original.suffix)
     path.write_text(data.draw(_mangled(original.read_text())), encoding="utf-8")
     try:
-        reader(path)
+        result = reader(path)
     except (LogParseError, LogVersionError):
-        pass
+        return
     except ValueError as exc:
         assert str(exc).startswith(str(path)), repr(exc)
+        return
+    if reader is read_log:
+        assert result.header.budget >= 1
+    elif reader is read_experiment_index:
+        assert len({e.file for e in result}) == len(result)
+        assert all(e.instance_id >= 1 and e.dimension >= 1 for e in result)

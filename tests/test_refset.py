@@ -61,11 +61,7 @@ def test_merge_order_independent_and_idempotent() -> None:
     a = merge([pool[:30], pool[30:]], **KEY, **UNIT_BOUNDS)
     b = merge([pool[30:], pool[:30]], **KEY, **UNIT_BOUNDS)
     assert a == b
-    again = merge([a, a], **KEY)
-    assert again.points == a.points
-    assert again.version == a.version
-    assert again.i_ref == a.i_ref
-    assert not again.bounds_estimated  # inherited from the agreeing input
+    assert merge([a.points, a.points], **KEY, **UNIT_BOUNDS) == a
 
 
 def test_merge_superset_never_raises_i_ref() -> None:
@@ -73,32 +69,38 @@ def test_merge_superset_never_raises_i_ref() -> None:
     pool = [_ov(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(50)]
     base = merge([pool], **KEY, **UNIT_BOUNDS)
     extra = [_ov(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(50)]
-    grown = merge([base, extra], **KEY, **UNIT_BOUNDS)
+    grown = merge([base.points, extra], **KEY, **UNIT_BOUNDS)
     assert grown.i_ref <= base.i_ref
 
 
 def test_merge_requires_points_and_key() -> None:
     with pytest.raises(ValueError, match="no points"):
         merge([[], []], **KEY, **UNIT_BOUNDS)
-    with pytest.raises(ValueError, match="function_id"):
+    with pytest.raises(TypeError, match="function_id"):
         merge([[_ov(0.5, 0.5)]], instance_id=1, dimension=2, **UNIT_BOUNDS)
+    with pytest.raises(TypeError, match="ideal"):
+        merge([[_ov(0.5, 0.5)]], **KEY, nadir=_ov(1.0, 1.0))
 
 
 def test_merge_estimates_missing_bounds_from_front() -> None:
-    rs = merge([[_ov(2.0, 10.0), _ov(4.0, 3.0)]], **KEY)
+    ideal = _ov(2.0, 3.0)
+    rs = merge([[_ov(2.0, 10.0), _ov(4.0, 3.0)]], **KEY, ideal=ideal, nadir=None)
     assert rs.bounds_estimated
-    assert (rs.ideal.f_alpha, rs.ideal.f_beta) == (2.0, 3.0)
+    assert rs.ideal == ideal
     assert (rs.nadir.f_alpha, rs.nadir.f_beta) == (4.0, 10.0)
-    # Both extremes sit on the estimated bound lines, so the clipped area is 0.
+    # Both extremes sit on the bound lines, so the clipped area is 0.
     assert rs.i_ref == 0.0
     # An interior third point covers real area under the same estimation rule.
-    rs3 = merge([[_ov(2.0, 10.0), _ov(3.0, 4.0), _ov(4.0, 3.0)]], **KEY)
+    rs3 = merge([[_ov(2.0, 10.0), _ov(3.0, 4.0), _ov(4.0, 3.0)]], **KEY, ideal=ideal, nadir=None)
     assert rs3.bounds_estimated and rs3.i_ref < 0.0
 
 
 def test_merge_rejects_degenerate_estimated_bounds() -> None:
-    with pytest.raises(ValueError, match="degenerate bounds"):
-        merge([[_ov(1.0, 2.0)]], **KEY)  # single point -> ideal == nadir
+    # A single point is its own estimated nadir, which an explicit ideal on
+    # either of its bound lines cannot lie strictly below.
+    for ideal in (_ov(1.0, 0.0), _ov(0.0, 2.0)):
+        with pytest.raises(ValueError, match="degenerate bounds"):
+            merge([[_ov(1.0, 2.0)]], **KEY, ideal=ideal, nadir=None)
 
 
 def test_nondominated_filter_collapses_duplicates() -> None:

@@ -222,6 +222,12 @@ def test_bootstrap_writes_deterministic_refsets(tmp_path) -> None:
     assert -1.0 <= f1.i_ref <= 0.0 and -1.0 <= f2.i_ref <= 0.0
 
 
+def test_bootstrap_rejects_budget_below_one_before_any_work(tmp_path) -> None:
+    with pytest.raises(ValueError, match="bootstrap budget must be at least 1, got 0"):
+        bootstrap_refsets(tmp_path / "refsets", seed=1, budget=0, functions=("f1",))
+    assert not (tmp_path / "refsets").exists()
+
+
 def test_run_without_refset_dir_bootstraps_first(tmp_path) -> None:
     cfg = ExperimentConfig(
         algorithm="hillclimber", output_dir=tmp_path / "out", seed=2,

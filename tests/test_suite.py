@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bibench.archive import staircase_hypervolume
-from bibench.core import NormalizedObjectives, ObjectiveVector, dominates
+from bibench.core import NormalizedObjectives, ObjectiveVector
 from bibench.suite import (
     DIMENSIONS,
     FUNCTION_IDS,
@@ -28,10 +28,11 @@ def _all_functions():
 
 def _dominates_raw(p: ObjectiveVector, q: ObjectiveVector) -> bool:
     """Dominance in raw objective space (same relation as after the
-    order-preserving normalization)."""
-    return dominates(
-        NormalizedObjectives(p.f_alpha, p.f_beta),
-        NormalizedObjectives(q.f_alpha, q.f_beta),
+    order-preserving normalization): better-or-equal in both objectives and
+    strictly better in one."""
+    return (
+        p.f_alpha <= q.f_alpha and p.f_beta <= q.f_beta
+        and (p.f_alpha < q.f_alpha or p.f_beta < q.f_beta)
     )
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from bibench.core import ObjectiveVector, ProblemSpec
-from bibench.targets import GRID_SIZE, RuntimeRecord, absolute_targets, precision_grid
+from bibench.targets import RuntimeRecord, absolute_targets, precision_grid
 
 
 def _spec(i_ref: float = -0.8) -> ProblemSpec:
@@ -25,7 +25,7 @@ def _spec(i_ref: float = -0.8) -> ProblemSpec:
 
 def test_grid_shape() -> None:
     grid = precision_grid()
-    assert len(grid) == GRID_SIZE == 58
+    assert len(grid) == 58
     assert grid[6] == 0.0
     assert grid[-1] == 1.0
     assert all(a < b for a, b in zip(grid, grid[1:]))
@@ -71,7 +71,7 @@ def test_record_worked_example() -> None:
     rec.record(7, -0.6)
     assert rec.first_hit == [7, 3]
     assert rec.hit_count == 2
-    assert rec.missed() == ()
+    assert None not in rec.first_hit
 
 
 def test_record_requires_increasing_t() -> None:
@@ -95,7 +95,7 @@ def test_hits_never_change_once_set() -> None:
 def test_missed_targets_listed() -> None:
     rec = RuntimeRecord([-0.9, -0.2, 0.7])
     rec.record(4, 0.1)
-    assert rec.missed() == (0, 1)  # indices of the two unreached targets
+    assert rec.first_hit == [None, None, 4]  # the two harder targets are missed
     assert rec.hit_count == 1
 
 
@@ -137,4 +137,4 @@ def test_infinite_value_hits_nothing() -> None:
     rec = RuntimeRecord(absolute_targets(_spec(-0.5)))
     rec.record(1, math.inf)
     assert rec.hit_count == 0
-    assert len(rec.missed()) == 58
+    assert rec.first_hit == [None] * 58
