@@ -68,6 +68,8 @@ class ProblemSpec:
     refset_version: str
 
     def __post_init__(self) -> None:
+        if self.instance_id < 1:
+            raise ValueError(f"instance must be positive, got {self.instance_id}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         for coord in ("f_alpha", "f_beta"):

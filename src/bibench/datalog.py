@@ -12,6 +12,9 @@ lives here: ``write_lines`` (atomic), ``numbered_lines``, ``convert_at``,
 which turns a bad value into a :class:`LogParseError` naming ``path:line``,
 and ``build_header``, which does the same for a whole ``key=value`` header.
 
+``ExperimentWriter`` owns the experiment tree: one directory per
+algorithm holding its run logs and, written last, their index.
+
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
 indicator update, first-hit record).  Live runs feed it every evaluation
 and ``recalculate`` feeds it a log's records under a (possibly different)
@@ -35,6 +38,7 @@ from bibench.targets import RuntimeRecord, absolute_targets
 
 __all__ = [
     "Assessment",
+    "ExperimentWriter",
     "IndexEntry",
     "LogParseError",
     "LogReplayError",
@@ -43,11 +47,9 @@ __all__ = [
     "RunHeader",
     "RunLog",
     "iter_experiment",
-    "log_path",
     "read_experiment_index",
     "read_log",
     "recalculate",
-    "write_experiment_index",
     "write_log",
 ]
 
@@ -204,17 +206,6 @@ class LogRecord:
 class RunLog:
     header: RunHeader
     records: tuple[LogRecord, ...]
-
-
-def log_path(
-    directory: Path | str,
-    algorithm: str,
-    function_id: str,
-    dimension: int,
-    instance_id: int,
-) -> Path:
-    """``<dir>/<algorithm>/<function>_d<dim>_i<inst>.tsv``."""
-    return Path(directory) / algorithm / f"{function_id}_d{dimension}_i{instance_id}.tsv"
 
 
 def _fmt(x: float) -> str:
@@ -379,47 +370,66 @@ class IndexEntry:
     refset_version: str
 
 
-def write_experiment_index(directory: Path | str, entries: Sequence[IndexEntry]) -> Path:
-    """Write the per-algorithm index listing every run file (written last)."""
-    lines = [f"% format={INDEX_FORMAT}",
-             "% columns=file function instance dimension refset_version"]
-    for e in entries:
-        lines.append(
-            f"{e.file}\t{e.function_id}\t{e.instance_id}\t{e.dimension}\t{e.refset_version}"
+class ExperimentWriter:
+    """The experiment tree under ``root``: ``write`` puts each run log at
+    ``<root>/<algorithm>/<function>_d<dim>_i<inst>.tsv``, and ``close``
+    then writes each algorithm's index listing its logs, so an index never
+    lists a log that is not yet written."""
+
+    def __init__(self, root: Path | str) -> None:
+        self._root = Path(root)
+        self._rows: dict[str, list[str]] = {}
+
+    def write(self, log: RunLog) -> Path:
+        h = log.header
+        name = f"{h.function_id}_d{h.dimension}_i{h.instance_id}.tsv"
+        path = write_log(log, self._root / h.algorithm / name)
+        self._rows.setdefault(h.algorithm, []).append(
+            f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
         )
-    return write_lines(Path(directory) / INDEX_FILENAME, lines)
+        return path
+
+    def close(self) -> None:
+        for algorithm, rows in self._rows.items():
+            write_lines(self._root / algorithm / INDEX_FILENAME, [
+                f"% format={INDEX_FORMAT}",
+                "% columns=file function instance dimension refset_version",
+                *rows,
+            ])
 
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     """Parse an experiment index.  A missing or unknown format raises
     :class:`LogVersionError`; a malformed row, an instance or dimension
-    below 1, and a row that repeats an earlier row's file raise
+    below 1, and a row that repeats an earlier row's file or problem raise
     :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
     entries: list[IndexEntry] = []
-    rows: dict[str, int] = {}
+    rows: dict[str | tuple, int] = {}  # file name or problem key -> line
     for number, line in _format_body(path, INDEX_FORMAT):
         if line.startswith("%"):
             continue
         parts = line.split("\t")
         if len(parts) != 5:
             raise LogParseError(path, number, f"expected 5 columns, got {len(parts)}")
-        name = parts[0]
-        if name in rows:
-            raise LogParseError(path, number, f"{name} is already listed on line {rows[name]}")
-        rows[name] = number
+        name, function_id = parts[0], parts[1]
         instance_id = convert_at(path, number, "instance", _positive_int, parts[2])
         dimension = convert_at(path, number, "dimension", _positive_int, parts[3])
-        entries.append(IndexEntry(name, parts[1], instance_id, dimension, parts[4]))
+        problem = (function_id, dimension, instance_id)
+        for key, what in ((name, name), (problem, "problem " + ":".join(map(str, problem)))):
+            if key in rows:
+                raise LogParseError(path, number, f"{what} is already listed on line {rows[key]}")
+            rows[key] = number
+        entries.append(IndexEntry(name, function_id, instance_id, dimension, parts[4]))
     return tuple(entries)
 
 
-def iter_experiment(logs_dir: Path | str) -> Iterator[tuple[str, RunLog]]:
+def iter_experiment(logs_dir: Path | str) -> Iterator[RunLog]:
     """Read every run log listed by the experiment indexes under ``logs_dir``
-    (one subdirectory per algorithm), yielding ``(subdirectory name, log)``
-    in sorted index order.  A log whose header disagrees with its index row
-    on the function, instance, dimension or reference-set version raises
-    ``ValueError`` naming the log."""
+    (one subdirectory per algorithm, named after it), in sorted index order.
+    A log whose header disagrees with its index row on the function,
+    instance, dimension or reference-set version, or with the directory
+    name on the algorithm, raises ``ValueError`` naming the log."""
     logs_dir = Path(logs_dir)
     index_paths = sorted(logs_dir.glob(f"*/{INDEX_FILENAME}"))
     if not index_paths:
@@ -434,6 +444,7 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[tuple[str, RunLog]]:
             log = read_log(path)
             h = log.header
             for what, listed, logged in (
+                ("algorithm", algorithm_dir.name, h.algorithm),
                 ("function", entry.function_id, h.function_id),
                 ("instance", entry.instance_id, h.instance_id),
                 ("dimension", entry.dimension, h.dimension),
@@ -443,4 +454,4 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[tuple[str, RunLog]]:
                     raise ValueError(
                         f"{path}: index lists {what} {listed} but the log header says {logged}"
                     )
-            yield algorithm_dir.name, log
+            yield log

@@ -241,7 +241,7 @@ def load_labeled_records(logs_dir: Path | str) -> list[LabeledRecord]:
     """Replay every indexed run log under ``logs_dir`` (one subdirectory
     per algorithm) into labeled runtime records."""
     records: list[LabeledRecord] = []
-    for _, log in datalog.iter_experiment(logs_dir):
+    for log in datalog.iter_experiment(logs_dir):
         h = log.header
         _, runtimes = datalog.recalculate(log, h.problem_spec())
         records.append(

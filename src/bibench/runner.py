@@ -193,7 +193,7 @@ def run_experiment(
 
     algo = ALGORITHMS[cfg.algorithm]
     results: list[RunResult] = []
-    index_entries: list[datalog.IndexEntry] = []
+    writer = datalog.ExperimentWriter(cfg.output_dir)
     for fid, dim, inst in problems:
         fn = suite.get_function(fid, inst, dim)
         spec = refset.load_reference_set(refset_dir, fid, dim, inst).problem_spec()
@@ -209,11 +209,7 @@ def run_experiment(
         algo(_budgeted(fn, budget, observe), dim, budget, rng)
 
         header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
-        path = datalog.log_path(cfg.output_dir, cfg.algorithm, fid, dim, inst)
-        datalog.write_log(datalog.RunLog(header, tuple(records)), path)
-        index_entries.append(
-            datalog.IndexEntry(path.name, fid, inst, dim, spec.refset_version)
-        )
+        path = writer.write(datalog.RunLog(header, tuple(records)))
         results.append(
             RunResult(
                 function_id=fid,
@@ -231,8 +227,7 @@ def run_experiment(
                 f"{fn.key} {cfg.algorithm}: {assessment.runtimes.hit_count}/"
                 f"{len(assessment.runtimes.targets)} targets hit in {budget} evaluations"
             )
-    write_dir = Path(cfg.output_dir) / cfg.algorithm
-    datalog.write_experiment_index(write_dir, index_entries)
+    writer.close()
     return results
 
 
@@ -241,25 +236,17 @@ def recalc_experiment(
 ) -> list[Path]:
     """Re-assess every indexed run log under ``logs_dir`` against the
     reference sets in ``refset_dir`` without re-running anything: each log
-    is replayed once under its new reference set, then written to
-    ``output_dir`` with the new reference data in its header.  The indexes
-    are written last.  Returns the log paths."""
-    output_dir = Path(output_dir)
+    is replayed once under its new reference set, then written to the same
+    place in the tree under ``output_dir`` with the new reference data in
+    its header.  The indexes are written last.  Returns the log paths."""
+    writer = datalog.ExperimentWriter(output_dir)
     written: list[Path] = []
-    indexes: dict[str, list[datalog.IndexEntry]] = {}
-    for algorithm_dir, log in datalog.iter_experiment(logs_dir):
+    for log in datalog.iter_experiment(logs_dir):
         h = log.header
         rs = refset.load_reference_set(refset_dir, h.function_id, h.dimension, h.instance_id)
         spec = rs.problem_spec()
         datalog.recalculate(log, spec)  # raises LogReplayError on a corrupt log
-        path = datalog.write_log(
-            datalog.RunLog(datalog.RunHeader.for_run(spec, h.algorithm, h.budget), log.records),
-            datalog.log_path(output_dir, h.algorithm, h.function_id, h.dimension, h.instance_id),
-        )
-        written.append(path)
-        indexes.setdefault(algorithm_dir, []).append(
-            datalog.IndexEntry(path.name, h.function_id, h.instance_id, h.dimension, rs.version)
-        )
-    for algorithm_dir, entries in indexes.items():
-        datalog.write_experiment_index(output_dir / algorithm_dir, entries)
+        header = datalog.RunHeader.for_run(spec, h.algorithm, h.budget)
+        written.append(writer.write(datalog.RunLog(header, log.records)))
+    writer.close()
     return written

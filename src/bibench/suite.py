@@ -101,9 +101,21 @@ def _instance_stream(function_id: str, instance_id: int, dimension: int) -> Spli
     return SplitMix64(mix_seed(_FUNCTION_INDEX[function_id], instance_id, dimension))
 
 
+def _check_selection(functions, dimensions, instances) -> None:
+    """Raise ``ValueError`` for an empty axis or a value the suite lacks."""
+    for axis, values, known in (
+        ("function id", functions, FUNCTION_IDS),
+        ("dimension", dimensions, DIMENSIONS),
+        ("instance", instances, INSTANCE_IDS),
+    ):
+        if not values:
+            raise ValueError(f"no {axis} selected")
+        for value in values:
+            if value not in known:
+                raise ValueError(f"unknown {axis} {value!r}, expected one of {known}")
+
+
 def _conditioning(dimension: int) -> np.ndarray:
-    if dimension == 1:
-        return np.ones(1)
     exponents = np.arange(dimension) / (dimension - 1)
     return ELLIPSOID_CONDITION**exponents
 
@@ -116,12 +128,7 @@ class SuiteFunction:
     """
 
     def __init__(self, function_id: str, instance_id: int, dimension: int) -> None:
-        if function_id not in _FUNCTION_INDEX:
-            raise ValueError(f"unknown function id {function_id!r}, expected one of {FUNCTION_IDS}")
-        if instance_id not in INSTANCE_IDS:
-            raise ValueError(f"instance must lie in 1..10, got {instance_id}")
-        if dimension < 1:
-            raise ValueError(f"dimension must be positive, got {dimension}")
+        _check_selection((function_id,), (dimension,), (instance_id,))
         self.function_id = function_id
         self.instance_id = instance_id
         self.dimension = dimension
@@ -213,8 +220,6 @@ def problem_id(function_id: str, dimension: int, instance_id: int) -> str:
 
 
 def get_function(function_id: str, instance_id: int, dimension: int) -> SuiteFunction:
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
     return SuiteFunction(function_id, instance_id, dimension)
 
 
@@ -224,19 +229,12 @@ def enumerate_problems(
     instances: Sequence[int] | None = None,
 ) -> tuple[tuple[str, int, int], ...]:
     """All (function_id, dimension, instance_id) triples of the mini suite,
-    optionally restricted, in deterministic order."""
-    functions = tuple(functions) if functions is not None else FUNCTION_IDS
-    dimensions = tuple(dimensions) if dimensions is not None else DIMENSIONS
-    instances = tuple(instances) if instances is not None else INSTANCE_IDS
-    for fid in functions:
-        if fid not in _FUNCTION_INDEX:
-            raise ValueError(f"unknown function id {fid!r}, expected one of {FUNCTION_IDS}")
-    for dim in dimensions:
-        if dim not in DIMENSIONS:
-            raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dim}")
-    for inst in instances:
-        if inst not in INSTANCE_IDS:
-            raise ValueError(f"instance must lie in 1..10, got {inst}")
+    optionally restricted, in deterministic order; a repeated value counts
+    once, and an empty selection on any axis is a ``ValueError``."""
+    functions = tuple(dict.fromkeys(functions)) if functions is not None else FUNCTION_IDS
+    dimensions = tuple(dict.fromkeys(dimensions)) if dimensions is not None else DIMENSIONS
+    instances = tuple(dict.fromkeys(instances)) if instances is not None else INSTANCE_IDS
+    _check_selection(functions, dimensions, instances)
     return tuple(
         (fid, dim, inst) for fid in functions for dim in dimensions for inst in instances
     )

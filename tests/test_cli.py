@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from bibench import refset
@@ -210,6 +212,22 @@ def test_repeated_index_row_names_file_and_line(tmp_path, capsys, command) -> No
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "experiment_index.tsv:4: f1_d2_i1.tsv is already listed on line 3" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["recalc", "postprocess"])
+def test_index_row_listing_copied_log_is_rejected(tmp_path, capsys, command) -> None:
+    def list_copy(text, _):
+        return text + text.splitlines()[-1].replace("f1_d2_i1.tsv", "copy.tsv") + "\n"
+
+    refdir, logs = _tamper_index(tmp_path, list_copy)
+    shutil.copy(logs / "random" / "f1_d2_i1.tsv", logs / "random" / "copy.tsv")
+    argv = [command, "--logs", str(logs), "--out", str(tmp_path / "r")]
+    if command == "recalc":
+        argv += ["--refsets", str(refdir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "experiment_index.tsv:4: problem f1:2:1 is already listed on line 3" in err
     assert not (tmp_path / "r").exists()
 
 

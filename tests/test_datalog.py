@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from bibench.archive import Archive
 from bibench.core import ObjectiveVector, ProblemSpec, normalize
 from bibench.datalog import (
     INDEX_FILENAME,
+    ExperimentWriter,
     IndexEntry,
     LogParseError,
     LogRecord,
@@ -17,11 +19,9 @@ from bibench.datalog import (
     LogVersionError,
     RunHeader,
     RunLog,
-    log_path,
     read_experiment_index,
     read_log,
     recalculate,
-    write_experiment_index,
     write_lines,
     write_log,
 )
@@ -276,19 +276,32 @@ def test_run_header_for_run_takes_reference_data_from_spec() -> None:
     assert (header.algorithm, header.budget) == ("hillclimber", 300)
 
 
+def _write_experiment(root):
+    """An experiment of empty ``random`` runs of f1 d2 i1 and i2; returns
+    the index path."""
+    writer = ExperimentWriter(root)
+    for i in (1, 2):
+        writer.write(RunLog(replace(_header(), instance_id=i), ()))
+    writer.close()
+    return root / "random" / INDEX_FILENAME
+
+
 def test_log_path_layout(tmp_path) -> None:
-    p = log_path(tmp_path, "random", "f2", 10, 3)
+    header = replace(_header(), function_id="f2", dimension=10, instance_id=3)
+    p = ExperimentWriter(tmp_path).write(RunLog(header, ()))
     assert p == tmp_path / "random" / "f2_d10_i3.tsv"
+    assert read_log(p) == RunLog(header, ())
 
 
 def test_experiment_index_round_trip(tmp_path) -> None:
-    entries = (
+    path = _write_experiment(tmp_path)
+    assert read_experiment_index(path) == (
         IndexEntry("f1_d2_i1.tsv", "f1", 1, 2, "ab12cd34ef56ab78"),
         IndexEntry("f1_d2_i2.tsv", "f1", 2, 2, "ab12cd34ef56ab78"),
     )
-    path = write_experiment_index(tmp_path / "random", entries)
-    assert path.name == INDEX_FILENAME
-    assert read_experiment_index(path) == entries
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        INDEX_FILENAME, "f1_d2_i1.tsv", "f1_d2_i2.tsv",
+    ]
 
 
 def test_experiment_index_rejects_bad_rows(tmp_path) -> None:
@@ -332,8 +345,9 @@ def test_read_rejects_header_line_after_records(tmp_path) -> None:
     [
         ("% dimension=2", "% dimension=-1", r"run\.tsv:12: dimension must be positive"),
         ("% ideal_beta=0.0", "% ideal_beta=2.0", r"run\.tsv:12: ideal must be strictly below"),
+        ("% instance=1", "% instance=0", r"run\.tsv:12: instance must be positive"),
     ],
-    ids=["dimension", "ideal-nadir"],
+    ids=["dimension", "ideal-nadir", "instance"],
 )
 def test_read_rejects_header_that_fails_problem_spec(tmp_path, old, new, message) -> None:
     path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
@@ -405,10 +419,25 @@ def test_experiment_index_rejects_numbers_below_one(tmp_path, row, message) -> N
         read_experiment_index(path)
 
 
+def _append_row(path, edit=lambda row: row) -> None:
+    """Append ``edit`` of the index's first row (line 3) to the index."""
+    text = path.read_text()
+    path.write_text(text + edit(text.splitlines()[2]) + "\n")
+
+
 def test_experiment_index_rejects_repeated_file(tmp_path) -> None:
-    entries = [IndexEntry(f"f1_d2_i{i}.tsv", "f1", i, 2, "ab12cd34ef56ab78") for i in (1, 2)]
-    path = write_experiment_index(tmp_path, entries + entries[:1])
+    path = _write_experiment(tmp_path)
+    _append_row(path)
     with pytest.raises(
         LogParseError, match=r"experiment_index\.tsv:5: f1_d2_i1\.tsv is already listed on line 3"
+    ):
+        read_experiment_index(path)
+
+
+def test_experiment_index_rejects_repeated_problem(tmp_path) -> None:
+    path = _write_experiment(tmp_path)
+    _append_row(path, lambda row: row.replace("f1_d2_i1", "copy"))
+    with pytest.raises(
+        LogParseError, match=r"experiment_index\.tsv:5: problem f1:2:1 is already listed on line 3"
     ):
         read_experiment_index(path)

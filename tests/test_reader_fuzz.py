@@ -7,6 +7,7 @@ guarantees."""
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from bibench.core import ObjectiveVector
 from bibench.datalog import (
-    IndexEntry,
+    INDEX_FILENAME,
+    ExperimentWriter,
     LogParseError,
     LogRecord,
     LogVersionError,
@@ -22,7 +24,6 @@ from bibench.datalog import (
     RunLog,
     read_experiment_index,
     read_log,
-    write_experiment_index,
     write_log,
 )
 from bibench.refset import merge, read_reference_set, write_reference_set
@@ -76,9 +77,11 @@ def _written_files(directory):
         ideal=ObjectiveVector(0.0, 0.0), nadir=ObjectiveVector(1.0, 1.0),
     )
     refset = write_reference_set(rs, directory / "refset.tsv")
-    index = write_experiment_index(directory, [
-        IndexEntry(f"f1_d2_i{i}.tsv", "f1", i, 2, "ab12cd34ef56ab78") for i in (1, 2, 3)
-    ])
+    writer = ExperimentWriter(directory)
+    for i in (1, 2, 3):
+        writer.write(RunLog(replace(header, instance_id=i), ()))
+    writer.close()
+    index = directory / "random" / INDEX_FILENAME
     return {read_log: log, read_reference_set: refset, read_experiment_index: index}
 
 
@@ -106,4 +109,5 @@ def test_reader_fails_only_with_named_errors(written, reader, data) -> None:
         assert result.header.budget >= 1
     elif reader is read_experiment_index:
         assert len({e.file for e in result}) == len(result)
+        assert len({(e.function_id, e.instance_id, e.dimension) for e in result}) == len(result)
         assert all(e.instance_id >= 1 and e.dimension >= 1 for e in result)

@@ -198,8 +198,9 @@ def test_read_rejects_missing_header(tmp_path) -> None:
         ("0.75\t0.25", "0.75\tinf", r"rs\.tsv:5: point: non-finite"),
         ("dimension=2", "dimension=0", r"rs\.tsv:2: dimension must be positive"),
         ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n0.25\t0.75", r"rs\.tsv:2: reference points must"),
+        ("instance=1 ", "instance=0 ", r"rs\.tsv:2: instance must be positive"),
     ],
-    ids=["instance", "bounds", "non-finite", "dimension", "order"],
+    ids=["instance", "bounds", "non-finite", "dimension", "order", "instance-zero"],
 )
 def test_read_reports_bad_value_with_line(tmp_path, old, new, message) -> None:
     rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)

@@ -203,6 +203,16 @@ def test_recalc_experiment_rejects_mismatched_refset_file(tmp_path) -> None:
         recalc_experiment(tmp_path / "out", refdir, tmp_path / "rescored")
 
 
+def test_recalc_experiment_rejects_renamed_algorithm_directory(tmp_path) -> None:
+    run_experiment(_f1_config(tmp_path, budget=50))
+    (tmp_path / "out" / "random").rename(tmp_path / "out" / "rs")
+    with pytest.raises(
+        ValueError, match=r"f1_d2_i1\.tsv: index lists algorithm rs but the log header says random"
+    ):
+        recalc_experiment(tmp_path / "out", tmp_path / "refsets", tmp_path / "rescored")
+    assert not (tmp_path / "rescored").exists()
+
+
 def test_bootstrap_writes_deterministic_refsets(tmp_path) -> None:
     kwargs = dict(
         seed=11, budget=300, functions=("f1", "f2"), dimensions=(2,), instances=(1,)

@@ -45,6 +45,8 @@ def test_enumeration_covers_mini_suite() -> None:
     assert len(set(problems)) == 120
     restricted = enumerate_problems(functions=["f1"], dimensions=[2, 3], instances=[1])
     assert restricted == (("f1", 2, 1), ("f1", 3, 1))
+    repeated = enumerate_problems(functions=["f1", "f1"], dimensions=[3, 2, 3], instances=[1])
+    assert repeated == (("f1", 3, 1), ("f1", 2, 1))
 
 
 def test_enumeration_validates_selection() -> None:
@@ -54,6 +56,8 @@ def test_enumeration_validates_selection() -> None:
         enumerate_problems(dimensions=[4])
     with pytest.raises(ValueError, match="instance"):
         enumerate_problems(instances=[0])
+    with pytest.raises(ValueError, match="no function id selected"):
+        enumerate_problems(functions=[])
 
 
 def test_problem_id_format() -> None:
