@@ -41,19 +41,15 @@ class InsertOutcome:
     """Result of one insertion attempt.
 
     ``hv_gain`` is the ROI hypervolume newly covered by the accepted point
-    (zero for points at or beyond the nadir).  ``dist_gain`` is the
-    reduction of the cached minimum ROI distance; on the very first
-    insertion the previous distance is undefined and the gain is reported
-    as 0.
+    (zero for points at or beyond the nadir).
     """
 
     accepted: bool
     removed_count: int
     hv_gain: float
-    dist_gain: float
 
 
-_REJECTED = InsertOutcome(False, 0, 0.0, 0.0)
+_REJECTED = InsertOutcome(False, 0, 0.0)
 
 
 def roi_distance(u: float, v: float) -> float:
@@ -167,10 +163,6 @@ class Archive:
 
         hv_gain = self._gain(yu, yv, i, j)
         d = roi_distance(yu, yv)
-        if math.isinf(self._dist):
-            dist_gain = 0.0
-        else:
-            dist_gain = self._dist - d if d < self._dist else 0.0
         if d < self._dist:
             self._dist = d
         if yu <= 1.0 and yv <= 1.0:
@@ -181,7 +173,7 @@ class Archive:
         us[i:j] = [yu]
         vs[i:j] = [yv]
         self._hv.add(hv_gain)
-        return InsertOutcome(True, j - i, hv_gain, dist_gain)
+        return InsertOutcome(True, j - i, hv_gain)
 
     def _gain(self, yu: float, yv: float, i: int, j: int) -> float:
         """ROI area newly covered by ``(yu, yv)``, as a sum of positive rectangles.

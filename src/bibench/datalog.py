@@ -1,11 +1,15 @@
 """Run logs: exact-replay records of every archive-entering evaluation.
 
-A run log stores, per accepted evaluation, the evaluation count, both raw
-objective values and the decision vector, plus a header that pins the
+A run log stores, per accepted evaluation, the evaluation count and both
+raw objective values (``runlog-v2``), plus a header that pins the
 problem, algorithm, and the reference data (version, absolute ``i_ref``,
-ideal and nadir) the run was assessed against.  Floats are written as
-shortest round-trip decimals, so ``read_log(write_log(log))`` reproduces
-the log bit-for-bit and rewriting a parsed file is byte-identical.
+ideal and nadir) the run was assessed against.  Assessment reads nothing
+else, so the evaluated search points are not kept.  ``read_log`` also
+reads ``runlog-v1``, whose records add the point's ``dimension``
+coordinates after the objectives; those cells are checked and dropped.
+Floats are written as shortest round-trip decimals, so
+``read_log(write_log(log))`` reproduces the log bit-for-bit and
+rewriting a parsed file is byte-identical.
 
 Every bibench file is a text file of lines, so their shared line handling
 lives here: ``write_lines`` (atomic), ``numbered_lines``, ``convert_at``,
@@ -13,7 +17,9 @@ which turns a bad value into a :class:`LogParseError` naming ``path:line``,
 and ``build_header``, which does the same for a whole ``key=value`` header.
 
 ``ExperimentWriter`` owns the experiment tree: one directory per
-algorithm holding its run logs and, written last, their index.
+algorithm holding its run logs and their index.  Logs are staged under
+``<root>/.staging`` and published together with the indexes on a clean
+close, so a failed run or recalc leaves an existing tree as it was.
 
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
 indicator update, first-hit record).  Live runs feed it every evaluation
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -53,7 +60,8 @@ __all__ = [
     "write_log",
 ]
 
-LOG_FORMAT = "runlog-v1"
+LOG_FORMAT = "runlog-v2"
+LOG_FORMAT_V1 = "runlog-v1"  # read only
 INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
 
@@ -144,16 +152,18 @@ class LogVersionError(ValueError):
     """The file declares an unknown format version."""
 
 
-def _format_body(path: Path, expected: str) -> list[tuple[int, str]]:
-    """``numbered_lines(path)`` after line 1, which must be ``% format=expected``;
-    otherwise :class:`LogVersionError`."""
+def _format_body(path: Path, allowed: Sequence[str]) -> tuple[str, list[tuple[int, str]]]:
+    """The format declared on line 1, which must be ``% format=`` one of
+    ``allowed`` (otherwise :class:`LogVersionError`), and
+    ``numbered_lines(path)`` after it."""
     lines = numbered_lines(path)
     if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
     declared = lines[0][1].partition("=")[2].strip()
-    if declared != expected:
-        raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected!r}")
-    return lines[1:]
+    if declared not in allowed:
+        expected = " or ".join(allowed)
+        raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected}")
+    return declared, lines[1:]
 
 
 class LogReplayError(ValueError):
@@ -195,11 +205,10 @@ class RunHeader:
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One archive-entering evaluation: count, raw objectives, decision."""
+    """One archive-entering evaluation: count and raw objectives."""
 
     eval_count: int
     objectives: ObjectiveVector
-    decision: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -224,11 +233,6 @@ def write_log(log: RunLog, path: Path | str) -> Path:
         last = r.eval_count
         if not r.objectives.is_finite():
             raise ValueError(f"record at eval {r.eval_count} has non-finite objectives")
-        if len(r.decision) != h.dimension:
-            raise ValueError(
-                f"record at eval {r.eval_count} has a {len(r.decision)}-dimensional "
-                f"decision vector, expected {h.dimension}"
-            )
 
     values = (
         h.function_id, h.instance_id, h.dimension, h.algorithm, h.refset_version,
@@ -236,10 +240,10 @@ def write_log(log: RunLog, path: Path | str) -> Path:
         _fmt(h.nadir.f_alpha), _fmt(h.nadir.f_beta), h.budget,
     )
     lines = [f"% format={LOG_FORMAT}"] + [f"% {k}={v}" for k, v in zip(_HEADER, values)]
-    for r in log.records:
-        cells = [str(r.eval_count), _fmt(r.objectives.f_alpha), _fmt(r.objectives.f_beta)]
-        cells.extend(_fmt(c) for c in r.decision)
-        lines.append("\t".join(cells))
+    lines.extend(
+        f"{r.eval_count}\t{_fmt(r.objectives.f_alpha)}\t{_fmt(r.objectives.f_beta)}"
+        for r in log.records
+    )
     return write_lines(path, lines)
 
 
@@ -252,17 +256,19 @@ def _run_header(values: dict) -> RunHeader:
 
 
 def read_log(path: Path | str) -> RunLog:
-    """Parse a run log.  A missing or unknown format raises
-    :class:`LogVersionError`; malformed headers or records, including eval
-    counts that are not strictly increasing within ``[1, budget]``, a
-    ``budget`` below 1, and a header that ``ProblemSpec`` rejects, raise
-    :class:`LogParseError` naming ``path:line``."""
+    """Parse a run log (``runlog-v2``, or ``runlog-v1``).  A missing or
+    unknown format raises :class:`LogVersionError`; malformed headers or
+    records, including eval counts that are not strictly increasing within
+    ``[1, budget]``, a ``budget`` below 1, and a header that ``ProblemSpec``
+    rejects, raise :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
     records: list[LogRecord] = []
     width = budget = last = 0
-    lines = _format_body(path, LOG_FORMAT)
+    declared, lines = _format_body(path, (LOG_FORMAT, LOG_FORMAT_V1))
+    v1 = declared == LOG_FORMAT_V1  # a v1 record adds the evaluated point's coordinates
+    columns = "eval, f_alpha, f_beta, x" if v1 else "eval, f_alpha, f_beta"
     for number, line in lines:
         if line.startswith("%"):
             if run_header is not None:
@@ -275,21 +281,20 @@ def read_log(path: Path | str) -> RunLog:
             run_header = build_header(
                 path, header, _HEADER, _run_header, number, "records start before header keys"
             )
-            width = 3 + run_header.dimension
+            width = 3 + run_header.dimension if v1 else 3
             budget = run_header.budget
         parts = line.split("\t")
         if len(parts) != width:
             raise LogParseError(
-                path, number,
-                f"expected {width} columns (eval, f_alpha, f_beta, x), got {len(parts)}",
+                path, number, f"expected {width} columns ({columns}), got {len(parts)}"
             )
         try:
             eval_count = int(parts[0])
             objectives = ObjectiveVector(float(parts[1]), float(parts[2]))
-            decision = tuple(float(c) for c in parts[3:])
+            point = [float(c) for c in parts[3:]]  # v1 only: checked, then dropped
         except ValueError as exc:
             raise LogParseError(path, number, str(exc)) from None
-        if not objectives.is_finite() or not all(math.isfinite(c) for c in decision):
+        if not objectives.is_finite() or not all(map(math.isfinite, point)):
             raise LogParseError(path, number, "non-finite value in record")
         if eval_count <= last:
             raise LogParseError(
@@ -299,7 +304,7 @@ def read_log(path: Path | str) -> RunLog:
         if eval_count > budget:
             raise LogParseError(path, number, f"eval count {eval_count} exceeds budget {budget}")
         last = eval_count
-        records.append(LogRecord(eval_count, objectives, decision))
+        records.append(LogRecord(eval_count, objectives))
 
     if run_header is None:
         run_header = build_header(path, header, _HEADER, _run_header, lines[-1][0] if lines else 1)
@@ -371,31 +376,51 @@ class IndexEntry:
 
 
 class ExperimentWriter:
-    """The experiment tree under ``root``: ``write`` puts each run log at
-    ``<root>/<algorithm>/<function>_d<dim>_i<inst>.tsv``, and ``close``
-    then writes each algorithm's index listing its logs, so an index never
-    lists a log that is not yet written."""
+    """The experiment tree under ``root``.  ``write`` stages each run log
+    under ``<root>/.staging/<algorithm>/``; ``close`` then moves every
+    staged log to ``<root>/<algorithm>/<function>_d<dim>_i<inst>.tsv``,
+    writes each algorithm's index listing its logs, and removes the
+    staging directory.  Used as a context manager, it closes on success;
+    when the body raises it publishes nothing and removes the staging
+    directory, so a failed run or recalc leaves an existing tree as it
+    was.  Only one staged log is held in memory at a time."""
 
     def __init__(self, root: Path | str) -> None:
         self._root = Path(root)
+        self._staging = self._root / ".staging"
         self._rows: dict[str, list[str]] = {}
 
+    def __enter__(self) -> ExperimentWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            shutil.rmtree(self._staging, ignore_errors=True)
+
     def write(self, log: RunLog) -> Path:
+        """Stage ``log``; returns the path ``close`` publishes it at."""
         h = log.header
         name = f"{h.function_id}_d{h.dimension}_i{h.instance_id}.tsv"
-        path = write_log(log, self._root / h.algorithm / name)
+        write_log(log, self._staging / h.algorithm / name)
         self._rows.setdefault(h.algorithm, []).append(
             f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
         )
-        return path
+        return self._root / h.algorithm / name
 
     def close(self) -> None:
         for algorithm, rows in self._rows.items():
+            (self._root / algorithm).mkdir(parents=True, exist_ok=True)
+            for row in rows:
+                name = row.partition("\t")[0]
+                os.replace(self._staging / algorithm / name, self._root / algorithm / name)
             write_lines(self._root / algorithm / INDEX_FILENAME, [
                 f"% format={INDEX_FORMAT}",
                 "% columns=file function instance dimension refset_version",
                 *rows,
             ])
+        shutil.rmtree(self._staging, ignore_errors=True)
 
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
@@ -406,7 +431,7 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     path = Path(path)
     entries: list[IndexEntry] = []
     rows: dict[str | tuple, int] = {}  # file name or problem key -> line
-    for number, line in _format_body(path, INDEX_FORMAT):
+    for number, line in _format_body(path, (INDEX_FORMAT,))[1]:
         if line.startswith("%"):
             continue
         parts = line.split("\t")

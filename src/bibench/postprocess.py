@@ -264,7 +264,10 @@ def process_experiment(
     instances_display: int = DEFAULT_INSTANCES_DISPLAY,
 ) -> list[Path]:
     """Full postprocessing: ECDF CSVs per dimension plus an aggregate, and
-    a runtime table, per algorithm found under ``logs_dir``."""
+    a runtime table, per algorithm found under ``logs_dir``.  A negative
+    ``instances_display`` raises ``ValueError`` before any log is read."""
+    if instances_display < 0:
+        raise ValueError(f"instances_display must be at least 0, got {instances_display}")
     output_dir = Path(output_dir)
     records = load_labeled_records(logs_dir)
     by_algorithm: dict[str, list[LabeledRecord]] = {}

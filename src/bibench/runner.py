@@ -96,7 +96,7 @@ class RunResult:
 def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callable:
     """The evaluation callback handed to a baseline, and the one budget guard:
     it counts evaluations, refuses any beyond ``budget`` and passes each
-    ``(count, x, objectives)`` to ``observe``.  Baselines only ever see this
+    ``(count, objectives)`` to ``observe``.  Baselines only ever see this
     callback, which keeps them black-box by construction."""
     count = 0
 
@@ -106,7 +106,7 @@ def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callab
             raise RuntimeError(f"evaluation budget {budget} exhausted")
         count += 1
         y = fn.evaluate(x)
-        observe(count, x, y)
+        observe(count, y)
         return y.f_alpha, y.f_beta
 
     return evaluate
@@ -151,7 +151,7 @@ def bootstrap_refsets(
         for algo_index, algo in bootstrap_algos:
             points: list[ObjectiveVector] = []
             rng = _problem_rng(seed, _PURPOSE_BOOTSTRAP, algo_index, fid, dim, inst)
-            algo(_budgeted(fn, budget, lambda t, x, y: points.append(y)), dim, budget, rng)
+            algo(_budgeted(fn, budget, lambda t, y: points.append(y)), dim, budget, rng)
             collected.append(points)
         rs = refset.merge(
             collected,
@@ -174,8 +174,9 @@ def run_experiment(
     """Run the configured baseline over the problem grid and write logs.
 
     Without a ``refset_dir`` the experiment first bootstraps reference
-    sets into ``<output_dir>/refsets``.  Returns live per-problem results;
-    the experiment index is written last.
+    sets into ``<output_dir>/refsets``.  Returns live per-problem results.
+    The logs and the experiment index are published together once every
+    problem has run; a failure publishes none of them.
     """
     problems = suite.enumerate_problems(cfg.functions, cfg.dimensions, cfg.instances)
     refset_dir = cfg.refset_dir
@@ -193,41 +194,40 @@ def run_experiment(
 
     algo = ALGORITHMS[cfg.algorithm]
     results: list[RunResult] = []
-    writer = datalog.ExperimentWriter(cfg.output_dir)
-    for fid, dim, inst in problems:
-        fn = suite.get_function(fid, inst, dim)
-        spec = refset.load_reference_set(refset_dir, fid, dim, inst).problem_spec()
-        budget = cfg.budget_for(dim)
-        assessment = datalog.Assessment(spec)
-        records: list[datalog.LogRecord] = []
+    with datalog.ExperimentWriter(cfg.output_dir) as writer:
+        for fid, dim, inst in problems:
+            fn = suite.get_function(fid, inst, dim)
+            spec = refset.load_reference_set(refset_dir, fid, dim, inst).problem_spec()
+            budget = cfg.budget_for(dim)
+            assessment = datalog.Assessment(spec)
+            records: list[datalog.LogRecord] = []
 
-        def observe(t: int, x: np.ndarray, y: ObjectiveVector) -> None:
-            if assessment.add(t, y):
-                records.append(datalog.LogRecord(t, y, tuple(float(c) for c in x)))
+            def observe(t: int, y: ObjectiveVector) -> None:
+                if assessment.add(t, y):
+                    records.append(datalog.LogRecord(t, y))
 
-        rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
-        algo(_budgeted(fn, budget, observe), dim, budget, rng)
+            rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
+            algo(_budgeted(fn, budget, observe), dim, budget, rng)
 
-        header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
-        path = writer.write(datalog.RunLog(header, tuple(records)))
-        results.append(
-            RunResult(
-                function_id=fid,
-                instance_id=inst,
-                dimension=dim,
-                algorithm=cfg.algorithm,
-                spec=spec,
-                runtimes=assessment.runtimes,
-                log_path=path,
-                archive_size=len(assessment.archive),
+            header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
+            path = writer.write(datalog.RunLog(header, tuple(records)))
+            results.append(
+                RunResult(
+                    function_id=fid,
+                    instance_id=inst,
+                    dimension=dim,
+                    algorithm=cfg.algorithm,
+                    spec=spec,
+                    runtimes=assessment.runtimes,
+                    log_path=path,
+                    archive_size=len(assessment.archive),
+                )
             )
-        )
-        if progress is not None:
-            progress(
-                f"{fn.key} {cfg.algorithm}: {assessment.runtimes.hit_count}/"
-                f"{len(assessment.runtimes.targets)} targets hit in {budget} evaluations"
-            )
-    writer.close()
+            if progress is not None:
+                progress(
+                    f"{fn.key} {cfg.algorithm}: {assessment.runtimes.hit_count}/"
+                    f"{len(assessment.runtimes.targets)} targets hit in {budget} evaluations"
+                )
     return results
 
 
@@ -238,15 +238,16 @@ def recalc_experiment(
     reference sets in ``refset_dir`` without re-running anything: each log
     is replayed once under its new reference set, then written to the same
     place in the tree under ``output_dir`` with the new reference data in
-    its header.  The indexes are written last.  Returns the log paths."""
-    writer = datalog.ExperimentWriter(output_dir)
+    its header.  The logs and indexes are published together once every
+    log has been re-assessed; a failure publishes none of them, so an
+    existing output tree is left as it was.  Returns the log paths."""
     written: list[Path] = []
-    for log in datalog.iter_experiment(logs_dir):
-        h = log.header
-        rs = refset.load_reference_set(refset_dir, h.function_id, h.dimension, h.instance_id)
-        spec = rs.problem_spec()
-        datalog.recalculate(log, spec)  # raises LogReplayError on a corrupt log
-        header = datalog.RunHeader.for_run(spec, h.algorithm, h.budget)
-        written.append(writer.write(datalog.RunLog(header, log.records)))
-    writer.close()
+    with datalog.ExperimentWriter(output_dir) as writer:
+        for log in datalog.iter_experiment(logs_dir):
+            h = log.header
+            rs = refset.load_reference_set(refset_dir, h.function_id, h.dimension, h.instance_id)
+            spec = rs.problem_spec()
+            datalog.recalculate(log, spec)  # raises LogReplayError on a corrupt log
+            header = datalog.RunHeader.for_run(spec, h.algorithm, h.budget)
+            written.append(writer.write(datalog.RunLog(header, log.records)))
     return written

@@ -28,7 +28,6 @@ def test_insert_into_empty() -> None:
     out = arch.insert(_nz(0.5, 0.5), 1)
     assert out.accepted and out.removed_count == 0
     assert out.hv_gain == 0.25
-    assert out.dist_gain == 0.0  # no previous distance to improve on
     assert arch.hypervolume() == 0.25
 
 
@@ -54,9 +53,7 @@ def test_insert_dominated_point_rejected() -> None:
     arch = _filled([(0.25, 0.75), (0.75, 0.25), (0.5, 0.5)])
     before = arch.hypervolume()
     out = arch.insert(_nz(0.6, 0.6), 4)
-    assert (out.accepted, out.removed_count, out.hv_gain, out.dist_gain) == (
-        False, 0, 0.0, 0.0
-    )
+    assert (out.accepted, out.removed_count, out.hv_gain) == (False, 0, 0.0)
     assert arch.hypervolume() == before
     assert len(arch) == 3
 

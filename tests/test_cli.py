@@ -137,6 +137,27 @@ def test_postprocess_rejects_off_grid_precision(tmp_path, capsys) -> None:
     assert not (tmp_path / "p").exists()
 
 
+def test_postprocess_rejects_negative_instances_display(tmp_path, capsys) -> None:
+    _, logs = _tamper_index(tmp_path, lambda text, _: text)
+    (logs / "random" / "f1_d2_i1.tsv").write_text("not a log\n")  # must not be read
+    assert main([
+        "postprocess", "--logs", str(logs), "--out", str(tmp_path / "p"),
+        "--instances-display", "-1",
+    ]) == 1
+    assert "instances_display must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_postprocess_instances_display_zero_writes_counts_only(tmp_path) -> None:
+    _, logs = _tamper_index(tmp_path, lambda text, _: text)
+    assert main([
+        "postprocess", "--logs", str(logs), "--out", str(tmp_path / "p"),
+        "--instances-display", "0",
+    ]) == 0
+    header = (tmp_path / "p" / "random" / "runtime_table.csv").read_text().splitlines()[1]
+    assert header == "function,dimension,precision,n_hit,n_instances"
+
+
 def test_postprocess_without_logs(tmp_path, capsys) -> None:
     (tmp_path / "empty").mkdir()
     assert main([
@@ -232,7 +253,7 @@ def test_index_row_listing_copied_log_is_rejected(tmp_path, capsys, command) -> 
 
 
 def test_postprocess_reports_log_header_that_fails_problem_spec(tmp_path, capsys) -> None:
-    # With dimension -1 a two-column record has the expected width.
+    # The header is checked before the record's width.
     _, logs = _tamper_index(tmp_path, lambda text, _: text)
     log = logs / "random" / "f1_d2_i1.tsv"
     header = log.read_text().replace("% dimension=2", "% dimension=-1").splitlines()[:12]

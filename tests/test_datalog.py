@@ -58,12 +58,11 @@ def _live_run(spec: ProblemSpec, n_evals: int, seed: int):
     live_trajectory = []
     for t in range(1, n_evals + 1):
         raw = ObjectiveVector(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
-        decision = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         outcome = arch.insert(normalize(raw, spec), t)
         value = evaluate_incremental(value, outcome, arch)
         runtimes.record(t, value.value)
         if outcome.accepted:
-            records.append(LogRecord(t, raw, decision))
+            records.append(LogRecord(t, raw))
             live_trajectory.append((t, value))
     return records, live_trajectory, runtimes
 
@@ -76,9 +75,9 @@ def test_empty_log_round_trips(tmp_path) -> None:
 
 def test_three_record_log_round_trips(tmp_path) -> None:
     records = (
-        LogRecord(1, ObjectiveVector(1.5, 0.25), (0.1, -0.2)),
-        LogRecord(4, ObjectiveVector(0.75, 0.5), (1.0, 2.0)),
-        LogRecord(9, ObjectiveVector(0.5, 0.4999999999999999), (-3.5, 4.25)),
+        LogRecord(1, ObjectiveVector(1.5, 0.25)),
+        LogRecord(4, ObjectiveVector(0.75, 0.5)),
+        LogRecord(9, ObjectiveVector(0.5, 0.4999999999999999)),
     )
     log = RunLog(_header(), records)
     back = read_log(write_log(log, tmp_path / "run.tsv"))
@@ -93,11 +92,7 @@ def test_large_random_log_rewrite_is_byte_identical(tmp_path) -> None:
     for _ in range(10_000):
         t += rng.randint(1, 4)
         records.append(
-            LogRecord(
-                t,
-                ObjectiveVector(rng.uniform(0, 10) ** 3, rng.expovariate(1.0)),
-                (rng.gauss(0, 2), rng.gauss(0, 2)),
-            )
+            LogRecord(t, ObjectiveVector(rng.uniform(0, 10) ** 3, rng.expovariate(1.0)))
         )
     log = RunLog(_header(budget=t), tuple(records))
     first = write_log(log, tmp_path / "a.tsv")
@@ -105,21 +100,54 @@ def test_large_random_log_rewrite_is_byte_identical(tmp_path) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_v1_log_reads_as_its_v2_rewrite(tmp_path, to_runlog_v1) -> None:
+    spec = _spec()
+    records, _, live_runtimes = _live_run(spec, 400, seed=1)
+    v2 = write_log(RunLog(_header(budget=400), tuple(records)), tmp_path / "v2.tsv")
+    v1 = to_runlog_v1(write_log(read_log(v2), tmp_path / "v1.tsv"))
+    assert v2.read_text().startswith("% format=runlog-v2\n")
+    assert v1.read_text().startswith("% format=runlog-v1\n")
+    assert len(v1.read_text().splitlines()[12].split("\t")) == 3 + 2  # 3 + dimension
+    log = read_log(v1)
+    assert log == read_log(v2)
+    assert write_log(log, tmp_path / "rewrite.tsv").read_bytes() == v2.read_bytes()
+    trajectory, runtimes = recalculate(log, spec)
+    v2_trajectory, v2_runtimes = recalculate(read_log(v2), spec)
+    assert trajectory == v2_trajectory
+    assert runtimes.first_hit == v2_runtimes.first_hit == live_runtimes.first_hit
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("1\t0.5\t0.5\t0.0", r":13: expected 5 columns \(eval, f_alpha, f_beta, x\), got 4"),
+        ("1\t0.5\t0.5", r":13: expected 5 columns"),
+        ("1\t0.5\t0.5\t0.0\tinf", r":13: non-finite value in record"),
+        ("1\t0.5\t0.5\tnan\t0.0", r":13: non-finite value in record"),
+        ("1\t0.5\t0.5\t0.0\tone", r":13: could not convert"),
+    ],
+    ids=["short", "v2-width", "inf", "nan", "unparsable"],
+)
+def test_read_v1_checks_coordinate_cells(tmp_path, row, message) -> None:
+    path = _log_text(tmp_path, [row])
+    path.write_text(path.read_text().replace("% format=runlog-v2", "% format=runlog-v1"))
+    with pytest.raises(LogParseError, match=r"edited\.tsv" + message) as err:
+        read_log(path)
+    assert err.value.line_number == 13
+
+
 def test_write_rejects_inconsistent_records(tmp_path) -> None:
     bad_order = RunLog(
         _header(),
         (
-            LogRecord(5, ObjectiveVector(1.0, 1.0), (0.0, 0.0)),
-            LogRecord(5, ObjectiveVector(0.5, 0.5), (0.0, 0.0)),
+            LogRecord(5, ObjectiveVector(1.0, 1.0)),
+            LogRecord(5, ObjectiveVector(0.5, 0.5)),
         ),
     )
     with pytest.raises(ValueError, match="increase strictly"):
         write_log(bad_order, tmp_path / "x.tsv")
-    bad_dim = RunLog(_header(), (LogRecord(1, ObjectiveVector(1.0, 1.0), (0.0,)),))
-    with pytest.raises(ValueError, match="decision vector"):
-        write_log(bad_dim, tmp_path / "x.tsv")
     bad_value = RunLog(
-        _header(), (LogRecord(1, ObjectiveVector(float("inf"), 1.0), (0.0, 0.0)),)
+        _header(), (LogRecord(1, ObjectiveVector(float("inf"), 1.0)),)
     )
     with pytest.raises(ValueError, match="non-finite"):
         write_log(bad_value, tmp_path / "x.tsv")
@@ -136,21 +164,21 @@ def test_read_rejects_missing_or_wrong_format_line(tmp_path) -> None:
 
 
 def test_read_reports_line_numbers(tmp_path) -> None:
-    good = write_log(RunLog(_header(), (LogRecord(1, ObjectiveVector(1.0, 1.0), (0.0, 0.0)),)), tmp_path / "good.tsv")
+    good = write_log(RunLog(_header(), (LogRecord(1, ObjectiveVector(1.0, 1.0)),)), tmp_path / "good.tsv")
     lines = good.read_text().splitlines()
     assert lines[12].startswith("1\t")  # 12 header lines, then the record
 
     bad = tmp_path / "bad.tsv"
-    bad.write_text("\n".join(lines[:12] + ["1\t0.5\t0.5"]) + "\n")
-    with pytest.raises(LogParseError, match="13: expected 5 columns") as err:
+    bad.write_text("\n".join(lines[:12] + ["1\t0.5\t0.5\t0.0\t0.0"]) + "\n")
+    with pytest.raises(LogParseError, match="13: expected 3 columns") as err:
         read_log(bad)
     assert err.value.line_number == 13
 
-    bad.write_text("\n".join(lines[:12] + ["1\t0.5\tnot-a-number\t0.0\t0.0"]) + "\n")
+    bad.write_text("\n".join(lines[:12] + ["1\t0.5\tnot-a-number"]) + "\n")
     with pytest.raises(LogParseError, match="13:"):
         read_log(bad)
 
-    bad.write_text("\n".join(lines[:12] + ["1\tinf\t0.5\t0.0\t0.0"]) + "\n")
+    bad.write_text("\n".join(lines[:12] + ["1\tinf\t0.5"]) + "\n")
     with pytest.raises(LogParseError, match="non-finite"):
         read_log(bad)
 
@@ -170,7 +198,7 @@ def test_read_requires_all_header_keys(tmp_path) -> None:
 
 
 def test_read_skips_blank_and_extra_comment_lines(tmp_path) -> None:
-    log = RunLog(_header(), (LogRecord(3, ObjectiveVector(1.0, 0.5), (0.0, 0.0)),))
+    log = RunLog(_header(), (LogRecord(3, ObjectiveVector(1.0, 0.5)),))
     path = write_log(log, tmp_path / "padded.tsv")
     text = path.read_text()
     path.write_text(text.replace("% budget=100", "% budget=100\n\n% note=hand-edited\n"))
@@ -194,8 +222,8 @@ def test_recalculate_rejects_corrupted_log() -> None:
     log = RunLog(
         _header(),
         (
-            LogRecord(1, ObjectiveVector(0.5, 0.5), (0.0, 0.0)),
-            LogRecord(2, ObjectiveVector(0.6, 0.6), (0.0, 0.0)),  # dominated
+            LogRecord(1, ObjectiveVector(0.5, 0.5)),
+            LogRecord(2, ObjectiveVector(0.6, 0.6)),  # dominated
         ),
     )
     with pytest.raises(LogReplayError, match="eval 2"):
@@ -221,7 +249,7 @@ def test_recalculate_restores_budget_evaluations() -> None:
     spec = _spec()
     log = RunLog(
         _header(budget=5000),
-        (LogRecord(7, ObjectiveVector(0.5, 0.5), (0.0, 0.0)),),
+        (LogRecord(7, ObjectiveVector(0.5, 0.5)),),
     )
     _, runtimes = recalculate(log, spec)
     assert runtimes.evaluations == 5000
@@ -288,7 +316,8 @@ def _write_experiment(root):
 
 def test_log_path_layout(tmp_path) -> None:
     header = replace(_header(), function_id="f2", dimension=10, instance_id=3)
-    p = ExperimentWriter(tmp_path).write(RunLog(header, ()))
+    with ExperimentWriter(tmp_path) as writer:
+        p = writer.write(RunLog(header, ()))
     assert p == tmp_path / "random" / "f2_d10_i3.tsv"
     assert read_log(p) == RunLog(header, ())
 
@@ -322,9 +351,9 @@ def _log_text(tmp_path, rows, budget: int = 100):
 @pytest.mark.parametrize(
     ("rows", "budget", "message"),
     [
-        (["0\t0.5\t0.5\t0.0\t0.0"], 100, r":13: eval counts must increase strictly from 1"),
-        (["3\t0.5\t0.5\t0.0\t0.0", "2\t0.4\t0.4\t0.0\t0.0"], 100, r":14: .*got 2 after 3"),
-        (["50\t0.5\t0.5\t0.0\t0.0"], 10, r":13: eval count 50 exceeds budget 10"),
+        (["0\t0.5\t0.5"], 100, r":13: eval counts must increase strictly from 1"),
+        (["3\t0.5\t0.5", "2\t0.4\t0.4"], 100, r":14: .*got 2 after 3"),
+        (["50\t0.5\t0.5"], 10, r":13: eval count 50 exceeds budget 10"),
     ],
     ids=["below-one", "not-increasing", "beyond-budget"],
 )
@@ -335,7 +364,7 @@ def test_read_rejects_bad_eval_counts(tmp_path, rows, budget, message) -> None:
 
 
 def test_read_rejects_header_line_after_records(tmp_path) -> None:
-    path = _log_text(tmp_path, ["1\t0.5\t0.5\t0.0\t0.0", "% budget=5000"])
+    path = _log_text(tmp_path, ["1\t0.5\t0.5", "% budget=5000"])
     with pytest.raises(LogParseError, match=r"edited\.tsv:14: header line after"):
         read_log(path)
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import filecmp
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bibench import refset
+from bibench import postprocess, refset
 from bibench.datalog import read_experiment_index, read_log, recalculate
 from bibench.runner import (
     ALGORITHMS,
@@ -211,6 +213,52 @@ def test_recalc_experiment_rejects_renamed_algorithm_directory(tmp_path) -> None
     ):
         recalc_experiment(tmp_path / "out", tmp_path / "refsets", tmp_path / "rescored")
     assert not (tmp_path / "rescored").exists()
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, directories included, with a file's bytes."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def test_failed_recalc_leaves_existing_tree_unchanged(tmp_path) -> None:
+    cfg = _f1_config(tmp_path, budget=200, out="logs")
+    for algorithm in ("hillclimber", "random"):
+        run_experiment(replace(cfg, algorithm=algorithm))
+    out = tmp_path / "out"
+    recalc_experiment(cfg.output_dir, cfg.refset_dir, out)
+    before = _tree(out)
+    # hillclimber/ re-assesses cleanly against other reference sets, then
+    # the renamed rs/ fails.
+    broken = shutil.copytree(cfg.output_dir, tmp_path / "broken")
+    (broken / "random").rename(broken / "rs")
+    coarse = _analytic_f1_refset_dir(tmp_path / "new", n=50)
+    with pytest.raises(ValueError, match="index lists algorithm rs"):
+        recalc_experiment(broken, coarse, out)
+    assert _tree(out) == before
+    assert postprocess.process_experiment(out, tmp_path / "tables")
+
+
+def test_failed_run_leaves_no_log(tmp_path) -> None:
+    # Instance 1 runs and is staged; instance 2 has no reference set.
+    cfg = replace(_f1_config(tmp_path, budget=50), instances=(1, 2))
+    with pytest.raises(FileNotFoundError, match="f1:2:2"):
+        run_experiment(cfg)
+    assert _tree(cfg.output_dir) == {}
+
+
+def test_recalc_of_v1_tree_writes_v2_logs(tmp_path, to_runlog_v1) -> None:
+    [live] = run_experiment(_f1_config(tmp_path, budget=300))
+    v1_tree = shutil.copytree(tmp_path / "out", tmp_path / "v1")
+    v1_log = to_runlog_v1(v1_tree / "random" / live.log_path.name)
+    assert read_log(v1_log) == read_log(live.log_path)
+    [written] = recalc_experiment(v1_tree, tmp_path / "refsets", tmp_path / "rescored")
+    # Same reference sets: the rewrite is the v2 run's log, byte for byte.
+    assert written.read_bytes() == live.log_path.read_bytes()
+    assert written.read_text().startswith("% format=runlog-v2\n")
+    assert _tree(tmp_path / "rescored") == _tree(tmp_path / "out")
 
 
 def test_bootstrap_writes_deterministic_refsets(tmp_path) -> None:
