@@ -21,33 +21,24 @@ def _parse_csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    """Accept comma lists and dash ranges: "1,3,5" or "1-10" or "1-3,7"."""
-    values: list[int] = []
-    for part in _parse_csv(text):
-        lo, dash, hi = part.partition("-")
-        try:
-            if dash:
-                values.extend(range(int(lo), int(hi) + 1))
-            else:
-                values.append(int(part))
-        except ValueError:
-            raise ValueError(f"cannot parse {what} {part!r}") from None
-    if not values:
-        raise ValueError(f"empty {what} list")
-    return values
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, convert) -> list:
+    """The values of a comma list, each part turned into a list of values
+    by ``convert``; a part it cannot convert, or no values, is an error."""
     values = []
     for part in _parse_csv(text):
         try:
-            values.append(float(part))
+            values.extend(convert(part))
         except ValueError:
             raise ValueError(f"cannot parse {what} {part!r}") from None
     if not values:
         raise ValueError(f"empty {what} list")
     return values
+
+
+def _int_or_range(part: str) -> Sequence[int]:
+    """One integer, or an inclusive dash range of them: "3" or "1-10"."""
+    lo, dash, hi = part.partition("-")
+    return range(int(lo), int(hi) + 1) if dash else [int(part)]
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,15 +53,15 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 def _problem_selection(args: argparse.Namespace):
     functions = tuple(_parse_csv(args.functions)) if args.functions else suite.FUNCTION_IDS
     dims = (
-        tuple(_parse_int_list(args.dims, "dimension")) if args.dims else suite.DIMENSIONS
+        tuple(_parse_list(args.dims, "dimension", _int_or_range))
+        if args.dims
+        else suite.DIMENSIONS
     )
     instances = (
-        tuple(_parse_int_list(args.instances, "instance"))
+        tuple(_parse_list(args.instances, "instance", _int_or_range))
         if args.instances
         else suite.INSTANCE_IDS
     )
-    # Validate early so typos fail before any work happens.
-    suite.enumerate_problems(functions, dims, instances)
     return functions, dims, instances
 
 
@@ -115,11 +106,10 @@ def _cmd_recalc(args: argparse.Namespace) -> int:
 
 def _cmd_postprocess(args: argparse.Namespace) -> int:
     precisions = (
-        _parse_float_list(args.precisions, "precision")
+        _parse_list(args.precisions, "precision", lambda part: [float(part)])
         if args.precisions
         else postprocess.DEFAULT_TABLE_PRECISIONS
     )
-    postprocess.resolve_precisions(precisions)  # usage error before any work
     written = postprocess.process_experiment(
         Path(args.logs),
         Path(args.out),

@@ -19,7 +19,9 @@ and ``build_header``, which does the same for a whole ``key=value`` header.
 ``ExperimentWriter`` owns the experiment tree: one directory per
 algorithm holding its run logs and their index.  Logs are staged under
 ``<root>/.staging`` and published together with the indexes on a clean
-close, so a failed run or recalc leaves an existing tree as it was.
+close, so a failed run or recalc leaves an existing tree as it was (and
+removes a root it created itself).  ``iter_experiment`` walks the tree
+and rejects a directory of run logs without an index.
 
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
 indicator update, first-hit record).  Live runs feed it every evaluation
@@ -31,6 +33,7 @@ updates retroactive without re-running experiments.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shutil
@@ -382,13 +385,15 @@ class ExperimentWriter:
     writes each algorithm's index listing its logs, and removes the
     staging directory.  Used as a context manager, it closes on success;
     when the body raises it publishes nothing and removes the staging
-    directory, so a failed run or recalc leaves an existing tree as it
-    was.  Only one staged log is held in memory at a time."""
+    directory, and the root too if it did not exist when the writer was
+    made and is empty, so a failed run or recalc leaves the file system as
+    it was.  Only one staged log is held in memory at a time."""
 
     def __init__(self, root: Path | str) -> None:
         self._root = Path(root)
         self._staging = self._root / ".staging"
         self._rows: dict[str, list[str]] = {}
+        self._root_created = not self._root.exists()
 
     def __enter__(self) -> ExperimentWriter:
         return self
@@ -398,6 +403,9 @@ class ExperimentWriter:
             self.close()
         else:
             shutil.rmtree(self._staging, ignore_errors=True)
+            if self._root_created:
+                with contextlib.suppress(OSError):  # not empty: keep it
+                    self._root.rmdir()
 
     def write(self, log: RunLog) -> Path:
         """Stage ``log``; returns the path ``close`` publishes it at."""
@@ -410,8 +418,13 @@ class ExperimentWriter:
         return self._root / h.algorithm / name
 
     def close(self) -> None:
+        """Publish: per algorithm, delete the old index, move the logs in,
+        write the new index.  An interrupted close leaves logs without an
+        index, which ``iter_experiment`` rejects, never new logs under an
+        old index."""
         for algorithm, rows in self._rows.items():
             (self._root / algorithm).mkdir(parents=True, exist_ok=True)
+            (self._root / algorithm / INDEX_FILENAME).unlink(missing_ok=True)
             for row in rows:
                 name = row.partition("\t")[0]
                 os.replace(self._staging / algorithm / name, self._root / algorithm / name)
@@ -449,13 +462,32 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     return tuple(entries)
 
 
+def _is_run_log(path: Path) -> bool:
+    """Whether ``path`` is a file whose line 1 declares a run-log format."""
+    if not path.is_file():
+        return False
+    with path.open("rb") as f:
+        return f.readline(64).strip().startswith(b"% format=runlog-")
+
+
 def iter_experiment(logs_dir: Path | str) -> Iterator[RunLog]:
     """Read every run log listed by the experiment indexes under ``logs_dir``
     (one subdirectory per algorithm, named after it), in sorted index order.
     A log whose header disagrees with its index row on the function,
     instance, dimension or reference-set version, or with the directory
-    name on the algorithm, raises ``ValueError`` naming the log."""
+    name on the algorithm, raises ``ValueError`` naming the log.  A
+    subdirectory holding a run log but no index raises
+    ``FileNotFoundError`` naming it before any log is read; other
+    subdirectories without an index, such as reference sets, are skipped."""
     logs_dir = Path(logs_dir)
+    unindexed = [
+        d.name for d in sorted(logs_dir.glob("*"))
+        if d.is_dir() and not (d / INDEX_FILENAME).exists() and any(map(_is_run_log, d.iterdir()))
+    ]
+    if unindexed:
+        raise FileNotFoundError(
+            f"{logs_dir}: run logs without an {INDEX_FILENAME} in {', '.join(unindexed)}"
+        )
     index_paths = sorted(logs_dir.glob(f"*/{INDEX_FILENAME}"))
     if not index_paths:
         raise FileNotFoundError(

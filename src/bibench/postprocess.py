@@ -1,11 +1,13 @@
 """Aggregation of runtime records into ECDFs and runtime tables.
 
-The ECDF over a set of runs reports, per evaluation budget, the fraction
-of all (problem, target) pairs whose target was hit within that budget.
-Missed targets never contribute; no restarts are simulated, so a curve's
-final value is exactly the overall hit fraction.  Runtime tables list
-per-instance first-hit evaluation counts for selected target precisions,
-rendering missed targets as an em-dash plus the budget spent.
+A run is the pair of its log's ``RunHeader`` and the ``RuntimeRecord``
+that replaying the log gives.  The ECDF over a set of runs reports, per
+evaluation budget, the fraction of all (problem, target) pairs whose
+target was hit within that budget.  Missed targets never contribute; no
+restarts are simulated, so a curve's final value is exactly the overall
+hit fraction.  Runtime tables list per-instance first-hit evaluation
+counts for selected target precisions, rendering missed targets as an
+em-dash plus the budget spent.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from bibench.targets import RuntimeRecord, precision_grid
 
 __all__ = [
     "EcdfCurve",
-    "LabeledRecord",
-    "TableRow",
     "combined_version",
     "ecdf",
     "load_labeled_records",
@@ -38,17 +38,7 @@ DEFAULT_TABLE_PRECISIONS = (1.0, 1e-1, 1e-2, 1e-3, 1e-5)
 DEFAULT_INSTANCES_DISPLAY = 5
 MISSED_MARK = "—"  # em dash
 
-
-@dataclass(frozen=True)
-class LabeledRecord:
-    """A runtime record tagged with the problem and algorithm it came from."""
-
-    function_id: str
-    instance_id: int
-    dimension: int
-    algorithm: str
-    refset_version: str
-    runtimes: RuntimeRecord
+Run = tuple[datalog.RunHeader, RuntimeRecord]
 
 
 @dataclass(frozen=True)
@@ -64,22 +54,13 @@ class EcdfCurve:
     proportion: tuple[float, ...]
     n_hit: tuple[int, ...]
     n_total: int
-    algorithm: str = ""
-    slice_label: str = ""
-    refset_version: str = ""
 
     @property
     def final_proportion(self) -> float:
         return self.proportion[-1] if self.proportion else 0.0
 
 
-def ecdf(
-    records: Sequence[RuntimeRecord],
-    *,
-    algorithm: str = "",
-    slice_label: str = "",
-    refset_version: str = "",
-) -> EcdfCurve:
+def ecdf(records: Sequence[RuntimeRecord]) -> EcdfCurve:
     """Aggregate runtime records into one ECDF curve.
 
     The denominator is the total number of (record, target) pairs; the
@@ -101,9 +82,6 @@ def ecdf(
         proportion=tuple(proportions),
         n_hit=tuple(n_hit),
         n_total=n_total,
-        algorithm=algorithm,
-        slice_label=slice_label,
-        refset_version=refset_version,
     )
 
 
@@ -123,10 +101,11 @@ def combined_version(versions: Iterable[str]) -> str:
 
 
 def resolve_precisions(requested: Sequence[float]) -> tuple[int, ...]:
-    """Map requested precisions onto grid indices.
+    """Map requested precisions onto grid indices, in request order.
 
     Values must match a grid precision (tiny parse-rounding slack is
-    allowed); anything else is a usage error.
+    allowed); anything else is a usage error.  A repeated precision
+    counts once.
     """
     grid = precision_grid()
     indices: list[int] = []
@@ -139,75 +118,70 @@ def resolve_precisions(requested: Sequence[float]) -> tuple[int, ...]:
             raise ValueError(
                 f"precision {value!r} is not on the 58-value target grid"
             )
-    return tuple(indices)
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One runtime-table row: a problem/precision with per-instance cells."""
-
-    function_id: str
-    dimension: int
-    precision: float
-    cells: tuple[tuple[int, str], ...]  # (instance_id, rendered cell)
-    n_hit: int
-    n_instances: int
+    return tuple(dict.fromkeys(indices))
 
 
 def runtime_table(
-    records: Sequence[LabeledRecord],
-    precisions: Sequence[float] = DEFAULT_TABLE_PRECISIONS,
+    runs: Sequence[Run],
+    indices: Sequence[int],
     instances_display: int = DEFAULT_INSTANCES_DISPLAY,
-) -> list[TableRow]:
-    """Per-(function, dimension) first-hit table over displayed instances.
+) -> list[list[str]]:
+    """Per-(function, dimension) first-hit table at the grid ``indices``,
+    as CSV rows of cells, column names first.
 
-    Displays the ``instances_display`` lowest instance ids (all counts
-    still feed ``n_hit``).  A missed target renders as the em-dash marker
-    followed by the budget spent, e.g. ``—(1000)``.
+    Each group displays its ``instances_display`` lowest instance ids (all
+    runs still feed ``n_hit``); an instance column a group does not
+    display is an empty cell.  A missed target renders as the em-dash
+    marker followed by the budget spent, e.g. ``—(1000)``.
     """
-    indices = resolve_precisions(precisions)
     grid = precision_grid()
-    by_problem: dict[tuple[str, int], list[LabeledRecord]] = {}
-    for rec in records:
-        by_problem.setdefault((rec.function_id, rec.dimension), []).append(rec)
-
-    rows: list[TableRow] = []
-    for (fid, dim), group in sorted(by_problem.items()):
-        group = sorted(group, key=lambda r: r.instance_id)
-        shown = group[:instances_display]
+    groups: dict[tuple[str, int], list[Run]] = {}
+    for run in sorted(runs, key=lambda run: run[0].instance_id):
+        groups.setdefault((run[0].function_id, run[0].dimension), []).append(run)
+    shown = {
+        key: {h.instance_id: r for h, r in group[:instances_display]}
+        for key, group in groups.items()
+    }
+    instance_ids = sorted({i for cells in shown.values() for i in cells})
+    header = ["function", "dimension", "precision"]
+    header += [f"instance_{i}" for i in instance_ids]
+    header += ["n_hit", "n_instances"]
+    rows = [header]
+    for (fid, dim), group in sorted(groups.items()):
         for k in indices:
-            cells = []
             n_hit = 0
-            for rec in group:
-                hit = rec.runtimes.first_hit[k]
-                if hit is not None:
+            for _, runtimes in group:
+                if runtimes.first_hit[k] is not None:
                     n_hit += 1
-            for rec in shown:
-                hit = rec.runtimes.first_hit[k]
-                cell = str(hit) if hit is not None else f"{MISSED_MARK}({rec.runtimes.evaluations})"
-                cells.append((rec.instance_id, cell))
-            rows.append(
-                TableRow(
-                    function_id=fid,
-                    dimension=dim,
-                    precision=grid[k],
-                    cells=tuple(cells),
-                    n_hit=n_hit,
-                    n_instances=len(group),
-                )
-            )
+            cells = [_cell(shown[fid, dim].get(i), k) for i in instance_ids]
+            rows.append([fid, str(dim), repr(grid[k]), *cells, str(n_hit), str(len(group))])
     return rows
 
 
-def write_ecdf_csv(curve: EcdfCurve, path: Path | str, dimension: int | None = None) -> Path:
-    """Write one ECDF curve as CSV.
+def _cell(runtimes: RuntimeRecord | None, k: int) -> str:
+    """One runtime-table cell; empty for an instance its group does not display."""
+    if runtimes is None:
+        return ""
+    hit = runtimes.first_hit[k]
+    return str(hit) if hit is not None else f"{MISSED_MARK}({runtimes.evaluations})"
+
+
+def write_ecdf_csv(
+    curve: EcdfCurve,
+    path: Path | str,
+    algorithm: str,
+    refset_version: str,
+    dimension: int | None = None,
+) -> Path:
+    """Write one ECDF curve as CSV, sliced ``d<dimension>``, or ``all``
+    when ``dimension`` is None.
 
     Budgets are emitted both raw and per dimension; the per-dimension
     column stays empty for aggregates over mixed dimensions.
     """
     lines = [
-        f"# refset_version={curve.refset_version}",
-        f"# algorithm={curve.algorithm} slice={curve.slice_label}",
+        f"# refset_version={refset_version}",
+        f"# algorithm={algorithm} slice={'all' if dimension is None else f'd{dimension}'}",
         "budget,budget_per_dimension,proportion,n_hit,n_total",
     ]
     for budget, proportion, hit in zip(curve.support, curve.proportion, curve.n_hit):
@@ -217,44 +191,19 @@ def write_ecdf_csv(curve: EcdfCurve, path: Path | str, dimension: int | None = N
 
 
 def write_runtime_table_csv(
-    rows: Sequence[TableRow], path: Path | str, refset_version: str = ""
+    rows: Sequence[Sequence[str]], path: Path | str, refset_version: str = ""
 ) -> Path:
-    instance_ids = sorted({inst for row in rows for inst, _ in row.cells})
-    header = ["function", "dimension", "precision"]
-    header += [f"instance_{i}" for i in instance_ids]
-    header += ["n_hit", "n_instances"]
-    lines = [f"# refset_version={refset_version}", ",".join(header)]
-    for row in rows:
-        cell_map = dict(row.cells)
-        cells = [cell_map.get(i, "") for i in instance_ids]
-        lines.append(
-            ",".join(
-                [row.function_id, str(row.dimension), repr(row.precision)]
-                + cells
-                + [str(row.n_hit), str(row.n_instances)]
-            )
-        )
+    lines = [f"# refset_version={refset_version}", *(",".join(row) for row in rows)]
     return datalog.write_lines(path, lines, encoding="utf-8")
 
 
-def load_labeled_records(logs_dir: Path | str) -> list[LabeledRecord]:
+def load_labeled_records(logs_dir: Path | str) -> list[Run]:
     """Replay every indexed run log under ``logs_dir`` (one subdirectory
-    per algorithm) into labeled runtime records."""
-    records: list[LabeledRecord] = []
-    for log in datalog.iter_experiment(logs_dir):
-        h = log.header
-        _, runtimes = datalog.recalculate(log, h.problem_spec())
-        records.append(
-            LabeledRecord(
-                function_id=h.function_id,
-                instance_id=h.instance_id,
-                dimension=h.dimension,
-                algorithm=h.algorithm,
-                refset_version=h.refset_version,
-                runtimes=runtimes,
-            )
-        )
-    return records
+    per algorithm) into ``(header, runtimes)`` pairs."""
+    return [
+        (log.header, datalog.recalculate(log, log.header.problem_spec())[1])
+        for log in datalog.iter_experiment(logs_dir)
+    ]
 
 
 def process_experiment(
@@ -265,41 +214,34 @@ def process_experiment(
 ) -> list[Path]:
     """Full postprocessing: ECDF CSVs per dimension plus an aggregate, and
     a runtime table, per algorithm found under ``logs_dir``.  A negative
-    ``instances_display`` raises ``ValueError`` before any log is read."""
+    ``instances_display`` or a precision off the target grid raises
+    ``ValueError`` before any log is read."""
     if instances_display < 0:
         raise ValueError(f"instances_display must be at least 0, got {instances_display}")
-    output_dir = Path(output_dir)
-    records = load_labeled_records(logs_dir)
-    by_algorithm: dict[str, list[LabeledRecord]] = {}
-    for rec in records:
-        by_algorithm.setdefault(rec.algorithm, []).append(rec)
+    indices = resolve_precisions(precisions)
+    by_algorithm: dict[str, list[Run]] = {}
+    for run in load_labeled_records(logs_dir):
+        by_algorithm.setdefault(run[0].algorithm, []).append(run)
 
     written: list[Path] = []
-    for algorithm, group in sorted(by_algorithm.items()):
-        algo_dir = output_dir / algorithm
-        dimensions = sorted({rec.dimension for rec in group})
-        for dim in dimensions:
-            slice_records = [rec for rec in group if rec.dimension == dim]
-            curve = ecdf(
-                [rec.runtimes for rec in slice_records],
-                algorithm=algorithm,
-                slice_label=f"d{dim}",
-                refset_version=combined_version(r.refset_version for r in slice_records),
-            )
-            written.append(write_ecdf_csv(curve, algo_dir / f"ecdf_d{dim}.csv", dim))
-        curve = ecdf(
-            [rec.runtimes for rec in group],
-            algorithm=algorithm,
-            slice_label="all",
-            refset_version=combined_version(r.refset_version for r in group),
-        )
-        written.append(write_ecdf_csv(curve, algo_dir / "ecdf_all.csv"))
-        rows = runtime_table(group, precisions, instances_display)
-        written.append(
-            write_runtime_table_csv(
-                rows,
-                algo_dir / "runtime_table.csv",
-                refset_version=combined_version(r.refset_version for r in group),
-            )
-        )
+    for algorithm, runs in sorted(by_algorithm.items()):
+        algo_dir = Path(output_dir) / algorithm
+        slices: dict[int | None, list[Run]] = {
+            dim: [run for run in runs if run[0].dimension == dim]
+            for dim in sorted({h.dimension for h, _ in runs})
+        }
+        slices[None] = runs
+        for dim, members in slices.items():
+            written.append(write_ecdf_csv(
+                ecdf([r for _, r in members]),
+                algo_dir / f"ecdf_{'all' if dim is None else f'd{dim}'}.csv",
+                algorithm,
+                combined_version(h.refset_version for h, _ in members),
+                dim,
+            ))
+        written.append(write_runtime_table_csv(
+            runtime_table(runs, indices, instances_display),
+            algo_dir / "runtime_table.csv",
+            combined_version(h.refset_version for h, _ in runs),
+        ))
     return written

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from bibench.datalog import (
     LogVersionError,
     RunHeader,
     RunLog,
+    iter_experiment,
     read_experiment_index,
     read_log,
     recalculate,
@@ -320,6 +322,36 @@ def test_log_path_layout(tmp_path) -> None:
         p = writer.write(RunLog(header, ()))
     assert p == tmp_path / "random" / "f2_d10_i3.tsv"
     assert read_log(p) == RunLog(header, ())
+
+
+def test_run_log_directory_without_index_is_an_error(tmp_path) -> None:
+    # Reference sets share the run logs' file names, not their format line.
+    _write_experiment(tmp_path)
+    write_lines(tmp_path / "refsets" / "f1_d2_i1.tsv", ["# function=f1 instance=1"])
+    assert [log.header.instance_id for log in iter_experiment(tmp_path)] == [1, 2]
+    with ExperimentWriter(tmp_path) as writer:
+        writer.write(RunLog(replace(_header(), algorithm="hillclimber"), ()))
+    (tmp_path / "hillclimber" / INDEX_FILENAME).unlink()
+    with pytest.raises(FileNotFoundError, match=f"without an {INDEX_FILENAME} in hillclimber$"):
+        next(iter_experiment(tmp_path))
+
+
+def test_interrupted_close_leaves_logs_without_old_index(tmp_path, monkeypatch) -> None:
+    _write_experiment(tmp_path)
+    writer = ExperimentWriter(tmp_path)
+    writer.write(RunLog(replace(_header(), refset_version="ffff0000ffff0000"), ()))
+
+    def fail(*_):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        writer.close()
+    monkeypatch.undo()
+    # The old index would list the old version for a log about to change.
+    assert not (tmp_path / "random" / INDEX_FILENAME).exists()
+    with pytest.raises(FileNotFoundError, match="random"):
+        next(iter_experiment(tmp_path))
 
 
 def test_experiment_index_round_trip(tmp_path) -> None:

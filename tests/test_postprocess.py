@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from bibench import refset
 from bibench.core import ObjectiveVector, ProblemSpec
+from bibench.datalog import RunHeader
 from bibench.postprocess import (
     DEFAULT_INSTANCES_DISPLAY,
     DEFAULT_TABLE_PRECISIONS,
     MISSED_MARK,
     EcdfCurve,
-    LabeledRecord,
     combined_version,
     ecdf,
     load_labeled_records,
@@ -127,12 +128,16 @@ def test_resolve_precisions() -> None:
     # Parse-rounding slack of one ulp is accepted.
     nudged = 1e-1 * (1 + 2.3e-16)
     assert resolve_precisions([nudged]) == resolve_precisions([1e-1])
+    # A repeated precision, also one within the slack, counts once.
+    assert resolve_precisions([1.0, 1e-1, 1.0, nudged]) == resolve_precisions([1.0, 1e-1])
     with pytest.raises(ValueError, match="not on the 58-value target grid"):
         resolve_precisions([0.123])
 
 
-def _labeled(instance_id: int, hit_at: int | None, budget: int) -> LabeledRecord:
-    """One f1/d2 record that hits only the coarsest target (ΔI = 1.0)."""
+def _run(
+    instance_id: int, hit_at: int | None, budget: int, function_id: str = "f1", dimension: int = 2
+) -> tuple[RunHeader, RuntimeRecord]:
+    """One ``random`` run that hits only the coarsest target (ΔI = 1.0)."""
     rec = RuntimeRecord(absolute_targets(_spec()))
     if hit_at is not None:
         # 0.4 <= -0.5 + 1.0 but exceeds every finer target.
@@ -141,99 +146,103 @@ def _labeled(instance_id: int, hit_at: int | None, budget: int) -> LabeledRecord
             rec.record(budget, 0.4)
     else:
         rec.record(budget, 0.95)  # above even the coarsest target
-    return LabeledRecord(
-        function_id="f1",
-        instance_id=instance_id,
-        dimension=2,
-        algorithm="random",
-        refset_version="c" * 16,
-        runtimes=rec,
-    )
+    spec = replace(_spec(), function_id=function_id, instance_id=instance_id, dimension=dimension)
+    return RunHeader.for_run(spec, "random", budget), rec
 
 
 def test_runtime_table_cells_and_missed_marker() -> None:
-    records = [_labeled(i, hit_at=7 * i, budget=1000) for i in range(1, 6)]
-    records += [_labeled(i, hit_at=None, budget=1000) for i in range(6, 11)]
-    rows = runtime_table(records, precisions=[1.0])
-    assert len(rows) == 1
-    row = rows[0]
-    assert (row.function_id, row.dimension, row.precision) == ("f1", 2, 1.0)
-    assert row.n_instances == 10
-    assert row.n_hit == 5
-    assert [inst for inst, _ in row.cells] == [1, 2, 3, 4, 5]
-    assert [cell for _, cell in row.cells] == ["7", "14", "21", "28", "35"]
+    runs = [_run(i, hit_at=7 * i, budget=1000) for i in range(1, 6)]
+    runs += [_run(i, hit_at=None, budget=1000) for i in range(6, 11)]
+    header, *rows = runtime_table(runs, resolve_precisions([1.0]))
+    assert header[3:-2] == ["instance_1", "instance_2", "instance_3", "instance_4", "instance_5"]
+    assert rows == [["f1", "2", "1.0", "7", "14", "21", "28", "35", "5", "10"]]
 
 
 def test_runtime_table_shows_missed_with_budget() -> None:
-    records = [_labeled(1, hit_at=None, budget=250)]
-    rows = runtime_table(records, precisions=[1.0, 1e-1])
-    assert len(rows) == 2
-    for row in rows:
-        assert row.cells == ((1, f"{MISSED_MARK}(250)"),)
-        assert row.n_hit == 0
+    runs = [_run(1, hit_at=None, budget=250)]
+    header, *rows = runtime_table(runs, resolve_precisions([1.0, 1e-1]))
+    assert header == ["function", "dimension", "precision", "instance_1", "n_hit", "n_instances"]
+    assert rows == [
+        ["f1", "2", "1.0", f"{MISSED_MARK}(250)", "0", "1"],
+        ["f1", "2", "0.1", f"{MISSED_MARK}(250)", "0", "1"],
+    ]
 
 
 def test_runtime_table_display_width_default_five() -> None:
     assert DEFAULT_INSTANCES_DISPLAY == 5
-    records = [_labeled(i, hit_at=3, budget=100) for i in range(1, 11)]
-    rows = runtime_table(records, precisions=[1.0])
-    assert len(rows[0].cells) == 5
-    wide = runtime_table(records, precisions=[1.0], instances_display=10)
-    assert len(wide[0].cells) == 10
+    runs = [_run(i, hit_at=3, budget=100) for i in range(1, 11)]
+    header, row = runtime_table(runs, resolve_precisions([1.0]))
+    assert len(header) == len(row) == 5 + 5
+    header, row = runtime_table(runs, resolve_precisions([1.0]), instances_display=10)
+    assert len(header) == len(row) == 10 + 5
+    assert row[-2:] == ["10", "10"]  # every run counts, shown or not
 
 
 def test_runtime_table_groups_by_function_and_dimension() -> None:
-    records = [_labeled(1, hit_at=5, budget=100)]
-    other = LabeledRecord(
-        function_id="f2",
-        instance_id=1,
-        dimension=3,
-        algorithm="random",
-        refset_version="d" * 16,
-        runtimes=records[0].runtimes,
-    )
-    rows = runtime_table(records + [other], precisions=[1.0, 1e-1])
-    keys = [(r.function_id, r.dimension, r.precision) for r in rows]
-    assert keys == [
-        ("f1", 2, 1.0), ("f1", 2, 1e-1),
-        ("f2", 3, 1.0), ("f2", 3, 1e-1),
+    runs = [_run(1, hit_at=5, budget=100), _run(1, hit_at=5, budget=100, function_id="f2", dimension=3)]
+    rows = runtime_table(runs[::-1], resolve_precisions([1.0, 1e-1]))
+    assert [row[:3] for row in rows[1:]] == [
+        ["f1", "2", "1.0"], ["f1", "2", "0.1"],
+        ["f2", "3", "1.0"], ["f2", "3", "0.1"],
     ]
 
 
-def test_runtime_table_rejects_off_grid_precision() -> None:
+def test_process_experiment_rejects_off_grid_precision_before_reading(tmp_path) -> None:
+    # tmp_path holds no experiment: the precision is checked first.
     with pytest.raises(ValueError, match="not on the 58-value target grid"):
-        runtime_table([_labeled(1, hit_at=5, budget=10)], precisions=[0.05])
+        process_experiment(tmp_path, tmp_path / "out", precisions=[0.05])
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_ecdf_csv_format(tmp_path) -> None:
-    curve = EcdfCurve(
-        support=(10, 100),
-        proportion=(0.25, 0.75),
-        n_hit=(1, 3),
-        n_total=4,
-        algorithm="random",
-        slice_label="d2",
-        refset_version="e" * 16,
-    )
-    path = write_ecdf_csv(curve, tmp_path / "ecdf_d2.csv", dimension=2)
+    curve = EcdfCurve(support=(10, 100), proportion=(0.25, 0.75), n_hit=(1, 3), n_total=4)
+    path = write_ecdf_csv(curve, tmp_path / "ecdf_d2.csv", "random", "e" * 16, dimension=2)
     lines = path.read_text().splitlines()
     assert lines[0] == f"# refset_version={'e' * 16}"
     assert lines[1] == "# algorithm=random slice=d2"
     assert lines[2] == "budget,budget_per_dimension,proportion,n_hit,n_total"
     assert lines[3] == "10,5.0,0.25,1,4"
     assert lines[4] == "100,50.0,0.75,3,4"
-    aggregate = write_ecdf_csv(curve, tmp_path / "ecdf_all.csv")
+    aggregate = write_ecdf_csv(curve, tmp_path / "ecdf_all.csv", "random", "e" * 16)
+    assert aggregate.read_text().splitlines()[1] == "# algorithm=random slice=all"
     assert aggregate.read_text().splitlines()[3] == "10,,0.25,1,4"
 
 
 def test_write_runtime_table_csv(tmp_path) -> None:
-    records = [_labeled(1, hit_at=42, budget=100), _labeled(2, hit_at=None, budget=100)]
-    rows = runtime_table(records, precisions=[1.0])
+    runs = [_run(1, hit_at=42, budget=100), _run(2, hit_at=None, budget=100)]
+    rows = runtime_table(runs, resolve_precisions([1.0]))
     path = write_runtime_table_csv(rows, tmp_path / "table.csv", refset_version="c" * 16)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == f"# refset_version={'c' * 16}"
     assert lines[1] == "function,dimension,precision,instance_1,instance_2,n_hit,n_instances"
     assert lines[2] == f"f1,2,1.0,42,{MISSED_MARK}(100),1,2"
+
+
+RAGGED_TABLE = (
+    "# refset_version=cccccccccccccccc\n"
+    "function,dimension,precision,instance_1,instance_2,instance_3,instance_4,instance_5,"
+    "n_hit,n_instances\n"
+    "f1,2,1.0,10,20,—(100),,,3,4\n"
+    "f1,2,0.1,—(100),—(100),—(100),,,0,4\n"
+    "f2,2,1.0,,,,40,50,2,2\n"
+    "f2,2,0.1,,,,—(100),—(100),0,2\n"
+    "f3,2,1.0,10,20,—(100),,,5,7\n"
+    "f3,2,0.1,—(100),—(100),—(100),,,0,7\n"
+).encode("utf-8")
+
+
+def test_ragged_runtime_table_bytes(tmp_path) -> None:
+    # Each (function, dimension) group shows its own three lowest
+    # instances; a column a group does not show is an empty cell.
+    instances = {"f1": (1, 2, 3, 7), "f2": (4, 5), "f3": (1, 2, 3, 4, 5, 6, 7)}
+    runs = [
+        _run(i, hit_at=None if i % 3 == 0 else 10 * i, budget=100, function_id=fid)
+        for fid, ids in instances.items()
+        for i in ids
+    ]
+    rows = runtime_table(runs[::-1], resolve_precisions([1.0, 1e-1]), instances_display=3)
+    path = write_runtime_table_csv(rows, tmp_path / "table.csv", refset_version="c" * 16)
+    assert path.read_bytes() == RAGGED_TABLE
 
 
 def _small_experiment(tmp_path):
@@ -255,16 +264,15 @@ def _small_experiment(tmp_path):
 
 def test_load_labeled_records_replays_logs(tmp_path) -> None:
     results, logs_dir = _small_experiment(tmp_path)
-    records = load_labeled_records(logs_dir)
-    assert len(records) == 1
-    rec = records[0]
-    assert (rec.function_id, rec.dimension, rec.instance_id) == ("f1", 2, 1)
-    assert rec.algorithm == "random"
+    [(header, runtimes)] = load_labeled_records(logs_dir)
+    assert (header.function_id, header.dimension, header.instance_id) == ("f1", 2, 1)
+    assert header.algorithm == "random"
+    assert header.refset_version == results[0].spec.refset_version
     # End-to-end replay equivalence: replayed runtimes equal live ones.
-    assert rec.runtimes.first_hit == results[0].runtimes.first_hit
-    assert rec.runtimes.evaluations == results[0].runtimes.evaluations
+    assert runtimes.first_hit == results[0].runtimes.first_hit
+    assert runtimes.evaluations == results[0].runtimes.evaluations
     live = ecdf([results[0].runtimes])
-    replayed = ecdf([rec.runtimes])
+    replayed = ecdf([runtimes])
     assert live.support == replayed.support
     assert live.proportion == replayed.proportion
 

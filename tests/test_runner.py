@@ -249,6 +249,37 @@ def test_failed_run_leaves_no_log(tmp_path) -> None:
     assert _tree(cfg.output_dir) == {}
 
 
+def test_failed_run_or_recalc_removes_the_output_directory_it_created(tmp_path) -> None:
+    # Instance 1 is assessed and staged; instance 2 has no reference set.
+    cfg = replace(_f1_config(tmp_path, budget=50), instances=(1, 2))
+    with pytest.raises(FileNotFoundError, match="f1:2:2"):
+        run_experiment(cfg)
+    assert not cfg.output_dir.exists()
+    cfg.output_dir.mkdir()  # a directory the run did not create stays
+    with pytest.raises(FileNotFoundError, match="f1:2:2"):
+        run_experiment(cfg)
+    assert cfg.output_dir.is_dir()
+    _analytic_f1_refset_dir(tmp_path, instance_id=2)
+    run_experiment(cfg)
+    only_i1 = _analytic_f1_refset_dir(tmp_path / "only_i1")
+    with pytest.raises(FileNotFoundError, match="f1:2:2"):
+        recalc_experiment(cfg.output_dir, only_i1, tmp_path / "rescored")
+    assert not (tmp_path / "rescored").exists()
+
+
+def test_failed_run_keeps_its_in_run_reference_sets(tmp_path) -> None:
+    cfg = replace(_f1_config(tmp_path, budget=50), refset_dir=None, bootstrap_budget=50)
+
+    def broken(*_):
+        raise RuntimeError("optimizer crashed")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(ALGORITHMS, "random", broken)
+        with pytest.raises(RuntimeError, match="optimizer crashed"):
+            run_experiment(cfg)
+    assert sorted(_tree(cfg.output_dir)) == ["refsets", "refsets/f1_d2_i1.tsv"]
+
+
 def test_recalc_of_v1_tree_writes_v2_logs(tmp_path, to_runlog_v1) -> None:
     [live] = run_experiment(_f1_config(tmp_path, budget=300))
     v1_tree = shutil.copytree(tmp_path / "out", tmp_path / "v1")
