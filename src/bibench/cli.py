@@ -35,10 +35,20 @@ def _parse_list(text: str, what: str, convert) -> list:
     return values
 
 
-def _int_or_range(part: str) -> Sequence[int]:
-    """One integer, or an inclusive dash range of them: "3" or "1-10"."""
-    lo, dash, hi = part.partition("-")
-    return range(int(lo), int(hi) + 1) if dash else [int(part)]
+def _int_axis(text: str | None, what: str, axis: tuple[int, ...]) -> tuple[int, ...]:
+    """The integers a comma list of values and inclusive dash ranges
+    ("2,5" or "1-10") selects, or all of ``axis`` when ``text`` is empty.
+    A range keeps at most one value more than ``axis`` has, which still
+    holds its first value off the axis for the suite to name, so a wide
+    range costs no memory."""
+    if not text:
+        return axis
+
+    def convert(part: str) -> Sequence[int]:
+        lo, dash, hi = part.partition("-")
+        return range(int(lo), int(hi) + 1)[: len(axis) + 1] if dash else [int(part)]
+
+    return tuple(_parse_list(text, what, convert))
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -52,16 +62,8 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 def _problem_selection(args: argparse.Namespace):
     functions = tuple(_parse_csv(args.functions)) if args.functions else suite.FUNCTION_IDS
-    dims = (
-        tuple(_parse_list(args.dims, "dimension", _int_or_range))
-        if args.dims
-        else suite.DIMENSIONS
-    )
-    instances = (
-        tuple(_parse_list(args.instances, "instance", _int_or_range))
-        if args.instances
-        else suite.INSTANCE_IDS
-    )
+    dims = _int_axis(args.dims, "dimension", suite.DIMENSIONS)
+    instances = _int_axis(args.instances, "instance", suite.INSTANCE_IDS)
     return functions, dims, instances
 
 

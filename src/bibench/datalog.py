@@ -4,10 +4,9 @@ A run log stores, per accepted evaluation, the evaluation count and both
 raw objective values (``runlog-v2``), plus a header that pins the
 problem, algorithm, and the reference data (version, absolute ``i_ref``,
 ideal and nadir) the run was assessed against.  Assessment reads nothing
-else, so the evaluated search points are not kept.  ``read_log`` also
-reads ``runlog-v1``, whose records add the point's ``dimension``
-coordinates after the objectives; those cells are checked and dropped.
-Floats are written as shortest round-trip decimals, so
+else, so the evaluated search points are not kept.  A :class:`RunHeader`
+is the run's :class:`ProblemSpec` plus algorithm and budget, so it is
+checked when made.  Floats are written as shortest round-trip decimals, so
 ``read_log(write_log(log))`` reproduces the log bit-for-bit and
 rewriting a parsed file is byte-identical.
 
@@ -34,10 +33,9 @@ updates retroactive without re-running experiments.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -64,7 +62,6 @@ __all__ = [
 ]
 
 LOG_FORMAT = "runlog-v2"
-LOG_FORMAT_V1 = "runlog-v1"  # read only
 INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
 
@@ -76,8 +73,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Header keys in file order, each with the conversion of its value.  The
-# order is RunHeader's field order, with ideal and nadir split in two.
+# Header keys in file order, each with the conversion of its value.
 _HEADER = {
     "function": str, "instance": int, "dimension": int, "algorithm": str,
     "refset_version": str, "i_ref": float, "ideal_alpha": float, "ideal_beta": float,
@@ -152,21 +148,19 @@ def build_header(
 
 
 class LogVersionError(ValueError):
-    """The file declares an unknown format version."""
+    """The file declares no format, or one its reader does not read."""
 
 
-def _format_body(path: Path, allowed: Sequence[str]) -> tuple[str, list[tuple[int, str]]]:
-    """The format declared on line 1, which must be ``% format=`` one of
-    ``allowed`` (otherwise :class:`LogVersionError`), and
-    ``numbered_lines(path)`` after it."""
+def _format_body(path: Path, expected: str) -> list[tuple[int, str]]:
+    """``numbered_lines(path)`` after line 1, which must be
+    ``% format=<expected>`` (otherwise :class:`LogVersionError`)."""
     lines = numbered_lines(path)
     if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
     declared = lines[0][1].partition("=")[2].strip()
-    if declared not in allowed:
-        expected = " or ".join(allowed)
+    if declared != expected:
         raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected}")
-    return declared, lines[1:]
+    return lines[1:]
 
 
 class LogReplayError(ValueError):
@@ -174,36 +168,23 @@ class LogReplayError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunHeader:
-    function_id: str
-    instance_id: int
-    dimension: int
+class RunHeader(ProblemSpec):
     algorithm: str
-    refset_version: str
-    i_ref: float
-    ideal: ObjectiveVector
-    nadir: ObjectiveVector
     budget: int
 
     @classmethod
     def for_run(cls, spec: ProblemSpec, algorithm: str, budget: int) -> RunHeader:
         """The header of a run of ``algorithm`` with ``budget`` evaluations,
         assessed against ``spec``'s reference data."""
-        return cls(
-            spec.function_id, spec.instance_id, spec.dimension, algorithm,
-            spec.refset_version, spec.i_ref, spec.ideal, spec.nadir, budget,
-        )
+        return cls(**_spec_fields(spec), algorithm=algorithm, budget=budget)
 
     def problem_spec(self) -> ProblemSpec:
-        return ProblemSpec(
-            function_id=self.function_id,
-            instance_id=self.instance_id,
-            dimension=self.dimension,
-            ideal=self.ideal,
-            nadir=self.nadir,
-            i_ref=self.i_ref,
-            refset_version=self.refset_version,
-        )
+        """The plain :class:`ProblemSpec` this header was made from."""
+        return ProblemSpec(**_spec_fields(self))
+
+
+def _spec_fields(spec: ProblemSpec) -> dict:
+    return {f.name: getattr(spec, f.name) for f in fields(ProblemSpec)}
 
 
 @dataclass(frozen=True)
@@ -250,28 +231,28 @@ def write_log(log: RunLog, path: Path | str) -> Path:
     return write_lines(path, lines)
 
 
-def _run_header(values: dict) -> RunHeader:
+def _run_header(v: dict) -> RunHeader:
     """The header from ``_HEADER``'s converted values, checked by ``ProblemSpec``."""
-    v = list(values.values())
-    run_header = RunHeader(*v[:6], ObjectiveVector(*v[6:8]), ObjectiveVector(*v[8:10]), v[10])
-    run_header.problem_spec()
-    return run_header
+    return RunHeader(
+        function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
+        ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
+        nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]), i_ref=v["i_ref"],
+        refset_version=v["refset_version"], algorithm=v["algorithm"], budget=v["budget"],
+    )
 
 
 def read_log(path: Path | str) -> RunLog:
-    """Parse a run log (``runlog-v2``, or ``runlog-v1``).  A missing or
-    unknown format raises :class:`LogVersionError`; malformed headers or
-    records, including eval counts that are not strictly increasing within
-    ``[1, budget]``, a ``budget`` below 1, and a header that ``ProblemSpec``
-    rejects, raise :class:`LogParseError` naming ``path:line``."""
+    """Parse a ``runlog-v2`` run log.  A missing or other format raises
+    :class:`LogVersionError`; malformed headers or records, including eval
+    counts that are not strictly increasing within ``[1, budget]``, a
+    ``budget`` below 1, and a header that ``ProblemSpec`` rejects, raise
+    :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
     records: list[LogRecord] = []
-    width = budget = last = 0
-    declared, lines = _format_body(path, (LOG_FORMAT, LOG_FORMAT_V1))
-    v1 = declared == LOG_FORMAT_V1  # a v1 record adds the evaluated point's coordinates
-    columns = "eval, f_alpha, f_beta, x" if v1 else "eval, f_alpha, f_beta"
+    budget = last = 0
+    lines = _format_body(path, LOG_FORMAT)
     for number, line in lines:
         if line.startswith("%"):
             if run_header is not None:
@@ -284,20 +265,18 @@ def read_log(path: Path | str) -> RunLog:
             run_header = build_header(
                 path, header, _HEADER, _run_header, number, "records start before header keys"
             )
-            width = 3 + run_header.dimension if v1 else 3
             budget = run_header.budget
         parts = line.split("\t")
-        if len(parts) != width:
+        if len(parts) != 3:
             raise LogParseError(
-                path, number, f"expected {width} columns ({columns}), got {len(parts)}"
+                path, number, f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}"
             )
         try:
             eval_count = int(parts[0])
             objectives = ObjectiveVector(float(parts[1]), float(parts[2]))
-            point = [float(c) for c in parts[3:]]  # v1 only: checked, then dropped
         except ValueError as exc:
             raise LogParseError(path, number, str(exc)) from None
-        if not objectives.is_finite() or not all(map(math.isfinite, point)):
+        if not objectives.is_finite():
             raise LogParseError(path, number, "non-finite value in record")
         if eval_count <= last:
             raise LogParseError(
@@ -419,21 +398,24 @@ class ExperimentWriter:
 
     def close(self) -> None:
         """Publish: per algorithm, delete the old index, move the logs in,
-        write the new index.  An interrupted close leaves logs without an
-        index, which ``iter_experiment`` rejects, never new logs under an
-        old index."""
-        for algorithm, rows in self._rows.items():
-            (self._root / algorithm).mkdir(parents=True, exist_ok=True)
-            (self._root / algorithm / INDEX_FILENAME).unlink(missing_ok=True)
-            for row in rows:
-                name = row.partition("\t")[0]
-                os.replace(self._staging / algorithm / name, self._root / algorithm / name)
-            write_lines(self._root / algorithm / INDEX_FILENAME, [
-                f"% format={INDEX_FORMAT}",
-                "% columns=file function instance dimension refset_version",
-                *rows,
-            ])
-        shutil.rmtree(self._staging, ignore_errors=True)
+        write the new index, and remove the staging directory even when
+        this fails.  An interrupted close leaves logs without an index,
+        which ``iter_experiment`` rejects, never new logs under an old
+        index."""
+        try:
+            for algorithm, rows in self._rows.items():
+                (self._root / algorithm).mkdir(parents=True, exist_ok=True)
+                (self._root / algorithm / INDEX_FILENAME).unlink(missing_ok=True)
+                for row in rows:
+                    name = row.partition("\t")[0]
+                    os.replace(self._staging / algorithm / name, self._root / algorithm / name)
+                write_lines(self._root / algorithm / INDEX_FILENAME, [
+                    f"% format={INDEX_FORMAT}",
+                    "% columns=file function instance dimension refset_version",
+                    *rows,
+                ])
+        finally:
+            shutil.rmtree(self._staging, ignore_errors=True)
 
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
@@ -444,7 +426,7 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     path = Path(path)
     entries: list[IndexEntry] = []
     rows: dict[str | tuple, int] = {}  # file name or problem key -> line
-    for number, line in _format_body(path, (INDEX_FORMAT,))[1]:
+    for number, line in _format_body(path, INDEX_FORMAT):
         if line.startswith("%"):
             continue
         parts = line.split("\t")

@@ -201,7 +201,7 @@ def load_labeled_records(logs_dir: Path | str) -> list[Run]:
     """Replay every indexed run log under ``logs_dir`` (one subdirectory
     per algorithm) into ``(header, runtimes)`` pairs."""
     return [
-        (log.header, datalog.recalculate(log, log.header.problem_spec())[1])
+        (log.header, datalog.recalculate(log, log.header)[1])
         for log in datalog.iter_experiment(logs_dir)
     ]
 

@@ -1,9 +1,8 @@
 """Shared test oracles, deliberately independent of the library internals.
 
 The Monte Carlo hypervolume estimator checks box coverage point by point
-against every archive member (no staircase assumptions), the brute-force
-filter applies the dominance definition pairwise in O(n^2), and the
-``runlog-v1`` rewriter edits a run log's text without the library.
+against every archive member (no staircase assumptions), and the
+brute-force filter applies the dominance definition pairwise in O(n^2).
 """
 
 from __future__ import annotations
@@ -67,23 +66,3 @@ def brute_force_filter():
         ]
 
     return _filter
-
-
-@pytest.fixture(scope="session")
-def to_runlog_v1():
-    """Rewrite a run-log file in place as ``runlog-v1``: the format line
-    says v1 and every record gains ``dimension`` coordinate cells, so the
-    records are ``3 + dimension`` columns wide."""
-
-    def _rewrite(path):
-        lines = path.read_text(encoding="ascii").splitlines()
-        dimension = int(next(x for x in lines if x.startswith("% dimension=")).partition("=")[2])
-        for k, line in enumerate(lines):
-            if line.startswith("% format="):
-                lines[k] = "% format=runlog-v1"
-            elif line and not line.startswith("%"):
-                lines[k] += "".join(f"\t{0.25 * (k + j) - 3.0!r}" for j in range(dimension))
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        return path
-
-    return _rewrite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,24 @@ def test_instance_range_syntax(tmp_path) -> None:
     assert sorted(p.name for p in (logs / "random").glob("f1_*.tsv")) == [
         "f1_d2_i1.tsv", "f1_d2_i2.tsv", "f1_d2_i3.tsv",
     ]
+
+
+def test_wide_instance_range_fails_in_bounded_memory(tmp_path, capsys) -> None:
+    # The range stops one value past the axis, so its first unknown value
+    # is still named and its width costs no memory.
+    tracemalloc.start()
+    try:
+        status = main([
+            "run", "--functions", "f1", "--dims", "2", "--instances", "1-1000000",
+            "--out", str(tmp_path / "x"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert "unknown instance 11" in capsys.readouterr().err
+    assert peak < 10 * 2**20
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_function_fails_before_work(tmp_path, capsys) -> None:

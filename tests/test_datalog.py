@@ -102,42 +102,6 @@ def test_large_random_log_rewrite_is_byte_identical(tmp_path) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_v1_log_reads_as_its_v2_rewrite(tmp_path, to_runlog_v1) -> None:
-    spec = _spec()
-    records, _, live_runtimes = _live_run(spec, 400, seed=1)
-    v2 = write_log(RunLog(_header(budget=400), tuple(records)), tmp_path / "v2.tsv")
-    v1 = to_runlog_v1(write_log(read_log(v2), tmp_path / "v1.tsv"))
-    assert v2.read_text().startswith("% format=runlog-v2\n")
-    assert v1.read_text().startswith("% format=runlog-v1\n")
-    assert len(v1.read_text().splitlines()[12].split("\t")) == 3 + 2  # 3 + dimension
-    log = read_log(v1)
-    assert log == read_log(v2)
-    assert write_log(log, tmp_path / "rewrite.tsv").read_bytes() == v2.read_bytes()
-    trajectory, runtimes = recalculate(log, spec)
-    v2_trajectory, v2_runtimes = recalculate(read_log(v2), spec)
-    assert trajectory == v2_trajectory
-    assert runtimes.first_hit == v2_runtimes.first_hit == live_runtimes.first_hit
-
-
-@pytest.mark.parametrize(
-    ("row", "message"),
-    [
-        ("1\t0.5\t0.5\t0.0", r":13: expected 5 columns \(eval, f_alpha, f_beta, x\), got 4"),
-        ("1\t0.5\t0.5", r":13: expected 5 columns"),
-        ("1\t0.5\t0.5\t0.0\tinf", r":13: non-finite value in record"),
-        ("1\t0.5\t0.5\tnan\t0.0", r":13: non-finite value in record"),
-        ("1\t0.5\t0.5\t0.0\tone", r":13: could not convert"),
-    ],
-    ids=["short", "v2-width", "inf", "nan", "unparsable"],
-)
-def test_read_v1_checks_coordinate_cells(tmp_path, row, message) -> None:
-    path = _log_text(tmp_path, [row])
-    path.write_text(path.read_text().replace("% format=runlog-v2", "% format=runlog-v1"))
-    with pytest.raises(LogParseError, match=r"edited\.tsv" + message) as err:
-        read_log(path)
-    assert err.value.line_number == 13
-
-
 def test_write_rejects_inconsistent_records(tmp_path) -> None:
     bad_order = RunLog(
         _header(),
@@ -160,9 +124,12 @@ def test_read_rejects_missing_or_wrong_format_line(tmp_path) -> None:
     path.write_text("% function=f1\n")
     with pytest.raises(LogVersionError, match="line 1"):
         read_log(path)
-    path.write_text("% format=runlog-v0\n")
-    with pytest.raises(LogVersionError, match="runlog-v0"):
-        read_log(path)
+    for old in ("runlog-v0", "runlog-v1"):
+        path.write_text(f"% format={old}\n")
+        with pytest.raises(
+            LogVersionError, match=f"unsupported format '{old}', expected runlog-v2$"
+        ):
+            read_log(path)
 
 
 def test_read_reports_line_numbers(tmp_path) -> None:
@@ -187,14 +154,14 @@ def test_read_reports_line_numbers(tmp_path) -> None:
 
 def test_read_requires_header_before_records(tmp_path) -> None:
     path = tmp_path / "early.tsv"
-    path.write_text("% format=runlog-v1\n1\t0.5\t0.5\t0.0\t0.0\n")
+    path.write_text("% format=runlog-v2\n1\t0.5\t0.5\n")
     with pytest.raises(LogParseError, match="records start before header"):
         read_log(path)
 
 
 def test_read_requires_all_header_keys(tmp_path) -> None:
     path = tmp_path / "incomplete.tsv"
-    path.write_text("% format=runlog-v1\n% function=f1\n")
+    path.write_text("% format=runlog-v2\n% function=f1\n")
     with pytest.raises(LogParseError, match="missing header keys"):
         read_log(path)
 
@@ -306,6 +273,11 @@ def test_run_header_for_run_takes_reference_data_from_spec() -> None:
     assert (header.algorithm, header.budget) == ("hillclimber", 300)
 
 
+def test_run_header_is_checked_as_a_problem_spec() -> None:
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        replace(_header(), dimension=0)
+
+
 def _write_experiment(root):
     """An experiment of empty ``random`` runs of f1 d2 i1 and i2; returns
     the index path."""
@@ -350,6 +322,7 @@ def test_interrupted_close_leaves_logs_without_old_index(tmp_path, monkeypatch) 
     monkeypatch.undo()
     # The old index would list the old version for a log about to change.
     assert not (tmp_path / "random" / INDEX_FILENAME).exists()
+    assert not (tmp_path / ".staging").exists()
     with pytest.raises(FileNotFoundError, match="random"):
         next(iter_experiment(tmp_path))
 

@@ -60,19 +60,19 @@ def _mangled(draw, text: str) -> str:
     return text
 
 
-def _written_files(directory, to_runlog_v1):
-    """One file per reader, as its writer produces it, plus a ``runlog-v1``
-    rewrite of the run log; each maps to ``(reader, path)``."""
+def _written_files(directory):
+    """One file per reader, as its writer produces it; each maps to
+    ``(reader, path)``."""
     header = RunHeader(
-        "f1", 1, 2, "random", "ab12cd34ef56ab78", -0.4,
-        ObjectiveVector(0.0, 0.0), ObjectiveVector(2.0, 2.0), 100,
+        function_id="f1", instance_id=1, dimension=2, ideal=ObjectiveVector(0.0, 0.0),
+        nadir=ObjectiveVector(2.0, 2.0), i_ref=-0.4, refset_version="ab12cd34ef56ab78",
+        algorithm="random", budget=100,
     )
     records = tuple(
         LogRecord(t, ObjectiveVector(2.0 - k * 0.3, 0.2 + k * 0.3))
         for k, t in enumerate((1, 4, 9, 30))
     )
     log = write_log(RunLog(header, records), directory / "log.tsv")
-    log_v1 = to_runlog_v1(write_log(RunLog(header, records), directory / "log_v1.tsv"))
     rs = merge(
         [[ObjectiveVector(k / 4, 1 - k / 4) for k in range(5)]],
         function_id="f1", instance_id=1, dimension=2,
@@ -86,20 +86,17 @@ def _written_files(directory, to_runlog_v1):
     index = directory / "random" / INDEX_FILENAME
     return {
         "read_log": (read_log, log),
-        "read_log_v1": (read_log, log_v1),
         "read_reference_set": (read_reference_set, refset),
         "read_experiment_index": (read_experiment_index, index),
     }
 
 
 @pytest.fixture(scope="module")
-def written(tmp_path_factory, to_runlog_v1):
-    return _written_files(tmp_path_factory.mktemp("written"), to_runlog_v1)
+def written(tmp_path_factory):
+    return _written_files(tmp_path_factory.mktemp("written"))
 
 
-@pytest.mark.parametrize(
-    "file", ["read_log", "read_log_v1", "read_reference_set", "read_experiment_index"]
-)
+@pytest.mark.parametrize("file", ["read_log", "read_reference_set", "read_experiment_index"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_reader_fails_only_with_named_errors(written, file, data) -> None:

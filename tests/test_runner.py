@@ -280,18 +280,6 @@ def test_failed_run_keeps_its_in_run_reference_sets(tmp_path) -> None:
     assert sorted(_tree(cfg.output_dir)) == ["refsets", "refsets/f1_d2_i1.tsv"]
 
 
-def test_recalc_of_v1_tree_writes_v2_logs(tmp_path, to_runlog_v1) -> None:
-    [live] = run_experiment(_f1_config(tmp_path, budget=300))
-    v1_tree = shutil.copytree(tmp_path / "out", tmp_path / "v1")
-    v1_log = to_runlog_v1(v1_tree / "random" / live.log_path.name)
-    assert read_log(v1_log) == read_log(live.log_path)
-    [written] = recalc_experiment(v1_tree, tmp_path / "refsets", tmp_path / "rescored")
-    # Same reference sets: the rewrite is the v2 run's log, byte for byte.
-    assert written.read_bytes() == live.log_path.read_bytes()
-    assert written.read_text().startswith("% format=runlog-v2\n")
-    assert _tree(tmp_path / "rescored") == _tree(tmp_path / "out")
-
-
 def test_bootstrap_writes_deterministic_refsets(tmp_path) -> None:
     kwargs = dict(
         seed=11, budget=300, functions=("f1", "f2"), dimensions=(2,), instances=(1,)
