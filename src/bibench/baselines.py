@@ -4,11 +4,18 @@ Baselines are strictly black-box: they receive an ``evaluate(x) ->
 (f_alpha, f_beta)`` callable, the dimension, a budget, and a seeded
 random generator.  They never see reference sets, ideal/nadir points, or
 archive state.
+
+Random numbers are drawn in blocks of up to ``_BLOCK`` rows.  numpy's
+``Generator`` fills a ``(k, n)`` array in C order from one stream, so every
+submitted point, and the generator's state afterwards, are exactly those
+of one ``n``-vector draw per evaluation.  A block is allocated afresh each
+time, because ``evaluate`` may keep the array it was given.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import functools
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +28,16 @@ EvaluateFn = Callable[[np.ndarray], tuple[float, float]]
 # The registered hill-climber baseline scans eleven scalarization weights.
 DEFAULT_WEIGHTS = tuple(k / 10.0 for k in range(11))
 _INITIAL_STEP = 2.0  # the hill climber's step size at each restart
+_BLOCK = 1024  # rows per random draw: bounds memory at _BLOCK * dimension doubles
+
+
+def _rows(draw: Callable[..., np.ndarray], count: int, dimension: int) -> Iterator[np.ndarray]:
+    """``count`` rows of ``dimension`` numbers from ``draw(size=...)``,
+    drawn ``_BLOCK`` rows at a time."""
+    while count > 0:
+        block = draw(size=(min(_BLOCK, count), dimension))
+        count -= len(block)
+        yield from block
 
 
 def random_search(
@@ -30,8 +47,9 @@ def random_search(
     rng: np.random.Generator,
 ) -> None:
     """Uniform random sampling of the search domain."""
-    for _ in range(budget):
-        evaluate(rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, dimension))
+    uniform = functools.partial(rng.uniform, DOMAIN_LOWER, DOMAIN_UPPER)
+    for x in _rows(uniform, budget, dimension):
+        evaluate(x)
 
 
 def scalarized_hill_climber(
@@ -57,8 +75,8 @@ def scalarized_hill_climber(
         f_alpha, f_beta = evaluate(x)
         score = w * f_alpha + (1.0 - w) * f_beta
         sigma = _INITIAL_STEP
-        for _ in range(steps - 1):
-            candidate = x + sigma * rng.standard_normal(dimension)
+        for step in _rows(rng.standard_normal, steps - 1, dimension):
+            candidate = x + sigma * step
             f_alpha, f_beta = evaluate(candidate)
             trial = w * f_alpha + (1.0 - w) * f_beta
             if trial <= score:

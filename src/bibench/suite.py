@@ -24,6 +24,9 @@ every platform.  The per-instance stream draws, in order: the shift ``a``
 (n doubles in [-4, 4]), the shift ``b`` (n doubles), and for ``f3`` the
 n - 1 plane-rotation angles.  Doubles take the top 53 bits of each output
 word.
+
+Objectives, unlike parameters, come from BLAS ``ddot``/``dgemv``, so they
+are byte-reproducible on one machine and BLAS build, not across CPUs.
 """
 
 from __future__ import annotations
@@ -124,7 +127,9 @@ class SuiteFunction:
     """One problem instance: a pair of component objectives sharing a key.
 
     ``evaluate`` is pure and does not count evaluations; callers own the
-    evaluation counter.
+    evaluation counter.  It calls BLAS through ``ndarray.dot``, which runs
+    the same kernels as the 1-D ``@`` (so the same bits) without the matmul
+    ufunc's dispatch cost on every evaluation.
     """
 
     def __init__(self, function_id: str, instance_id: int, dimension: int) -> None:
@@ -187,15 +192,15 @@ class SuiteFunction:
         za = arr - self.optimum_alpha
         zb = arr - self.optimum_beta
         if self.function_id == "f1":
-            f_alpha = float(za @ za)
-            f_beta = float(zb @ zb)
+            f_alpha = float(za.dot(za))
+            f_beta = float(zb.dot(zb))
         elif self.function_id == "f2":
-            f_alpha = float(za @ za)
-            f_beta = float(self._weights @ (zb * zb))
+            f_alpha = float(za.dot(za))
+            f_beta = float(self._weights.dot(zb * zb))
         else:
-            f_alpha = float(self._weights @ (za * za))
-            rotated = self._rotation @ zb
-            f_beta = float(self._weights @ (rotated * rotated))
+            f_alpha = float(self._weights.dot(za * za))
+            rotated = self._rotation.dot(zb)
+            f_beta = float(self._weights.dot(rotated * rotated))
         return ObjectiveVector(f_alpha, f_beta)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,72 @@ def test_budget_smaller_than_weight_count() -> None:
                             rng=np.random.default_rng(9))
     # Only the first four weights get one evaluation each.
     assert len(rec.calls) == 4
+
+
+# Reference loops: one RNG call per evaluation, as the baselines drew their
+# numbers before they drew them in blocks.  The block draws must submit
+# exactly these points and leave the generator in exactly this state.
+
+def _per_draw_random_search(evaluate, dimension, budget, rng):
+    for _ in range(budget):
+        evaluate(rng.uniform(-5.0, 5.0, dimension))
+
+
+def _per_draw_hill_climber(evaluate, dimension, budget, rng, weights=DEFAULT_WEIGHTS):
+    weights = tuple(weights)
+    share, leftover = divmod(budget, len(weights))
+    for index, w in enumerate(weights):
+        steps = share + (1 if index < leftover else 0)
+        if steps == 0:
+            continue
+        x = rng.uniform(-5.0, 5.0, dimension)
+        f_alpha, f_beta = evaluate(x)
+        score = w * f_alpha + (1.0 - w) * f_beta
+        sigma = 2.0
+        for _ in range(steps - 1):
+            candidate = x + sigma * rng.standard_normal(dimension)
+            f_alpha, f_beta = evaluate(candidate)
+            trial = w * f_alpha + (1.0 - w) * f_beta
+            if trial <= score:
+                x, score = candidate, trial
+                sigma *= 1.5
+            else:
+                sigma *= 1.5**-0.25
+
+
+def _assert_same_draws(baseline, reference, dimension, budget, **kwargs) -> None:
+    got, want = _Recorder(), _Recorder()
+    rng, reference_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    baseline(got, dimension, budget, rng, **kwargs)
+    reference(want, dimension, budget, reference_rng, **kwargs)
+    assert len(got.calls) == len(want.calls) == budget
+    assert all(np.array_equal(p, q) for p, q in zip(got.calls, want.calls))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dimension", [2, 10])
+@pytest.mark.parametrize("budget", [1, 1023, 1024, 1025, 3000])
+def test_random_search_block_draws_match_per_draw_loop(budget, dimension) -> None:
+    _assert_same_draws(random_search, _per_draw_random_search, dimension, budget)
+
+
+@pytest.mark.parametrize("dimension", [2, 10])
+@pytest.mark.parametrize(("budget", "weights"), [
+    (1025, (0.5,)),  # 1024 perturbations: exactly one full block
+    (1026, (0.5,)),  # 1025 perturbations: a full block and one row
+    (3000, DEFAULT_WEIGHTS),
+])
+def test_hill_climber_block_draws_match_per_draw_loop(budget, weights, dimension) -> None:
+    _assert_same_draws(scalarized_hill_climber, _per_draw_hill_climber,
+                       dimension, budget, weights=weights)
+
+
+def test_random_search_memory_is_bounded_by_block() -> None:
+    # Drawing the whole budget at once would hold 200_000 x 10 doubles (16 MB).
+    tracemalloc.start()
+    try:
+        random_search(lambda x: (0.0, 0.0), 10, 200_000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

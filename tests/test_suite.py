@@ -265,3 +265,32 @@ def test_evaluate_accepts_lists() -> None:
     from_list = fn.evaluate([0.5, -0.5])
     from_array = fn.evaluate(np.array([0.5, -0.5]))
     assert from_list == from_array
+
+
+def test_evaluate_bits_match_matmul_expressions() -> None:
+    """``evaluate`` calls BLAS through ``ndarray.dot``; its objectives must
+    equal, bit for bit, the ``@`` expressions below, on uniform points and
+    on points within 1e-3 of each optimum.  A reduction in another order
+    (``einsum``, ``sum``, ``math.fsum``) would move bits and fail here."""
+    rng = np.random.default_rng(17)
+    for fn in _all_functions():
+        n = fn.dimension
+        a, b, w, rot = fn.optimum_alpha, fn.optimum_beta, fn._weights, fn._rotation
+        points = np.concatenate([
+            rng.uniform(-5.0, 5.0, (10, n)),
+            a + rng.uniform(-1e-3, 1e-3, (5, n)),
+            b + rng.uniform(-1e-3, 1e-3, (5, n)),
+        ])
+        for x in points:
+            za, zb = x - a, x - b
+            if fn.function_id == "f1":
+                expected = (za @ za, zb @ zb)
+            elif fn.function_id == "f2":
+                expected = (za @ za, w @ (zb * zb))
+            else:
+                rotated = rot @ zb
+                expected = (w @ (za * za), w @ (rotated * rotated))
+            got = fn.evaluate(x)
+            assert (got.f_alpha.hex(), got.f_beta.hex()) == (
+                float(expected[0]).hex(), float(expected[1]).hex()
+            ), (fn.key, x)
