@@ -13,10 +13,11 @@ by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from bibench import suite
 from bibench.archive import staircase_hypervolume
@@ -28,6 +29,7 @@ __all__ = [
     "load_reference_set",
     "merge",
     "nondominated_filter",
+    "nondominated_rows",
     "read_reference_set",
     "refset_path",
     "version_of",
@@ -82,17 +84,33 @@ class ReferenceSet:
         )
 
 
+def nondominated_rows(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Row indices of the non-dominated points ``(alpha[i], beta[i])``, in
+    canonical ascending-``f_alpha`` order.
+
+    Rows are sorted by ``alpha``, then ``beta``; a row is kept iff its
+    ``beta`` is strictly below every earlier sorted row's.  The sort is
+    stable, so of equal points only the first row survives.  Raises
+    ``ValueError`` on a non-finite value, which no reference set may hold.
+    """
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("non-finite objective value")
+    order = np.lexsort((beta, alpha))
+    beta = beta[order]
+    keep = np.empty(len(order), dtype=bool)
+    keep[:1] = True
+    np.less(beta[1:], np.minimum.accumulate(beta)[:-1], out=keep[1:])
+    return order[keep]
+
+
 def nondominated_filter(points: Iterable[ObjectiveVector]) -> tuple[ObjectiveVector, ...]:
-    """Non-dominated subset of raw points, duplicates collapsed, in
-    canonical ascending-``f_alpha`` order."""
-    unique = sorted({(p.f_alpha, p.f_beta) for p in points})
-    kept: list[ObjectiveVector] = []
-    best_beta = math.inf
-    for f_alpha, f_beta in unique:
-        if f_beta < best_beta:
-            kept.append(ObjectiveVector(f_alpha, f_beta))
-            best_beta = f_beta
-    return tuple(kept)
+    """Non-dominated subset of raw points in canonical ascending-``f_alpha``
+    order: the input's own objects, the first seen of equal points only.
+    Raises ``ValueError`` on a non-finite value (see :func:`nondominated_rows`)."""
+    points = list(points)
+    alpha = np.fromiter((p.f_alpha for p in points), float, len(points))
+    beta = np.fromiter((p.f_beta for p in points), float, len(points))
+    return tuple(points[i] for i in nondominated_rows(alpha, beta).tolist())
 
 
 def version_of(points: Sequence[ObjectiveVector]) -> str:
@@ -107,14 +125,13 @@ def _i_ref_from(
 ) -> float:
     span_alpha = nadir.f_alpha - ideal.f_alpha
     span_beta = nadir.f_beta - ideal.f_beta
-    normalized = [
+    hv = staircase_hypervolume(
         NormalizedObjectives(
             (p.f_alpha - ideal.f_alpha) / span_alpha,
             (p.f_beta - ideal.f_beta) / span_beta,
         )
         for p in points
-    ]
-    hv = staircase_hypervolume(normalized)
+    )
     if hv >= 1.0:
         return -1.0
     return -hv if hv > 0.0 else 0.0
@@ -132,11 +149,17 @@ def merge(
     """Merge raw solution sets for one problem key into a reference set.
 
     The result's points are the non-dominated filter of the union, so the
-    operation is order-independent and idempotent.  The bounds passed are
-    exact; ``nadir=None`` estimates the nadir from the extreme points of
-    the merged front and flags the result as estimated.
+    operation is order-independent and idempotent, and each set may be
+    passed already reduced to its own front.  A non-finite value raises
+    ``ValueError`` naming the problem.  The bounds passed are exact;
+    ``nadir=None`` estimates the nadir from the extreme points of the
+    merged front and flags the result as estimated.
     """
-    front = nondominated_filter(p for s in sets for p in s)
+    key = suite.problem_id(function_id, dimension, instance_id)
+    try:
+        front = nondominated_filter(p for s in sets for p in s)
+    except ValueError as exc:
+        raise ValueError(f"merge {key}: {exc}") from None
     if not front:
         raise ValueError("merge: no points supplied")
     estimated = nadir is None
@@ -144,7 +167,7 @@ def merge(
         nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
     if not (ideal.f_alpha < nadir.f_alpha and ideal.f_beta < nadir.f_beta):
         raise ValueError(
-            f"degenerate bounds for {function_id}:{dimension}:{instance_id}: "
+            f"degenerate bounds for {key}: "
             f"ideal {ideal} must be strictly below nadir {nadir}"
         )
 

@@ -46,6 +46,9 @@ ALGORITHMS: dict[str, Callable] = {
 _PURPOSE_RUN = 1
 _PURPOSE_BOOTSTRAP = 2
 
+# Fewest points a bootstrap baseline buffers before folding them into its front.
+_CHUNK = 4096
+
 
 def default_budget(dimension: int) -> int:
     """Default per-problem evaluation budget: 10^4 * dimension."""
@@ -112,6 +115,45 @@ def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callab
     return evaluate
 
 
+class _FrontCollector:
+    """The evaluation observer of one bootstrap baseline: reduces the points
+    it is shown to their non-dominated subset as they arrive, so it holds
+    about one front plus one buffer of points, never the whole budget."""
+
+    def __init__(self, key: str) -> None:
+        self._key = key
+        self._front = (np.empty(0), np.empty(0))
+        self._alpha: list[float] = []
+        self._beta: list[float] = []
+        self._limit = _CHUNK
+
+    def add(self, t: int, y: ObjectiveVector) -> None:
+        self._alpha.append(y.f_alpha)
+        self._beta.append(y.f_beta)
+        if len(self._alpha) >= self._limit:
+            self._fold()
+
+    def _fold(self) -> None:
+        alpha = np.concatenate((self._front[0], self._alpha))
+        beta = np.concatenate((self._front[1], self._beta))
+        try:
+            rows = refset.nondominated_rows(alpha, beta)
+        except ValueError as exc:
+            raise ValueError(f"bootstrap {self._key}: {exc}") from None
+        self._front = (alpha[rows], beta[rows])
+        self._alpha, self._beta = [], []
+        # Buffering as many points as the front holds before the next fold
+        # keeps the total sorting cost O(n log n).
+        self._limit = max(_CHUNK, len(rows))
+
+    def front(self) -> list[ObjectiveVector]:
+        """The non-dominated subset of every point added so far, each equal
+        point's first-seen bits kept."""
+        self._fold()
+        alpha, beta = self._front
+        return [ObjectiveVector(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+
+
 def _problem_rng(master_seed: int, purpose: int, algo_index: int,
                  function_id: str, dimension: int, instance_id: int) -> np.random.Generator:
     fid_index = suite.FUNCTION_IDS.index(function_id) + 1
@@ -130,9 +172,10 @@ def bootstrap_refsets(
 ) -> list[Path]:
     """Build one reference set per problem from all built-in baselines.
 
-    Each baseline runs with the full ``budget`` on every problem; the
-    union of everything either evaluated is filtered to its non-dominated
-    subset.  Bounds are analytic where the suite knows them (always the
+    Each baseline runs with the full ``budget`` on every problem.  Its
+    evaluations stream into a running non-dominated front, so memory grows
+    with the front, not with the budget; the two fronts are then merged.
+    Bounds are analytic where the suite knows them (always the
     ideal; the nadir only for ``f1``), otherwise estimated from the merged
     front's extremes.  Bootstrapping twice with the same seed yields
     identical files, hence identical versions.
@@ -147,14 +190,14 @@ def bootstrap_refsets(
     written: list[Path] = []
     for fid, dim, inst in suite.enumerate_problems(functions, dimensions, instances):
         fn = suite.get_function(fid, inst, dim)
-        collected: list[list[ObjectiveVector]] = []
+        fronts: list[list[ObjectiveVector]] = []
         for algo_index, algo in bootstrap_algos:
-            points: list[ObjectiveVector] = []
+            collector = _FrontCollector(fn.key)
             rng = _problem_rng(seed, _PURPOSE_BOOTSTRAP, algo_index, fid, dim, inst)
-            algo(_budgeted(fn, budget, lambda t, y: points.append(y)), dim, budget, rng)
-            collected.append(points)
+            algo(_budgeted(fn, budget, collector.add), dim, budget, rng)
+            fronts.append(collector.front())
         rs = refset.merge(
-            collected,
+            fronts,
             function_id=fid,
             instance_id=inst,
             dimension=dim,

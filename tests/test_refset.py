@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibench.core import ObjectiveVector
 from bibench.datalog import LogParseError
@@ -106,6 +108,59 @@ def test_merge_rejects_degenerate_estimated_bounds() -> None:
 def test_nondominated_filter_collapses_duplicates() -> None:
     pts = nondominated_filter([_ov(0.5, 0.5), _ov(0.5, 0.5), _ov(0.2, 0.9)])
     assert [(p.f_alpha, p.f_beta) for p in pts] == [(0.2, 0.9), (0.5, 0.5)]
+
+
+def _set_sort_loop_filter(points) -> tuple[ObjectiveVector, ...]:
+    """The filter ``nondominated_filter`` replaced, kept as its oracle: a set
+    of unique tuples, sorted, then a loop keeping each strictly lower
+    ``f_beta``."""
+    unique = sorted({(p.f_alpha, p.f_beta) for p in points})
+    kept: list[ObjectiveVector] = []
+    best_beta = math.inf
+    for f_alpha, f_beta in unique:
+        if f_beta < best_beta:
+            kept.append(ObjectiveVector(f_alpha, f_beta))
+            best_beta = f_beta
+    return tuple(kept)
+
+
+def _bits(points) -> list[bytes]:
+    return [struct.pack("<dd", p.f_alpha, p.f_beta) for p in points]
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0])
+_VALUE = st.one_of(_SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _point_lists(draw) -> list[ObjectiveVector]:
+    """0-40 points whose coordinates often repeat a few drawn values, so
+    equal-``f_alpha`` and equal-``f_beta`` ties and signed zeros are
+    common, plus some exact duplicates of earlier points."""
+    pool = draw(st.lists(_VALUE, min_size=1, max_size=6))
+    coord = st.one_of(st.sampled_from(pool), _VALUE)
+    points = draw(st.lists(st.builds(ObjectiveVector, coord, coord), max_size=35))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=5))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_lists())
+def test_nondominated_filter_equals_set_sort_loop(points) -> None:
+    got = nondominated_filter(points)
+    assert _bits(got) == _bits(_set_sort_loop_filter(points))
+    # Each kept point is the input's own first-seen object among those equal
+    # to it (0.0 == -0.0), never a copy.
+    assert all(p is next(q for q in points if q == p) for p in got)
+
+
+def test_merge_rejects_non_finite_points_naming_the_problem() -> None:
+    # Before, (inf, 0.5) was kept and written to a file that reads back as
+    # an error, and (0.2, nan) vanished without a word.
+    for bad in (_ov(math.inf, 0.5), _ov(0.2, math.nan), _ov(-math.inf, 0.1)):
+        with pytest.raises(ValueError, match="merge f1:2:1: non-finite objective value"):
+            merge([[_ov(0.1, 0.9)], [bad, _ov(0.9, 0.1)]], **KEY, **UNIT_BOUNDS)
 
 
 def test_compute_i_ref_anchors() -> None:

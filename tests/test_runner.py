@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import filecmp
+import math
 import shutil
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bibench import postprocess, refset
+from bibench import postprocess, refset, runner, suite
+from bibench.core import ObjectiveVector
 from bibench.datalog import read_experiment_index, read_log, recalculate
 from bibench.runner import (
     ALGORITHMS,
@@ -303,6 +306,83 @@ def test_bootstrap_rejects_budget_below_one_before_any_work(tmp_path) -> None:
     with pytest.raises(ValueError, match="bootstrap budget must be at least 1, got 0"):
         bootstrap_refsets(tmp_path / "refsets", seed=1, budget=0, functions=("f1",))
     assert not (tmp_path / "refsets").exists()
+
+
+def test_streamed_bootstrap_equals_merge_of_full_point_lists(tmp_path, monkeypatch) -> None:
+    """With a 7-point buffer every baseline folds its front dozens of times;
+    the written sets must still be the bytes of one merge over every point
+    either baseline evaluated."""
+    budget = 3000
+    collected: list[list[ObjectiveVector]] = []
+    budgeted = runner._budgeted
+
+    def collecting(fn, budget, observe):
+        points: list[ObjectiveVector] = []
+        collected.append(points)
+
+        def both(t, y):
+            points.append(y)
+            observe(t, y)
+
+        return budgeted(fn, budget, both)
+
+    folds = 0
+    rows = refset.nondominated_rows
+
+    def counting(alpha, beta):
+        nonlocal folds
+        folds += 1
+        return rows(alpha, beta)
+
+    monkeypatch.setattr(runner, "_CHUNK", 7)
+    monkeypatch.setattr(runner, "_budgeted", collecting)
+    monkeypatch.setattr(refset, "nondominated_rows", counting)
+    written = bootstrap_refsets(
+        tmp_path / "streamed", seed=5, budget=budget,
+        functions=("f1", "f2", "f3"), dimensions=(2,), instances=(1,),
+    )
+    assert folds > 24 * len(written)
+    assert [len(points) for points in collected] == [budget] * 2 * len(written)
+    for k, path in enumerate(written):
+        streamed = refset.read_reference_set(path)
+        fn = get_function(streamed.function_id, streamed.instance_id, streamed.dimension)
+        whole = refset.merge(
+            collected[2 * k : 2 * k + 2],
+            function_id=fn.function_id, instance_id=fn.instance_id, dimension=fn.dimension,
+            ideal=fn.analytic_ideal, nadir=fn.analytic_nadir,
+        )
+        expected = refset.write_reference_set(whole, tmp_path / "whole" / path.name)
+        assert path.read_bytes() == expected.read_bytes()
+
+
+def test_bootstrap_collector_memory_is_bounded_by_front_not_budget() -> None:
+    # 200 000 points, of which only the ten with t % 7 == 0 lie on the front
+    # (k / 10, 1 - k / 10).  Held in a list, these points would peak at about
+    # 29 MB; the references alone would take 1.6 MB.
+    collector = runner._FrontCollector("f1:2:1")
+    tracemalloc.start()
+    try:
+        for t in range(200_000):
+            k, shift = t % 10, (t % 7) / 7
+            collector.add(t + 1, ObjectiveVector(k / 10 + shift, 1 - k / 10 + shift))
+        front = collector.front()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(p.f_alpha, p.f_beta) for p in front] == [(k / 10, 1 - k / 10) for k in range(10)]
+    assert peak < 1_000_000
+
+
+def test_bootstrap_names_the_problem_of_a_non_finite_value(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(
+        suite.SuiteFunction, "evaluate", lambda self, x: ObjectiveVector(math.inf, 0.5)
+    )
+    with pytest.raises(ValueError, match="bootstrap f2:2:1: non-finite objective value"):
+        bootstrap_refsets(
+            tmp_path / "refsets", seed=1, budget=10,
+            functions=("f2",), dimensions=(2,), instances=(1,),
+        )
+    assert not (tmp_path / "refsets" / "f2_d2_i1.tsv").exists()
 
 
 def test_run_without_refset_dir_bootstraps_first(tmp_path) -> None:
