@@ -19,8 +19,11 @@ and ``build_header``, which does the same for a whole ``key=value`` header.
 algorithm holding its run logs and their index.  Logs are staged under
 ``<root>/.staging`` and published together with the indexes on a clean
 close, so a failed run or recalc leaves an existing tree as it was (and
-removes a root it created itself).  ``iter_experiment`` walks the tree
-and rejects a directory of run logs without an index.
+removes a root it created itself).  The one exception is a run that
+bootstraps its reference sets: they are written to ``<root>/refsets``
+before the first problem runs, and a later failure leaves them there.
+``iter_experiment`` walks the tree and rejects a directory of run logs
+without an index.
 
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
 indicator update, first-hit record).  Live runs feed it every evaluation
@@ -55,6 +58,7 @@ __all__ = [
     "RunHeader",
     "RunLog",
     "iter_experiment",
+    "problem_file",
     "read_experiment_index",
     "read_log",
     "recalculate",
@@ -64,6 +68,11 @@ __all__ = [
 LOG_FORMAT = "runlog-v2"
 INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
+
+
+def problem_file(function_id: str, dimension: int, instance_id: int) -> str:
+    """The file name of one problem's run log or reference set."""
+    return f"{function_id}_d{dimension}_i{instance_id}.tsv"
 
 
 def _positive_int(text: str) -> int:
@@ -371,7 +380,7 @@ class ExperimentWriter:
     def __init__(self, root: Path | str) -> None:
         self._root = Path(root)
         self._staging = self._root / ".staging"
-        self._rows: dict[str, list[str]] = {}
+        self._rows: dict[str, list[tuple[str, str]]] = {}  # algorithm -> (file, row)
         self._root_created = not self._root.exists()
 
     def __enter__(self) -> ExperimentWriter:
@@ -389,11 +398,11 @@ class ExperimentWriter:
     def write(self, log: RunLog) -> Path:
         """Stage ``log``; returns the path ``close`` publishes it at."""
         h = log.header
-        name = f"{h.function_id}_d{h.dimension}_i{h.instance_id}.tsv"
+        name = problem_file(h.function_id, h.dimension, h.instance_id)
         write_log(log, self._staging / h.algorithm / name)
-        self._rows.setdefault(h.algorithm, []).append(
-            f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
-        )
+        self._rows.setdefault(h.algorithm, []).append((
+            name, f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
+        ))
         return self._root / h.algorithm / name
 
     def close(self) -> None:
@@ -406,13 +415,12 @@ class ExperimentWriter:
             for algorithm, rows in self._rows.items():
                 (self._root / algorithm).mkdir(parents=True, exist_ok=True)
                 (self._root / algorithm / INDEX_FILENAME).unlink(missing_ok=True)
-                for row in rows:
-                    name = row.partition("\t")[0]
+                for name, _ in rows:
                     os.replace(self._staging / algorithm / name, self._root / algorithm / name)
                 write_lines(self._root / algorithm / INDEX_FILENAME, [
                     f"% format={INDEX_FORMAT}",
                     "% columns=file function instance dimension refset_version",
-                    *rows,
+                    *(row for _, row in rows),
                 ])
         finally:
             shutil.rmtree(self._staging, ignore_errors=True)
@@ -420,9 +428,11 @@ class ExperimentWriter:
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     """Parse an experiment index.  A missing or unknown format raises
-    :class:`LogVersionError`; a malformed row, an instance or dimension
-    below 1, and a row that repeats an earlier row's file or problem raise
-    :class:`LogParseError` naming ``path:line``."""
+    :class:`LogVersionError`; a malformed row, a file that is not a plain
+    name in the index's directory (empty, ``.``, ``..`` or holding a
+    ``/``), an instance or dimension below 1, and a row that repeats an
+    earlier row's file or problem raise :class:`LogParseError` naming
+    ``path:line``."""
     path = Path(path)
     entries: list[IndexEntry] = []
     rows: dict[str | tuple, int] = {}  # file name or problem key -> line
@@ -433,6 +443,8 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
         if len(parts) != 5:
             raise LogParseError(path, number, f"expected 5 columns, got {len(parts)}")
         name, function_id = parts[0], parts[1]
+        if name in ("", ".", "..") or "/" in name:
+            raise LogParseError(path, number, f"file {name!r} is not a name in this directory")
         instance_id = convert_at(path, number, "instance", _positive_int, parts[2])
         dimension = convert_at(path, number, "dimension", _positive_int, parts[3])
         problem = (function_id, dimension, instance_id)

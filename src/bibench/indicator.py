@@ -5,13 +5,16 @@ The indicator of an archive is
 * the negated ROI hypervolume once any archived point is at or inside the
   ROI box (weakly dominating the nadir, equality included), and
 * otherwise the minimum normalized distance from the archive to the ROI,
-  which is strictly positive.
+  which is strictly positive: every entry then has a coordinate at least
+  one ULP above 1.
 
 An empty archive evaluates to the +infinity sentinel on the distance
 branch.  Along a run the value never increases, and the branch switches
 from Distance to Hypervolume at most once; the hypervolume value of an
 archive containing exactly the nadir is 0, and an archive containing the
-ideal reaches the lower bound -1.
+ideal reaches the lower bound -1.  The branches' ranges, [-1, 0] and
+(0, +infinity], do not overlap, so an :class:`IndicatorValue` stores the
+value alone and derives its branch from the sign.
 """
 
 from __future__ import annotations
@@ -32,37 +35,35 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class IndicatorValue:
-    """An indicator value together with the branch that produced it.
+    """An indicator value; its sign names the branch that produced it.
 
-    Hypervolume-branch values are <= 0; distance-branch values are > 0
-    (including the +infinity sentinel for an empty archive).  The overall
-    range is [-1, +infinity].
+    Hypervolume-branch values lie in [-1, 0]; distance-branch values are
+    > 0, including the +infinity sentinel for an empty archive.  A value
+    below -1, or NaN, is rejected.
     """
 
     value: float
-    branch: Branch
 
     def __post_init__(self) -> None:
-        if self.branch is Branch.HYPERVOLUME:
-            if not (-1.0 <= self.value <= 0.0):
-                raise ValueError(
-                    f"hypervolume-branch value must lie in [-1, 0], got {self.value}"
-                )
-        elif not self.value > 0.0:
-            raise ValueError(f"distance-branch value must be positive, got {self.value}")
+        if not self.value >= -1.0:
+            raise ValueError(f"indicator value must be at least -1, got {self.value}")
+
+    @property
+    def branch(self) -> Branch:
+        return Branch.HYPERVOLUME if self.value <= 0.0 else Branch.DISTANCE
 
 
-EMPTY_ARCHIVE_VALUE = IndicatorValue(math.inf, Branch.DISTANCE)
+EMPTY_ARCHIVE_VALUE = IndicatorValue(math.inf)
 
 
 def _current(arch: Archive) -> IndicatorValue:
     """A non-empty archive's value, on the branch ``reaches_roi`` selects."""
     if not arch.reaches_roi:
-        return IndicatorValue(arch.min_distance_to_roi(), Branch.DISTANCE)
+        return IndicatorValue(arch.min_distance_to_roi())
     # The exact clipped hypervolume is <= 1; summation may overshoot by a
     # fraction of an ULP, which must not breach the [-1, 0] invariant.
     hv = arch.hypervolume()
-    return IndicatorValue(-min(hv, 1.0) if hv > 0.0 else 0.0, Branch.HYPERVOLUME)
+    return IndicatorValue(-min(hv, 1.0) if hv > 0.0 else 0.0)
 
 
 def evaluate(arch: Archive) -> IndicatorValue:

@@ -43,21 +43,25 @@ Run = tuple[datalog.RunHeader, RuntimeRecord]
 
 @dataclass(frozen=True)
 class EcdfCurve:
-    """Step curve of hit proportions over evaluation budgets.
+    """Step curve of hit counts over evaluation budgets.
 
     The support holds every distinct first-hit count plus the largest
-    budget any contributing run spent; ``proportion[k]`` is the fraction
-    of all (problem, target) pairs hit within ``support[k]`` evaluations.
+    budget any contributing run spent; ``n_hit[k]`` of the ``n_total``
+    (problem, target) pairs are hit within ``support[k]`` evaluations.
     """
 
     support: tuple[int, ...]
-    proportion: tuple[float, ...]
     n_hit: tuple[int, ...]
     n_total: int
 
     @property
+    def proportion(self) -> tuple[float, ...]:
+        """The fraction of all pairs hit within each support budget."""
+        return tuple(k / self.n_total for k in self.n_hit)
+
+    @property
     def final_proportion(self) -> float:
-        return self.proportion[-1] if self.proportion else 0.0
+        return self.proportion[-1] if self.n_hit else 0.0
 
 
 def ecdf(records: Sequence[RuntimeRecord]) -> EcdfCurve:
@@ -68,20 +72,12 @@ def ecdf(records: Sequence[RuntimeRecord]) -> EcdfCurve:
     """
     if not records:
         raise ValueError("ecdf: no runtime records supplied")
-    n_total = sum(len(r.targets) for r in records)
     hits = sorted(h for r in records for h in r.first_hit if h is not None)
     support = sorted(set(hits) | {max(r.evaluations for r in records)})
-    proportions: list[float] = []
-    n_hit: list[int] = []
-    for budget in support:
-        count = bisect_right(hits, budget)
-        n_hit.append(count)
-        proportions.append(count / n_total)
     return EcdfCurve(
         support=tuple(support),
-        proportion=tuple(proportions),
-        n_hit=tuple(n_hit),
-        n_total=n_total,
+        n_hit=tuple(bisect_right(hits, budget) for budget in support),
+        n_total=sum(len(r.targets) for r in records),
     )
 
 

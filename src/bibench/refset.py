@@ -22,7 +22,9 @@ import numpy as np
 from bibench import suite
 from bibench.archive import staircase_hypervolume
 from bibench.core import NormalizedObjectives, ObjectiveVector, ProblemSpec
-from bibench.datalog import LogParseError, build_header, convert_at, numbered_lines, write_lines
+from bibench.datalog import (
+    LogParseError, build_header, convert_at, numbered_lines, problem_file, write_lines,
+)
 
 __all__ = [
     "ReferenceSet",
@@ -186,7 +188,7 @@ def merge(
 
 def refset_path(directory: Path | str, function_id: str, dimension: int, instance_id: int) -> Path:
     """Conventional file location of one problem's reference set."""
-    return Path(directory) / f"{function_id}_d{dimension}_i{instance_id}.tsv"
+    return Path(directory) / problem_file(function_id, dimension, instance_id)
 
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:

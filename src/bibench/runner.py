@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bibench import baselines, datalog, refset, suite
-from bibench.core import ObjectiveVector, ProblemSpec
+from bibench.core import ObjectiveVector
 from bibench.targets import RuntimeRecord
 
 __all__ = [
@@ -82,15 +82,11 @@ class ExperimentConfig:
         return self.budget if self.budget is not None else default_budget(dimension)
 
 
-@dataclass
-class RunResult:
-    """Live outcome of one problem's run."""
+@dataclass(frozen=True)
+class RunResult(datalog.RunHeader):
+    """Live outcome of one problem's run: its log's header, plus what the
+    run measured and where its log is published."""
 
-    function_id: str
-    instance_id: int
-    dimension: int
-    algorithm: str
-    spec: ProblemSpec
     runtimes: RuntimeRecord
     log_path: Path
     archive_size: int
@@ -116,9 +112,10 @@ def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callab
 
 
 class _FrontCollector:
-    """The evaluation observer of one bootstrap baseline: reduces the points
-    it is shown to their non-dominated subset as they arrive, so it holds
-    about one front plus one buffer of points, never the whole budget."""
+    """The evaluation observer of one problem's bootstrap baselines: reduces
+    the points it is shown to their non-dominated subset as they arrive, so
+    it holds about one front plus one buffer of points, never the whole
+    budget."""
 
     def __init__(self, key: str) -> None:
         self._key = key
@@ -172,13 +169,13 @@ def bootstrap_refsets(
 ) -> list[Path]:
     """Build one reference set per problem from all built-in baselines.
 
-    Each baseline runs with the full ``budget`` on every problem.  Its
-    evaluations stream into a running non-dominated front, so memory grows
-    with the front, not with the budget; the two fronts are then merged.
-    Bounds are analytic where the suite knows them (always the
-    ideal; the nadir only for ``f1``), otherwise estimated from the merged
-    front's extremes.  Bootstrapping twice with the same seed yields
-    identical files, hence identical versions.
+    Each baseline runs with the full ``budget`` on every problem, and both
+    stream their evaluations, in turn, into one running non-dominated front
+    per problem, so memory grows with the front, not with the budget.
+    Bounds are analytic where the suite knows them (always the ideal; the
+    nadir only for ``f1``), otherwise estimated from the front's extremes.
+    Bootstrapping twice with the same seed yields identical files, hence
+    identical versions.
     """
     if budget < 1:
         raise ValueError(f"bootstrap budget must be at least 1, got {budget}")
@@ -190,14 +187,12 @@ def bootstrap_refsets(
     written: list[Path] = []
     for fid, dim, inst in suite.enumerate_problems(functions, dimensions, instances):
         fn = suite.get_function(fid, inst, dim)
-        fronts: list[list[ObjectiveVector]] = []
+        collector = _FrontCollector(fn.key)
         for algo_index, algo in bootstrap_algos:
-            collector = _FrontCollector(fn.key)
             rng = _problem_rng(seed, _PURPOSE_BOOTSTRAP, algo_index, fid, dim, inst)
             algo(_budgeted(fn, budget, collector.add), dim, budget, rng)
-            fronts.append(collector.front())
         rs = refset.merge(
-            fronts,
+            [collector.front()],
             function_id=fid,
             instance_id=inst,
             dimension=dim,
@@ -254,18 +249,10 @@ def run_experiment(
 
             header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
             path = writer.write(datalog.RunLog(header, tuple(records)))
-            results.append(
-                RunResult(
-                    function_id=fid,
-                    instance_id=inst,
-                    dimension=dim,
-                    algorithm=cfg.algorithm,
-                    spec=spec,
-                    runtimes=assessment.runtimes,
-                    log_path=path,
-                    archive_size=len(assessment.archive),
-                )
-            )
+            results.append(RunResult(
+                **vars(header), runtimes=assessment.runtimes, log_path=path,
+                archive_size=len(assessment.archive),
+            ))
             if progress is not None:
                 progress(
                     f"{fn.key} {cfg.algorithm}: {assessment.runtimes.hit_count}/"

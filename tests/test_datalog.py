@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -475,3 +476,24 @@ def test_experiment_index_rejects_repeated_problem(tmp_path) -> None:
         LogParseError, match=r"experiment_index\.tsv:5: problem f1:2:1 is already listed on line 3"
     ):
         read_experiment_index(path)
+
+
+@pytest.mark.parametrize(
+    "name", ["../../elsewhere/f1_d2_i1.tsv", "..", ".", "sub/f1_d2_i1.tsv", "/tmp/f1_d2_i1.tsv"]
+)
+def test_experiment_index_rejects_a_file_outside_its_directory(tmp_path, name) -> None:
+    path = tmp_path / INDEX_FILENAME
+    path.write_text(f"% format=experiment-index-v1\n% columns=x\n{name}\tf1\t1\t2\tab12\n")
+    with pytest.raises(
+        LogParseError, match=rf"experiment_index\.tsv:3: file '{re.escape(name)}' is not a name"
+    ):
+        read_experiment_index(path)
+
+
+def test_iter_experiment_reads_no_log_outside_the_tree(tmp_path) -> None:
+    index = _write_experiment(tmp_path / "exp")
+    outside = tmp_path / "elsewhere" / "f1_d2_i1.tsv"
+    write_log(RunLog(_header(), ()), outside)
+    index.write_text(index.read_text().replace("f1_d2_i1.tsv", "../../elsewhere/f1_d2_i1.tsv"))
+    with pytest.raises(LogParseError, match=r"experiment_index\.tsv:3: file '\.\./\.\./elsewhere"):
+        next(iter_experiment(tmp_path / "exp"))

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibench.archive import Archive
 from bibench.core import NormalizedObjectives
@@ -59,7 +60,7 @@ def test_transition_to_hypervolume_branch() -> None:
     prev = EMPTY_ARCHIVE_VALUE
     out = arch.insert(_nz(1.5, 0.5), 1)
     prev = evaluate_incremental(prev, out, arch)
-    assert prev == IndicatorValue(0.5, Branch.DISTANCE)
+    assert prev == IndicatorValue(0.5) and prev.branch is Branch.DISTANCE
     out = arch.insert(_nz(0.9, 0.9), 2)
     prev = evaluate_incremental(prev, out, arch)
     assert prev.branch is Branch.HYPERVOLUME
@@ -88,14 +89,43 @@ def test_rejected_insert_returns_prev_unchanged() -> None:
 
 
 def test_value_range_validation() -> None:
+    # The branch follows from the value's sign, so only a value below -1,
+    # or NaN, is invalid.
     with pytest.raises(ValueError):
-        IndicatorValue(-1.5, Branch.HYPERVOLUME)
+        IndicatorValue(-1.5)
     with pytest.raises(ValueError):
-        IndicatorValue(0.5, Branch.HYPERVOLUME)
-    with pytest.raises(ValueError):
-        IndicatorValue(-0.5, Branch.DISTANCE)
-    with pytest.raises(ValueError):
-        IndicatorValue(0.0, Branch.DISTANCE)
+        IndicatorValue(math.nan)
+    assert IndicatorValue(-1.0).branch is Branch.HYPERVOLUME
+    assert IndicatorValue(0.0).branch is Branch.HYPERVOLUME
+    assert IndicatorValue(5e-324).branch is Branch.DISTANCE
+    assert IndicatorValue(math.inf).branch is Branch.DISTANCE
+
+
+_COORD = st.one_of(
+    st.sampled_from([-0.5, -0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]),
+    st.floats(-1.0, 3.0),
+    st.floats(1.0, 1e300),
+)
+
+
+@st.composite
+def _stream(draw) -> list[tuple[float, float]]:
+    """Normalized points with exact duplicates, points on the nadir and
+    one ULP either side of it, and negative coordinates."""
+    points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40))
+    points += draw(st.lists(st.sampled_from(points + [(1.0, 1.0)]), max_size=10))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stream())
+def test_branch_is_hypervolume_iff_archive_reaches_roi(points) -> None:
+    arch = Archive()
+    prev = EMPTY_ARCHIVE_VALUE
+    for t, (u, v) in enumerate(points, 1):
+        prev = evaluate_incremental(prev, arch.insert(_nz(u, v), t), arch)
+        assert (prev.branch is Branch.HYPERVOLUME) is arch.reaches_roi
+        assert (evaluate(arch).branch is Branch.HYPERVOLUME) is arch.reaches_roi
 
 
 def test_incremental_matches_full_evaluation() -> None:

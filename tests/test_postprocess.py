@@ -195,7 +195,7 @@ def test_process_experiment_rejects_off_grid_precision_before_reading(tmp_path) 
 
 
 def test_write_ecdf_csv_format(tmp_path) -> None:
-    curve = EcdfCurve(support=(10, 100), proportion=(0.25, 0.75), n_hit=(1, 3), n_total=4)
+    curve = EcdfCurve(support=(10, 100), n_hit=(1, 3), n_total=4)
     path = write_ecdf_csv(curve, tmp_path / "ecdf_d2.csv", "random", "e" * 16, dimension=2)
     lines = path.read_text().splitlines()
     assert lines[0] == f"# refset_version={'e' * 16}"
@@ -267,7 +267,7 @@ def test_load_labeled_records_replays_logs(tmp_path) -> None:
     [(header, runtimes)] = load_labeled_records(logs_dir)
     assert (header.function_id, header.dimension, header.instance_id) == ("f1", 2, 1)
     assert header.algorithm == "random"
-    assert header.refset_version == results[0].spec.refset_version
+    assert header.refset_version == results[0].refset_version
     # End-to-end replay equivalence: replayed runtimes equal live ones.
     assert runtimes.first_hit == results[0].runtimes.first_hit
     assert runtimes.evaluations == results[0].runtimes.evaluations

@@ -176,14 +176,14 @@ def test_index_lists_every_run(tmp_path) -> None:
     assert len(entries) == len(results) == 2
     assert {e.file for e in entries} == {"f1_d2_i1.tsv", "f1_d2_i2.tsv"}
     versions = {e.refset_version for e in entries}
-    assert versions == {results[0].spec.refset_version, results[1].spec.refset_version}
+    assert versions == {results[0].refset_version, results[1].refset_version}
 
 
 def test_recalc_experiment_rescores_against_new_refsets(tmp_path) -> None:
     [live] = run_experiment(_f1_config(tmp_path, budget=300))
     new_dir = tmp_path / "new"
     coarse = refset.read_reference_set(_analytic_f1_refset_dir(new_dir, n=50) / "f1_d2_i1.tsv")
-    assert coarse.version != live.spec.refset_version
+    assert coarse.version != live.refset_version
 
     written = recalc_experiment(tmp_path / "out", new_dir / "refsets", tmp_path / "rescored")
     assert written == [tmp_path / "rescored" / "random" / "f1_d2_i1.tsv"]
@@ -281,6 +281,39 @@ def test_failed_run_keeps_its_in_run_reference_sets(tmp_path) -> None:
         with pytest.raises(RuntimeError, match="optimizer crashed"):
             run_experiment(cfg)
     assert sorted(_tree(cfg.output_dir)) == ["refsets", "refsets/f1_d2_i1.tsv"]
+
+
+def test_failed_bootstrapping_run_over_a_tree_keeps_its_logs_not_its_refsets(tmp_path) -> None:
+    # In-run reference sets are written before the first problem runs, so a
+    # failed run has already replaced them; its logs and index stay as they were.
+    cfg = replace(_f1_config(tmp_path, budget=50), refset_dir=None, bootstrap_budget=50)
+    run_experiment(cfg)
+    before = _tree(cfg.output_dir)
+
+    def broken(*_):
+        raise RuntimeError("optimizer crashed")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(ALGORITHMS, "random", broken)
+        with pytest.raises(RuntimeError, match="optimizer crashed"):
+            run_experiment(replace(cfg, seed=1))
+    after = _tree(cfg.output_dir)
+    assert sorted(after) == sorted(before)
+    assert not (cfg.output_dir / ".staging").exists()
+    for name in ("random/f1_d2_i1.tsv", "random/experiment_index.tsv"):
+        assert after[name] == before[name]
+    assert after["refsets/f1_d2_i1.tsv"] != before["refsets/f1_d2_i1.tsv"]
+
+
+def test_run_result_is_its_logs_header(tmp_path) -> None:
+    cfg = replace(_f1_config(tmp_path, budget=300), instances=(1, 2))
+    _analytic_f1_refset_dir(tmp_path, instance_id=2)
+    results = run_experiment(cfg)
+    assert len(results) == 2
+    for r in results:
+        h = read_log(r.log_path).header
+        assert r.problem_spec() == h.problem_spec()
+        assert (r.algorithm, r.budget) == (h.algorithm, h.budget) == ("random", 300)
 
 
 def test_bootstrap_writes_deterministic_refsets(tmp_path) -> None:
@@ -395,7 +428,7 @@ def test_run_without_refset_dir_bootstraps_first(tmp_path) -> None:
     rs_path = tmp_path / "out" / "refsets" / "f1_d2_i1.tsv"
     assert rs_path.is_file()
     rs = refset.read_reference_set(rs_path)
-    assert results[0].spec.refset_version == rs.version
+    assert results[0].refset_version == rs.version
     assert read_log(results[0].log_path).header.refset_version == rs.version
 
 
