@@ -25,6 +25,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from bibench.core import NormalizedObjectives
 
 __all__ = [
@@ -206,23 +208,23 @@ class Archive:
 def staircase_hypervolume(points: Iterable[NormalizedObjectives]) -> float:
     """Sweep-line ROI hypervolume of a set of mutually non-dominated points.
 
-    Independent of the incremental cache: points are sorted and the strip
-    areas summed with ``math.fsum``.
+    Independent of the incremental cache, and vectorized: one pass reads
+    the points into an ``(n, 2)`` array, coordinates are clipped at 0,
+    points with ``u >= 1`` or ``v >= 1`` dropped, and the rest sorted by
+    ``u``, then by descending ``v``.  Each point whose ``v`` lies below
+    the running minimum of the ``v`` before it (starting at 1) adds the
+    strip ``(1 - u) * (prev - v)``; the strips are summed with
+    ``math.fsum``.
     """
-    clipped = []
-    for p in points:
-        u = p.u if p.u > 0.0 else 0.0
-        v = p.v if p.v > 0.0 else 0.0
-        if u < 1.0 and v < 1.0:
-            clipped.append((u, v))
-    clipped.sort(key=lambda t: (t[0], -t[1]))
-    terms = []
-    prev_v = 1.0
-    for u, v in clipped:
-        if v < prev_v:
-            terms.append((1.0 - u) * (prev_v - v))
-            prev_v = v
-    return math.fsum(terms)
+    uv = np.fromiter(((p.u, p.v) for p in points), dtype=np.dtype((float, 2)))
+    uv = np.where(uv > 0.0, uv, 0.0)
+    uv = uv[(uv[:, 0] < 1.0) & (uv[:, 1] < 1.0)]
+    u, v = uv[:, 0], uv[:, 1]
+    order = np.lexsort((-v, u))
+    u, v = u[order], v[order]
+    prev = np.minimum.accumulate(np.concatenate(([1.0], v)))[:-1]
+    keep = v < prev
+    return math.fsum(((1.0 - u[keep]) * (prev[keep] - v[keep])).tolist())
 
 
 def recompute_from_scratch(points: Iterable[NormalizedObjectives]) -> tuple[float, float]:

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectiveVector:
     """A point in raw (unnormalized) two-dimensional objective space."""
 

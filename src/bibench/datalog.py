@@ -36,11 +36,12 @@ updates retroactive without re-running experiments.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from bibench.archive import Archive
 from bibench.core import ObjectiveVector, ProblemSpec, normalize
@@ -68,6 +69,10 @@ __all__ = [
 LOG_FORMAT = "runlog-v2"
 INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
+
+# Lines ``write_lines`` joins into one write: few enough to bound memory,
+# many enough that per-write overhead stays small.
+_WRITE_CHUNK = 4096
 
 
 def problem_file(function_id: str, dimension: int, instance_id: int) -> str:
@@ -98,16 +103,25 @@ class LogParseError(ValueError):
         self.line_number = line_number
 
 
-def write_lines(path: Path | str, lines: Sequence[str], encoding: str = "ascii") -> Path:
-    """Write ``lines`` as a newline-terminated file, creating its directory.
-    A temporary file in that directory replaces ``path`` by ``os.replace``,
-    so ``path`` holds the old bytes or the new ones, never a part, unless
+def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii") -> Path:
+    """Write ``lines``, any iterable of strings, as the newline-terminated
+    file ``"\\n".join(lines) + "\\n"``, creating its directory.  Lines are
+    joined and written in chunks of ``_WRITE_CHUNK``, so a generator's
+    lines are never all held at once.  A temporary file in that directory
+    replaces ``path`` by ``os.replace``, so ``path`` holds the old bytes or
+    the new ones, never a part, even when ``lines`` raises part-way, unless
     the machine itself fails (there is no ``fsync``)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.tmp")
+    lines = iter(lines)
+    chunks = iter(lambda: list(itertools.islice(lines, _WRITE_CHUNK)), [])
     try:
-        temporary.write_text("\n".join(lines) + "\n", encoding=encoding, newline="\n")
+        with temporary.open("w", encoding=encoding, newline="\n") as f:
+            # The first chunk is written even when empty: no lines give "\n".
+            f.write("\n".join(next(chunks, [])) + "\n")
+            for chunk in chunks:
+                f.write("\n".join(chunk) + "\n")
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -464,15 +478,24 @@ def _is_run_log(path: Path) -> bool:
         return f.readline(64).strip().startswith(b"% format=runlog-")
 
 
+def _reject_link(path: Path, what: str) -> None:
+    """Raise ``ValueError`` naming ``path`` if it is a symbolic link."""
+    if path.is_symlink():
+        raise ValueError(f"{path}: {what} is a symbolic link, which could lead out of the tree")
+
+
 def iter_experiment(logs_dir: Path | str) -> Iterator[RunLog]:
     """Read every run log listed by the experiment indexes under ``logs_dir``
     (one subdirectory per algorithm, named after it), in sorted index order.
-    A log whose header disagrees with its index row on the function,
-    instance, dimension or reference-set version, or with the directory
-    name on the algorithm, raises ``ValueError`` naming the log.  A
-    subdirectory holding a run log but no index raises
-    ``FileNotFoundError`` naming it before any log is read; other
-    subdirectories without an index, such as reference sets, are skipped."""
+    An algorithm directory, index or listed log that is a symbolic link,
+    which could lead out of the tree, raises ``ValueError`` naming it.  A
+    log whose header disagrees
+    with its index row on the function, instance, dimension or
+    reference-set version, or with the directory name on the algorithm,
+    raises ``ValueError`` naming the log.  A subdirectory holding a run log
+    but no index raises ``FileNotFoundError`` naming it before any log is
+    read; other subdirectories without an index, such as reference sets,
+    are skipped."""
     logs_dir = Path(logs_dir)
     unindexed = [
         d.name for d in sorted(logs_dir.glob("*"))
@@ -490,8 +513,11 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[RunLog]:
         )
     for index_path in index_paths:
         algorithm_dir = index_path.parent
+        _reject_link(algorithm_dir, "algorithm directory")
+        _reject_link(index_path, "index")
         for entry in read_experiment_index(index_path):
             path = algorithm_dir / entry.file
+            _reject_link(path, "run log")
             log = read_log(path)
             h = log.header
             for what, listed, logged in (

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from bibench import datalog
+from bibench import datalog, suite
 from bibench.targets import RuntimeRecord, precision_grid
 
 __all__ = [
@@ -202,6 +203,25 @@ def load_labeled_records(logs_dir: Path | str) -> list[Run]:
     ]
 
 
+def _warn_on_mixed_versions(runs: Sequence[Run]) -> None:
+    """Warn, naming each problem and its versions, when algorithms' logs of
+    one problem were assessed against different reference-set versions."""
+    versions: dict[str, dict[str, str]] = {}  # problem -> algorithm -> version
+    for h, _ in runs:
+        problem = suite.problem_id(h.function_id, h.dimension, h.instance_id)
+        versions.setdefault(problem, {})[h.algorithm] = h.refset_version
+    mixed = []
+    for problem, by_algorithm in sorted(versions.items()):
+        if len(set(by_algorithm.values())) > 1:
+            named = ", ".join(f"{a} {v}" for a, v in sorted(by_algorithm.items()))
+            mixed.append(f"{problem} ({named})")
+    if mixed:
+        warnings.warn(
+            "algorithms were assessed against different reference-set versions of the "
+            f"same problem, so their results do not compare: {'; '.join(mixed)}"
+        )
+
+
 def process_experiment(
     logs_dir: Path | str,
     output_dir: Path | str,
@@ -209,14 +229,18 @@ def process_experiment(
     instances_display: int = DEFAULT_INSTANCES_DISPLAY,
 ) -> list[Path]:
     """Full postprocessing: ECDF CSVs per dimension plus an aggregate, and
-    a runtime table, per algorithm found under ``logs_dir``.  A negative
-    ``instances_display`` or a precision off the target grid raises
-    ``ValueError`` before any log is read."""
+    a runtime table, per algorithm found under ``logs_dir``.  Algorithms
+    whose logs of one problem name different reference-set versions are
+    still aggregated, with a ``UserWarning`` naming each such problem and
+    its versions.  A negative ``instances_display`` or a precision off the
+    target grid raises ``ValueError`` before any log is read."""
     if instances_display < 0:
         raise ValueError(f"instances_display must be at least 0, got {instances_display}")
     indices = resolve_precisions(precisions)
+    loaded = load_labeled_records(logs_dir)
+    _warn_on_mixed_versions(loaded)
     by_algorithm: dict[str, list[Run]] = {}
-    for run in load_labeled_records(logs_dir):
+    for run in loaded:
         by_algorithm.setdefault(run[0].algorithm, []).append(run)
 
     written: list[Path] = []

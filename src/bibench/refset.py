@@ -13,9 +13,10 @@ by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -115,10 +116,20 @@ def nondominated_filter(points: Iterable[ObjectiveVector]) -> tuple[ObjectiveVec
     return tuple(points[i] for i in nondominated_rows(alpha, beta).tolist())
 
 
-def version_of(points: Sequence[ObjectiveVector]) -> str:
-    """Content hash of a point set's canonical serialization."""
-    canonical = "\n".join(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in points)
-    digest = hashlib.sha256(canonical.encode("ascii"))
+def _line(p: ObjectiveVector) -> str:
+    """A point's canonical text: both values at 17 significant digits."""
+    return f"{p.f_alpha:.17g}\t{p.f_beta:.17g}"
+
+
+def version_of(points: Iterable[ObjectiveVector]) -> str:
+    """Content hash of a point set's canonical serialization: the SHA-256 of
+    the points' canonical lines joined by newlines, fed to the hash one
+    line at a time, so the joined text is never built."""
+    digest = hashlib.sha256()
+    separator = ""
+    for p in points:
+        digest.update(f"{separator}{_line(p)}".encode("ascii"))
+        separator = "\n"
     return digest.hexdigest()[:_VERSION_DIGITS]
 
 
@@ -192,8 +203,9 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
+    """Write ``rs`` through ``write_lines``, one point line at a time."""
     bounds = "estimated" if rs.bounds_estimated else "analytic"
-    lines = [
+    header = (
         f"# function={rs.function_id} instance={rs.instance_id} "
         f"dimension={rs.dimension} version={rs.version} i_ref={rs.i_ref:.17g}",
         f"# ideal_alpha={rs.ideal.f_alpha:.17g} ideal_beta={rs.ideal.f_beta:.17g} "
@@ -201,9 +213,8 @@ def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
         f"bounds={bounds}",
         "# clipping: hypervolume counts the ROI box only; negative normalized "
         "coordinates are clamped to 0",
-    ]
-    lines.extend(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in rs.points)
-    return write_lines(path, lines)
+    )
+    return write_lines(path, itertools.chain(header, map(_line, rs.points)))
 
 
 def _bounds_estimated(text: str) -> bool:

@@ -9,6 +9,7 @@ repeated run with the same configuration is byte-identical on disk.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -115,13 +116,13 @@ class _FrontCollector:
     """The evaluation observer of one problem's bootstrap baselines: reduces
     the points it is shown to their non-dominated subset as they arrive, so
     it holds about one front plus one buffer of points, never the whole
-    budget."""
+    budget.  The buffer holds raw doubles, not float objects."""
 
     def __init__(self, key: str) -> None:
         self._key = key
         self._front = (np.empty(0), np.empty(0))
-        self._alpha: list[float] = []
-        self._beta: list[float] = []
+        self._alpha = array("d")
+        self._beta = array("d")
         self._limit = _CHUNK
 
     def add(self, t: int, y: ObjectiveVector) -> None:
@@ -138,7 +139,7 @@ class _FrontCollector:
         except ValueError as exc:
             raise ValueError(f"bootstrap {self._key}: {exc}") from None
         self._front = (alpha[rows], beta[rows])
-        self._alpha, self._beta = [], []
+        self._alpha, self._beta = array("d"), array("d")
         # Buffering as many points as the front holds before the next fold
         # keeps the total sorting cost O(n log n).
         self._limit = max(_CHUNK, len(rows))

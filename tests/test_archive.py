@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibench.archive import Archive, recompute_from_scratch, roi_distance, staircase_hypervolume
 from bibench.core import NormalizedObjectives, ulp_distance
@@ -286,3 +286,54 @@ def test_insertion_gains_sum_to_total(points: list[tuple[float, float]]) -> None
     for t, (u, v) in enumerate(points, 1):
         gains.append(arch.insert(_nz(u, v), t).hv_gain)
     assert math.fsum(gains) == pytest.approx(arch.hypervolume(), abs=1e-12)
+
+
+def _loop_sweep(points) -> float:
+    """The sweep ``staircase_hypervolume`` replaced, kept as its oracle:
+    clip at 0, keep the points inside the ROI, sort by ``(u, -v)``, then
+    sum each strip below the last kept ``v`` with ``math.fsum``."""
+    clipped = []
+    for p in points:
+        u = p.u if p.u > 0.0 else 0.0
+        v = p.v if p.v > 0.0 else 0.0
+        if u < 1.0 and v < 1.0:
+            clipped.append((u, v))
+    clipped.sort(key=lambda t: (t[0], -t[1]))
+    terms = []
+    prev_v = 1.0
+    for u, v in clipped:
+        if v < prev_v:
+            terms.append((1.0 - u) * (prev_v - v))
+            prev_v = v
+    return math.fsum(terms)
+
+
+_SWEEP_GRID = st.sampled_from([
+    -0.0, 0.0, -5e-324, 5e-324, -0.5, -1.0, 0.5, 1.0,
+    math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 2.0,
+])
+_SWEEP_COORD = st.one_of(_SWEEP_GRID, st.floats(-0.25, 1.25))
+
+
+@st.composite
+def _sweep_inputs(draw) -> list[NormalizedObjectives]:
+    """0-40 points, dominated ones among them, from a grid of signed zeros,
+    subnormals, negatives and values at and 1 ULP either side of 1, mixed
+    with uniform values.  Coordinates often repeat a few drawn values, so
+    equal-``u`` and equal-``v`` ties are common, and some points are exact
+    duplicates of earlier ones."""
+    pool = draw(st.lists(_SWEEP_COORD, min_size=1, max_size=6))
+    coord = st.one_of(st.sampled_from(pool), _SWEEP_COORD)
+    points = draw(st.lists(st.builds(_nz, coord, coord), max_size=35))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=5))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_inputs())
+@example([])
+@example([_nz(0.5, 0.5), _nz(0.5, 0.5), _nz(0.25, 0.75), _nz(0.75, 0.75)])
+@example([_nz(0.3, 0.43), _nz(0.3, 0.76)])  # equal u: the larger v's strip comes first
+def test_staircase_hypervolume_equals_loop_sweep(points) -> None:
+    assert staircase_hypervolume(points).hex() == _loop_sweep(points).hex()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +269,30 @@ def test_index_row_listing_copied_log_is_rejected(tmp_path, capsys, command) -> 
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "experiment_index.tsv:4: problem f1:2:1 is already listed on line 3" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("linked, what", [
+    ("random/f1_d2_i1.tsv", "run log"),
+    ("random/experiment_index.tsv", "index"),
+    ("random", "algorithm directory"),
+])
+def test_symlink_in_the_tree_is_rejected(tmp_path, capsys, linked, what) -> None:
+    # The link leads out of the tree to an intact copy, which would
+    # otherwise read, replay and pass every index check.
+    refdir, logs = _tamper_index(tmp_path, lambda text, _: text)
+    target = tmp_path / "elsewhere" / linked
+    target.parent.mkdir(parents=True, exist_ok=True)
+    (logs / linked).rename(target)
+    depth = len(Path(linked).parts)
+    (logs / linked).symlink_to(Path(*[".."] * depth, "elsewhere", linked))
+    for argv in (
+        ["postprocess", "--logs", str(logs), "--out", str(tmp_path / "post")],
+        ["recalc", "--logs", str(logs), "--refsets", str(refdir), "--out", str(tmp_path / "r")],
+    ):
+        assert main(argv) == 1
+        assert f"{linked}: {what} is a symbolic link" in capsys.readouterr().err
+    assert not (tmp_path / "post").exists()
     assert not (tmp_path / "r").exists()
 
 

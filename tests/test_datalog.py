@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from bibench import datalog
 from bibench.archive import Archive
 from bibench.core import ObjectiveVector, ProblemSpec, normalize
 from bibench.datalog import (
@@ -395,6 +396,26 @@ def test_write_lines_failure_keeps_old_file(tmp_path) -> None:
     path = write_lines(tmp_path / "out" / "table.csv", ["old"])
     with pytest.raises(UnicodeEncodeError):
         write_lines(path, ["new", "caf\u00e9"], encoding="ascii")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in path.parent.iterdir()] == ["table.csv"]
+
+
+def test_write_lines_streams_any_iterable(tmp_path) -> None:
+    lines = [f"{k}\t{k / 7!r}" for k in range(10_000)]
+    path = write_lines(tmp_path / "big.tsv", (line for line in lines))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert write_lines(tmp_path / "empty.tsv", iter(())).read_bytes() == b"\n"
+
+
+def test_write_lines_generator_failure_keeps_old_file(tmp_path) -> None:
+    path = write_lines(tmp_path / "out" / "table.csv", ["old"])
+
+    def lines():
+        yield from (str(k) for k in range(datalog._WRITE_CHUNK + 1))  # one chunk written
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        write_lines(path, lines())
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in path.parent.iterdir()] == ["table.csv"]
 

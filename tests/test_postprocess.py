@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
+import warnings
 from dataclasses import replace
 
 import pytest
 
 from bibench import refset
 from bibench.core import ObjectiveVector, ProblemSpec
-from bibench.datalog import RunHeader
+from bibench.cli import main
+from bibench.datalog import RunHeader, read_log
 from bibench.postprocess import (
     DEFAULT_INSTANCES_DISPLAY,
     DEFAULT_TABLE_PRECISIONS,
@@ -317,3 +320,28 @@ def test_process_experiment_writes_all_csv(tmp_path) -> None:
         (r[0], r[2], r[3], r[4]) for r in all_body
     ]
     assert all(r[1] == "" for r in all_body)
+
+
+def test_process_experiment_warns_on_mixed_refset_versions(tmp_path) -> None:
+    # A run without --refsets rewrites <out>/refsets, so two such runs at
+    # different seeds into one tree leave logs of one problem that name
+    # different versions; postprocess still aggregates them, with a warning.
+    out = tmp_path / "exp"
+    grid = dict(functions=("f1",), dimensions=(2,), instances=(1,), budget=100,
+                bootstrap_budget=100)
+    run_experiment(ExperimentConfig(algorithm="random", output_dir=out, seed=1, **grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        process_experiment(out, tmp_path / "one")
+    run_experiment(ExperimentConfig(algorithm="hillclimber", output_dir=out, seed=2, **grid))
+    versions = {
+        algorithm: read_log(out / algorithm / "f1_d2_i1.tsv").header.refset_version
+        for algorithm in ("random", "hillclimber")
+    }
+    assert versions["random"] != versions["hillclimber"]
+    named = re.escape(f"f1:2:1 (hillclimber {versions['hillclimber']}, random {versions['random']})")
+    with pytest.warns(UserWarning, match=named):
+        written = process_experiment(out, tmp_path / "both")
+    assert len(written) == 6
+    with pytest.warns(UserWarning, match=named):
+        assert main(["postprocess", "--logs", str(out), "--out", str(tmp_path / "cli")]) == 0

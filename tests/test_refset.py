@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import struct
@@ -189,6 +190,17 @@ def test_version_canonical_and_sensitive() -> None:
     perturbed = [_ov(0.2, 0.8), _ov(0.8, 0.2 + 1e-15)]
     assert version_of(nondominated_filter(perturbed)) != v1
     assert version_of(nondominated_filter([_ov(0.2, 0.8)])) != v1
+
+
+def test_version_of_equals_hash_of_joined_text() -> None:
+    # version_of hashes line by line; the digest is that of the joined text.
+    rng = random.Random(13)
+    pts = [_ov(rng.uniform(-1e3, 1e3), rng.random()) for _ in range(3000)]
+    pts += [_ov(-0.0, 5e-324), _ov(1e300, -2.5e-8)]
+    joined = "\n".join(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in pts)
+    assert version_of(pts) == hashlib.sha256(joined.encode("ascii")).hexdigest()[:16]
+    assert version_of(iter(pts)) == version_of(pts)
+    assert version_of([]) == hashlib.sha256(b"").hexdigest()[:16]
 
 
 def test_reference_set_validation() -> None:
