@@ -35,6 +35,7 @@ __all__ = [
     "recompute_from_scratch",
     "roi_distance",
     "staircase_hypervolume",
+    "sweep_hypervolume",
 ]
 
 
@@ -205,26 +206,42 @@ class Archive:
         return math.fsum(terms)
 
 
-def staircase_hypervolume(points: Iterable[NormalizedObjectives]) -> float:
-    """Sweep-line ROI hypervolume of a set of mutually non-dominated points.
+def sweep_hypervolume(u: np.ndarray, v: np.ndarray) -> float:
+    """Sweep-line ROI hypervolume of the mutually non-dominated points
+    ``(u[i], v[i])``, independent of the incremental cache.
 
-    Independent of the incremental cache, and vectorized: one pass reads
-    the points into an ``(n, 2)`` array, coordinates are clipped at 0,
-    points with ``u >= 1`` or ``v >= 1`` dropped, and the rest sorted by
-    ``u``, then by descending ``v``.  Each point whose ``v`` lies below
-    the running minimum of the ``v`` before it (starting at 1) adds the
-    strip ``(1 - u) * (prev - v)``; the strips are summed with
-    ``math.fsum``.
+    Coordinates are clipped at 0, points with ``u >= 1`` or ``v >= 1``
+    dropped, and the rest sorted by ``u``, then by descending ``v``.  Each
+    point whose ``v`` lies below the running minimum of the ``v`` before it
+    (starting at 1) adds the strip ``(1 - u) * (prev - v)``; ``math.fsum``
+    sums the strip array.  The arrays are not modified.
     """
-    uv = np.fromiter(((p.u, p.v) for p in points), dtype=np.dtype((float, 2)))
-    uv = np.where(uv > 0.0, uv, 0.0)
-    uv = uv[(uv[:, 0] < 1.0) & (uv[:, 1] < 1.0)]
-    u, v = uv[:, 0], uv[:, 1]
+    # Masking before clipping keeps the same rows: a value clipped to 0 is
+    # below 1, and only a value >= 1 is not.  Each array of the input's
+    # length is released as soon as the next one is made, so about four
+    # are alive at once.
+    inside = ~((u >= 1.0) | (v >= 1.0))
+    u, v = u[inside], v[inside]
+    u[~(u > 0.0)] = 0.0
+    v[~(v > 0.0)] = 0.0
     order = np.lexsort((-v, u))
-    u, v = u[order], v[order]
+    u = u[order]
+    v = v[order]
+    del order
     prev = np.minimum.accumulate(np.concatenate(([1.0], v)))[:-1]
     keep = v < prev
-    return math.fsum(((1.0 - u[keep]) * (prev[keep] - v[keep])).tolist())
+    strips = prev[keep]
+    del prev
+    strips -= v[keep]
+    del v
+    strips *= 1.0 - u[keep]
+    return math.fsum(strips)
+
+
+def staircase_hypervolume(points: Iterable[NormalizedObjectives]) -> float:
+    """:func:`sweep_hypervolume` of normalized points, read in one pass."""
+    uv = np.fromiter(((p.u, p.v) for p in points), dtype=np.dtype((float, 2)))
+    return sweep_hypervolume(uv[:, 0], uv[:, 1])
 
 
 def recompute_from_scratch(points: Iterable[NormalizedObjectives]) -> tuple[float, float]:

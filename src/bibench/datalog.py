@@ -11,7 +11,8 @@ checked when made.  Floats are written as shortest round-trip decimals, so
 rewriting a parsed file is byte-identical.
 
 Every bibench file is a text file of lines, so their shared line handling
-lives here: ``write_lines`` (atomic), ``numbered_lines``, ``convert_at``,
+lives here: ``write_lines`` (atomic), ``numbered_lines`` (run logs and
+indexes; reference sets are read line by line in ``refset``), ``convert_at``,
 which turns a bad value into a :class:`LogParseError` naming ``path:line``,
 and ``build_header``, which does the same for a whole ``key=value`` header.
 

@@ -8,30 +8,36 @@ the version string displayed with any derived performance data.
 
 Files are plain text: ``#``-prefixed ``key=value`` header lines followed
 by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
+
+A set's points live in two read-only float64 columns (:class:`PointColumns`)
+from the merge to the file and back: the filter, ``i_ref``, the version
+and the writer work on the columns, the writer and the hash format them
+``_ROWS`` at a time, and the reader appends each parsed line to them, so
+no stage holds one object or one line of text per point.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from bibench import suite
-from bibench.archive import staircase_hypervolume
-from bibench.core import NormalizedObjectives, ObjectiveVector, ProblemSpec
-from bibench.datalog import (
-    LogParseError, build_header, convert_at, numbered_lines, problem_file, write_lines,
-)
+from bibench.archive import sweep_hypervolume
+from bibench.core import ObjectiveVector, ProblemSpec
+from bibench.datalog import LogParseError, build_header, convert_at, problem_file, write_lines
 
 __all__ = [
+    "PointColumns",
     "ReferenceSet",
     "load_reference_set",
     "merge",
-    "nondominated_filter",
     "nondominated_rows",
     "read_reference_set",
     "refset_path",
@@ -40,6 +46,64 @@ __all__ = [
 ]
 
 _VERSION_DIGITS = 16
+# Points formatted to text at a time by the writer and the version hash.
+_ROWS = 4096
+
+
+class PointColumns(Sequence):
+    """A read-only sequence of :class:`ObjectiveVector` held as two float64
+    columns, ``f_alpha`` and ``f_beta``.
+
+    ``len`` is O(1), and an object is built only for a point that is read;
+    a slice or an index array gives another :class:`PointColumns`.
+    Two sequences are equal iff their columns are (so ``0.0 == -0.0``, as
+    for the objects), and one also equals a tuple of equal objects.
+    """
+
+    __slots__ = ("f_alpha", "f_beta")
+
+    def __init__(self, f_alpha, f_beta) -> None:
+        columns = [np.asarray(f, dtype=float).view() for f in (f_alpha, f_beta)]
+        if columns[0].ndim != 1 or columns[0].shape != columns[1].shape:
+            raise ValueError("point columns must be two 1-D arrays of equal length")
+        for f in columns:
+            f.flags.writeable = False
+        self.f_alpha, self.f_beta = columns
+
+    def __len__(self) -> int:
+        return len(self.f_alpha)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return PointColumns(self.f_alpha[index], self.f_beta[index])
+        return ObjectiveVector(float(self.f_alpha[index]), float(self.f_beta[index]))
+
+    def __iter__(self) -> Iterator[ObjectiveVector]:
+        return map(ObjectiveVector, self.f_alpha.tolist(), self.f_beta.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        if not isinstance(other, PointColumns):
+            return NotImplemented
+        return np.array_equal(self.f_alpha, other.f_alpha) and np.array_equal(
+            self.f_beta, other.f_beta
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PointColumns({tuple(self)!r})"
+
+
+def _columns(points: Iterable[ObjectiveVector]) -> PointColumns:
+    """``points`` as columns: a :class:`PointColumns` as it is, any other
+    iterable read in one ``np.fromiter`` pass."""
+    if isinstance(points, PointColumns):
+        return points
+    uv = np.fromiter(((p.f_alpha, p.f_beta) for p in points), dtype=np.dtype((float, 2)))
+    return PointColumns(uv[:, 0], uv[:, 1])
 
 
 @dataclass(frozen=True)
@@ -47,7 +111,9 @@ class ReferenceSet:
     """An immutable reference set for one problem key.
 
     ``points`` are raw objective vectors in canonical order (ascending
-    ``f_alpha``, hence strictly descending ``f_beta``).  ``ideal`` and
+    ``f_alpha``, hence strictly descending ``f_beta``), held as
+    :class:`PointColumns`; any iterable of :class:`ObjectiveVector`, such
+    as a tuple, is converted when the set is made.  ``ideal`` and
     ``nadir`` are the normalization bounds ``i_ref`` was computed under;
     ``bounds_estimated`` marks a nadir read off the merged front's extreme
     points rather than known analytically.
@@ -56,7 +122,7 @@ class ReferenceSet:
     function_id: str
     instance_id: int
     dimension: int
-    points: tuple[ObjectiveVector, ...]
+    points: Sequence[ObjectiveVector]
     ideal: ObjectiveVector
     nadir: ObjectiveVector
     i_ref: float
@@ -64,14 +130,18 @@ class ReferenceSet:
     bounds_estimated: bool
 
     def __post_init__(self) -> None:
-        if not self.points:
+        points = _columns(self.points)
+        object.__setattr__(self, "points", points)
+        alpha, beta = points.f_alpha, points.f_beta
+        if not len(points):
             raise ValueError("a reference set needs at least one point")
-        for a, b in zip(self.points, self.points[1:]):
-            if not (a.f_alpha < b.f_alpha and a.f_beta > b.f_beta):
-                raise ValueError(
-                    "reference points must be mutually non-dominated and "
-                    "canonically sorted by f_alpha"
-                )
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValueError("non-finite reference point")
+        if not ((alpha[:-1] < alpha[1:]).all() and (beta[:-1] > beta[1:]).all()):
+            raise ValueError(
+                "reference points must be mutually non-dominated and "
+                "canonically sorted by f_alpha"
+            )
         self.problem_spec()  # dimension, bounds and i_ref
 
     def problem_spec(self) -> ProblemSpec:
@@ -106,48 +176,60 @@ def nondominated_rows(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def nondominated_filter(points: Iterable[ObjectiveVector]) -> tuple[ObjectiveVector, ...]:
-    """Non-dominated subset of raw points in canonical ascending-``f_alpha``
-    order: the input's own objects, the first seen of equal points only.
-    Raises ``ValueError`` on a non-finite value (see :func:`nondominated_rows`)."""
-    points = list(points)
-    alpha = np.fromiter((p.f_alpha for p in points), float, len(points))
-    beta = np.fromiter((p.f_beta for p in points), float, len(points))
-    return tuple(points[i] for i in nondominated_rows(alpha, beta).tolist())
-
-
-def _line(p: ObjectiveVector) -> str:
+def _line(f_alpha: float, f_beta: float) -> str:
     """A point's canonical text: both values at 17 significant digits."""
-    return f"{p.f_alpha:.17g}\t{p.f_beta:.17g}"
+    return f"{f_alpha:.17g}\t{f_beta:.17g}"
+
+
+def _line_chunks(points: PointColumns) -> Iterator[Iterator[str]]:
+    """The points' canonical lines, formatted ``_ROWS`` rows at a time."""
+    for k in range(0, len(points), _ROWS):
+        rows = slice(k, k + _ROWS)
+        yield map(_line, points.f_alpha[rows].tolist(), points.f_beta[rows].tolist())
 
 
 def version_of(points: Iterable[ObjectiveVector]) -> str:
     """Content hash of a point set's canonical serialization: the SHA-256 of
     the points' canonical lines joined by newlines, fed to the hash one
-    line at a time, so the joined text is never built."""
+    chunk of lines at a time, so the joined text is never built."""
     digest = hashlib.sha256()
     separator = ""
-    for p in points:
-        digest.update(f"{separator}{_line(p)}".encode("ascii"))
+    for lines in _line_chunks(_columns(points)):
+        digest.update((separator + "\n".join(lines)).encode("ascii"))
         separator = "\n"
     return digest.hexdigest()[:_VERSION_DIGITS]
 
 
-def _i_ref_from(
-    points: Iterable[ObjectiveVector], ideal: ObjectiveVector, nadir: ObjectiveVector
-) -> float:
+def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVector) -> float:
     span_alpha = nadir.f_alpha - ideal.f_alpha
     span_beta = nadir.f_beta - ideal.f_beta
-    hv = staircase_hypervolume(
-        NormalizedObjectives(
-            (p.f_alpha - ideal.f_alpha) / span_alpha,
-            (p.f_beta - ideal.f_beta) / span_beta,
+    # A huge point's quotient may overflow to inf, as a Python float's does.
+    with np.errstate(over="ignore"):
+        hv = sweep_hypervolume(
+            (points.f_alpha - ideal.f_alpha) / span_alpha,
+            (points.f_beta - ideal.f_beta) / span_beta,
         )
-        for p in points
-    )
     if hv >= 1.0:
         return -1.0
     return -hv if hv > 0.0 else 0.0
+
+
+def _front(sets: Iterable[Iterable[ObjectiveVector]], key: str) -> PointColumns:
+    """The non-dominated filter of the union of ``sets``; a single
+    :class:`PointColumns` set is filtered without a copy."""
+    columns = [_columns(s) for s in sets]
+    if len(columns) == 1:
+        points = columns[0]
+    else:
+        points = PointColumns(
+            np.concatenate([np.empty(0), *(c.f_alpha for c in columns)]),
+            np.concatenate([np.empty(0), *(c.f_beta for c in columns)]),
+        )
+    try:
+        rows = nondominated_rows(points.f_alpha, points.f_beta)
+    except ValueError as exc:
+        raise ValueError(f"merge {key}: {exc}") from None
+    return points[rows]
 
 
 def merge(
@@ -163,17 +245,16 @@ def merge(
 
     The result's points are the non-dominated filter of the union, so the
     operation is order-independent and idempotent, and each set may be
-    passed already reduced to its own front.  A non-finite value raises
-    ``ValueError`` naming the problem.  The bounds passed are exact;
-    ``nadir=None`` estimates the nadir from the extreme points of the
-    merged front and flags the result as estimated.
+    passed already reduced to its own front.  A :class:`PointColumns` set
+    is filtered as it is; any other set is read in one ``np.fromiter``
+    pass.  A non-finite value raises ``ValueError`` naming the problem.
+    The bounds passed are exact; ``nadir=None`` estimates the nadir from
+    the extreme points of the merged front and flags the result as
+    estimated.
     """
     key = suite.problem_id(function_id, dimension, instance_id)
-    try:
-        front = nondominated_filter(p for s in sets for p in s)
-    except ValueError as exc:
-        raise ValueError(f"merge {key}: {exc}") from None
-    if not front:
+    front = _front(sets, key)
+    if not len(front):
         raise ValueError("merge: no points supplied")
     estimated = nadir is None
     if estimated:
@@ -203,7 +284,8 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
-    """Write ``rs`` through ``write_lines``, one point line at a time."""
+    """Write ``rs`` through ``write_lines``, its point lines formatted from
+    the columns ``_ROWS`` at a time."""
     bounds = "estimated" if rs.bounds_estimated else "analytic"
     header = (
         f"# function={rs.function_id} instance={rs.instance_id} "
@@ -214,7 +296,8 @@ def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
         "# clipping: hypervolume counts the ROI box only; negative normalized "
         "coordinates are clamped to 0",
     )
-    return write_lines(path, itertools.chain(header, map(_line, rs.points)))
+    points = itertools.chain.from_iterable(_line_chunks(rs.points))
+    return write_lines(path, itertools.chain(header, points))
 
 
 def _bounds_estimated(text: str) -> bool:
@@ -223,14 +306,14 @@ def _bounds_estimated(text: str) -> bool:
     return text == "estimated"
 
 
-def _point(line: str) -> ObjectiveVector:
+def _point(line: str) -> tuple[float, float]:
     parts = line.split("\t")
     if len(parts) != 2:
         raise ValueError(f"expected 2 columns, got {len(parts)}")
-    point = ObjectiveVector(float(parts[0]), float(parts[1]))
-    if not point.is_finite():
+    f_alpha, f_beta = float(parts[0]), float(parts[1])
+    if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
         raise ValueError("non-finite value")
-    return point
+    return f_alpha, f_beta
 
 
 # Header keys, each with the conversion of its value.
@@ -250,19 +333,48 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     ``ProblemSpec``'s checks and the points ``ReferenceSet``'s.  The stored
     ``i_ref`` and version must match recomputation from the points
     bit-for-bit; a mismatch means the file was edited or corrupted.
+
+    The file is read in binary, one line at a time, and each point is
+    appended to two ``array("d")`` columns, which become the set's points
+    without a copy.  Blank lines count towards line numbers.
     """
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
-    points: list[ObjectiveVector] = []
-    lines = numbered_lines(path)
-    for number, line in lines:
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, sep, value = token.partition("=")
-                if sep:
-                    header[key] = (value, number)
-        else:
-            points.append(convert_at(path, number, "point", _point, line))
+    alpha, beta = array("d"), array("d")
+    number = last = 0
+    failure = None
+    with path.open("rb") as f:
+        # Each line is decoded on its own; a "\n"-terminated line may still
+        # hold several text lines ("\r", "\v", ... also end one), and those
+        # are numbered as separate lines.
+        for physical, raw in enumerate(f, 1):
+            try:
+                text = raw.decode("ascii")
+            except UnicodeDecodeError:
+                raise LogParseError(path, physical, "non-ASCII byte") from None
+            for line in text.splitlines():
+                number += 1
+                line = line.strip()
+                if not line:
+                    continue
+                last = number
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        key, sep, value = token.partition("=")
+                        if sep:
+                            header[key] = (value, number)
+                elif failure is None:
+                    # The first bad point is raised once the whole file has
+                    # decoded, so a later non-ASCII byte is reported first.
+                    try:
+                        point = convert_at(path, number, "point", _point, line)
+                    except LogParseError as exc:
+                        failure = exc
+                    else:
+                        alpha.append(point[0])
+                        beta.append(point[1])
+    if failure is not None:
+        raise failure
 
     rs = build_header(
         path, header, _HEADER,
@@ -270,14 +382,14 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             function_id=v["function"],
             instance_id=v["instance"],
             dimension=v["dimension"],
-            points=tuple(points),
+            points=PointColumns(np.frombuffer(alpha), np.frombuffer(beta)),
             ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
             nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
             i_ref=v["i_ref"],
             version=v["version"],
             bounds_estimated=v["bounds"],
         ),
-        lines[-1][0] if lines else 1,
+        last or 1,
     )
     if rs.version != version_of(rs.points):
         raise LogParseError(

@@ -116,7 +116,8 @@ class _FrontCollector:
     """The evaluation observer of one problem's bootstrap baselines: reduces
     the points it is shown to their non-dominated subset as they arrive, so
     it holds about one front plus one buffer of points, never the whole
-    budget.  The buffer holds raw doubles, not float objects."""
+    budget.  The buffer and the front hold raw doubles, not float objects,
+    and ``front()`` hands the front's two arrays to ``refset.merge``."""
 
     def __init__(self, key: str) -> None:
         self._key = key
@@ -134,22 +135,23 @@ class _FrontCollector:
     def _fold(self) -> None:
         alpha = np.concatenate((self._front[0], self._alpha))
         beta = np.concatenate((self._front[1], self._beta))
+        # The old front and buffer are copied; release them before sorting.
+        self._front = None
+        self._alpha, self._beta = array("d"), array("d")
         try:
             rows = refset.nondominated_rows(alpha, beta)
         except ValueError as exc:
             raise ValueError(f"bootstrap {self._key}: {exc}") from None
         self._front = (alpha[rows], beta[rows])
-        self._alpha, self._beta = array("d"), array("d")
         # Buffering as many points as the front holds before the next fold
         # keeps the total sorting cost O(n log n).
         self._limit = max(_CHUNK, len(rows))
 
-    def front(self) -> list[ObjectiveVector]:
+    def front(self) -> refset.PointColumns:
         """The non-dominated subset of every point added so far, each equal
         point's first-seen bits kept."""
         self._fold()
-        alpha, beta = self._front
-        return [ObjectiveVector(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+        return refset.PointColumns(*self._front)
 
 
 def _problem_rng(master_seed: int, purpose: int, algo_index: int,

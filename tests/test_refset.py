@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bibench.core import ObjectiveVector
-from bibench.datalog import LogParseError
+from bibench.core import NormalizedObjectives, ObjectiveVector
+from bibench.datalog import LogParseError, write_lines
 from bibench.refset import (
+    PointColumns,
     ReferenceSet,
+    _columns,
     merge,
-    nondominated_filter,
+    nondominated_rows,
     read_reference_set,
     refset_path,
     version_of,
@@ -106,13 +111,13 @@ def test_merge_rejects_degenerate_estimated_bounds() -> None:
             merge([[_ov(1.0, 2.0)]], **KEY, ideal=ideal, nadir=None)
 
 
-def test_nondominated_filter_collapses_duplicates() -> None:
-    pts = nondominated_filter([_ov(0.5, 0.5), _ov(0.5, 0.5), _ov(0.2, 0.9)])
-    assert [(p.f_alpha, p.f_beta) for p in pts] == [(0.2, 0.9), (0.5, 0.5)]
+def test_merge_collapses_duplicates() -> None:
+    rs = merge([[_ov(0.5, 0.5), _ov(0.5, 0.5), _ov(0.2, 0.9)]], **KEY, **UNIT_BOUNDS)
+    assert [(p.f_alpha, p.f_beta) for p in rs.points] == [(0.2, 0.9), (0.5, 0.5)]
 
 
 def _set_sort_loop_filter(points) -> tuple[ObjectiveVector, ...]:
-    """The filter ``nondominated_filter`` replaced, kept as its oracle: a set
+    """The filter ``nondominated_rows`` replaced, kept as its oracle: a set
     of unique tuples, sorted, then a loop keeping each strictly lower
     ``f_beta``."""
     unique = sorted({(p.f_alpha, p.f_beta) for p in points})
@@ -148,12 +153,13 @@ def _point_lists(draw) -> list[ObjectiveVector]:
 
 @settings(max_examples=300, deadline=None)
 @given(_point_lists())
-def test_nondominated_filter_equals_set_sort_loop(points) -> None:
-    got = nondominated_filter(points)
-    assert _bits(got) == _bits(_set_sort_loop_filter(points))
-    # Each kept point is the input's own first-seen object among those equal
-    # to it (0.0 == -0.0), never a copy.
-    assert all(p is next(q for q in points if q == p) for p in got)
+def test_nondominated_rows_equals_set_sort_loop(points) -> None:
+    alpha = np.array([p.f_alpha for p in points], dtype=float)
+    beta = np.array([p.f_beta for p in points], dtype=float)
+    rows = nondominated_rows(alpha, beta).tolist()
+    assert _bits(points[i] for i in rows) == _bits(_set_sort_loop_filter(points))
+    # Each kept row is the first seen of the points equal to it (0.0 == -0.0).
+    assert all(i == next(j for j, q in enumerate(points) if q == points[i]) for i in rows)
 
 
 def test_merge_rejects_non_finite_points_naming_the_problem() -> None:
@@ -182,14 +188,17 @@ def test_i_ref_of_dense_double_sphere_front() -> None:
 
 
 def test_version_canonical_and_sensitive() -> None:
+    def front(pts):
+        return merge([pts], **KEY, **UNIT_BOUNDS).points
+
     pts = [_ov(0.2, 0.8), _ov(0.8, 0.2)]
-    v1 = version_of(nondominated_filter(pts))
-    v2 = version_of(nondominated_filter(list(reversed(pts))))
+    v1 = version_of(front(pts))
+    v2 = version_of(front(list(reversed(pts))))
     assert v1 == v2
     assert len(v1) == 16 and all(c in "0123456789abcdef" for c in v1)
     perturbed = [_ov(0.2, 0.8), _ov(0.8, 0.2 + 1e-15)]
-    assert version_of(nondominated_filter(perturbed)) != v1
-    assert version_of(nondominated_filter([_ov(0.2, 0.8)])) != v1
+    assert version_of(front(perturbed)) != v1
+    assert version_of(front([_ov(0.2, 0.8)])) != v1
 
 
 def test_version_of_equals_hash_of_joined_text() -> None:
@@ -283,3 +292,339 @@ def test_problem_spec_bridges_to_core() -> None:
     assert spec.i_ref == rs.i_ref == -0.3125
     assert spec.refset_version == rs.version
     assert math.isfinite(spec.i_ref)
+
+
+def test_reference_set_rejects_non_finite_point() -> None:
+    # Before, such a set was accepted and written, and its file did not read
+    # back (":4: point: non-finite value").
+    for bad in (_ov(math.nan, 0.5), _ov(0.5, math.inf), _ov(-math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            ReferenceSet(
+                function_id="f1", instance_id=1, dimension=2, points=(bad,),
+                ideal=_ov(0, 0), nadir=_ov(1, 1), i_ref=0.0, version="x" * 16,
+                bounds_estimated=False,
+            )
+
+
+def test_points_are_a_read_only_sequence_view() -> None:
+    pts = (_ov(0.2, 0.8), _ov(0.5, 0.5), _ov(0.8, 0.2))
+    rs = merge([pts], **KEY, **UNIT_BOUNDS)
+    assert isinstance(rs.points, PointColumns)
+    assert len(rs.points) == 3
+    assert rs.points[0] == pts[0] and rs.points[-1] == pts[-1]
+    assert tuple(rs.points) == pts and rs.points == pts
+    assert rs.points[1:] == pts[1:]
+    assert hash(rs.points) == hash(pts)
+    with pytest.raises(IndexError):
+        rs.points[3]
+    with pytest.raises(ValueError):
+        rs.points.f_alpha[0] = 0.0
+    # A tuple of objects and its columns make equal sets; -0.0 equals 0.0.
+    made = ReferenceSet(**{**vars(rs), "points": pts})
+    assert made == rs and isinstance(made.points, PointColumns)
+    assert PointColumns([0.0], [1.0]) == PointColumns([-0.0], [1.0])
+    assert PointColumns([0.0], [1.0]) != PointColumns([0.0, 1.0], [1.0, 0.0])
+
+
+# -- the object path this module replaced, kept as the columns' oracle --------
+
+
+def _old_line(p: ObjectiveVector) -> str:
+    return f"{p.f_alpha:.17g}\t{p.f_beta:.17g}"
+
+
+def _old_version_of(points) -> str:
+    digest = hashlib.sha256()
+    separator = ""
+    for p in points:
+        digest.update(f"{separator}{_old_line(p)}".encode("ascii"))
+        separator = "\n"
+    return digest.hexdigest()[:16]
+
+
+def _old_staircase_hypervolume(points) -> float:
+    uv = np.fromiter(((p.u, p.v) for p in points), dtype=np.dtype((float, 2)))
+    uv = np.where(uv > 0.0, uv, 0.0)
+    uv = uv[(uv[:, 0] < 1.0) & (uv[:, 1] < 1.0)]
+    u, v = uv[:, 0], uv[:, 1]
+    order = np.lexsort((-v, u))
+    u, v = u[order], v[order]
+    prev = np.minimum.accumulate(np.concatenate(([1.0], v)))[:-1]
+    keep = v < prev
+    return math.fsum(((1.0 - u[keep]) * (prev[keep] - v[keep])).tolist())
+
+
+def _old_i_ref_from(points, ideal, nadir) -> float:
+    span_alpha = nadir.f_alpha - ideal.f_alpha
+    span_beta = nadir.f_beta - ideal.f_beta
+    hv = _old_staircase_hypervolume(
+        NormalizedObjectives(
+            (p.f_alpha - ideal.f_alpha) / span_alpha,
+            (p.f_beta - ideal.f_beta) / span_beta,
+        )
+        for p in points
+    )
+    if hv >= 1.0:
+        return -1.0
+    return -hv if hv > 0.0 else 0.0
+
+
+def _old_nondominated_filter(points) -> tuple[ObjectiveVector, ...]:
+    points = list(points)
+    alpha = np.fromiter((p.f_alpha for p in points), float, len(points))
+    beta = np.fromiter((p.f_beta for p in points), float, len(points))
+    return tuple(points[i] for i in nondominated_rows(alpha, beta).tolist())
+
+
+def _old_merge(sets, *, function_id, instance_id, dimension, ideal, nadir=None) -> dict:
+    """The object-path ``merge`` the columns replaced, returning the fields
+    it set."""
+    key = f"{function_id}:{dimension}:{instance_id}"
+    try:
+        front = _old_nondominated_filter(p for s in sets for p in s)
+    except ValueError as exc:
+        raise ValueError(f"merge {key}: {exc}") from None
+    if not front:
+        raise ValueError("merge: no points supplied")
+    estimated = nadir is None
+    if estimated:
+        nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
+    if not (ideal.f_alpha < nadir.f_alpha and ideal.f_beta < nadir.f_beta):
+        raise ValueError(
+            f"degenerate bounds for {key}: "
+            f"ideal {ideal} must be strictly below nadir {nadir}"
+        )
+    return dict(
+        function_id=function_id, instance_id=instance_id, dimension=dimension,
+        points=front, ideal=ideal, nadir=nadir, i_ref=_old_i_ref_from(front, ideal, nadir),
+        version=_old_version_of(front), bounds_estimated=estimated,
+    )
+
+
+def _old_write_reference_set(rs: dict, path) -> None:
+    bounds = "estimated" if rs["bounds_estimated"] else "analytic"
+    ideal, nadir = rs["ideal"], rs["nadir"]
+    header = (
+        f"# function={rs['function_id']} instance={rs['instance_id']} "
+        f"dimension={rs['dimension']} version={rs['version']} i_ref={rs['i_ref']:.17g}",
+        f"# ideal_alpha={ideal.f_alpha:.17g} ideal_beta={ideal.f_beta:.17g} "
+        f"nadir_alpha={nadir.f_alpha:.17g} nadir_beta={nadir.f_beta:.17g} "
+        f"bounds={bounds}",
+        "# clipping: hypervolume counts the ROI box only; negative normalized "
+        "coordinates are clamped to 0",
+    )
+    write_lines(path, itertools.chain(header, map(_old_line, rs["points"])))
+
+
+def _finite_neighbours(values) -> list[float]:
+    """``values`` and their 1-ULP neighbours, the finite ones."""
+    near = [y for x in values for y in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf))]
+    return [x for x in near if math.isfinite(x)]
+
+
+@st.composite
+def _merge_inputs(draw):
+    """1-3 point sets over a few drawn values, their 1-ULP neighbours, signed
+    zeros and 5e-324, so equal-``f_alpha`` ties, exact duplicates and
+    near-ties are common; plus bounds, the nadir analytic or estimated."""
+    base = draw(st.lists(st.one_of(_SPECIAL, st.floats(-0.5, 2.0)), min_size=1, max_size=4))
+    coord = st.one_of(st.sampled_from(_finite_neighbours(base)), _VALUE)
+    points = draw(st.lists(st.builds(ObjectiveVector, coord, coord), min_size=1, max_size=40))
+    points += draw(st.lists(st.sampled_from(points), max_size=5))
+    points = draw(st.permutations(points))
+    cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=2)))
+    sets = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
+    ideal = draw(st.sampled_from([_ov(0.0, 0.0), _ov(-1e-3, -2.0), _ov(-0.0, 5e-324)]))
+    nadir = draw(st.sampled_from([None, _ov(1.0, 1.0), _ov(0.5, 2.0)]))
+    return sets, ideal, nadir
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_inputs())
+@example(([[_ov(0.25, 0.5)]], _ov(0.0, 0.0), None))
+@example(([[_ov(0.25, 0.5)]], _ov(0.0, 0.0), _ov(1.0, 1.0)))
+@example(([[_ov(0.0, 0.5), _ov(-0.0, 0.5), _ov(0.0, 0.25)]], _ov(-1e-3, -2.0), None))
+def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
+    sets, ideal, nadir = inputs
+    bounds = dict(function_id="f2", instance_id=3, dimension=5, ideal=ideal, nadir=nadir)
+    try:
+        old = _old_merge(sets, **bounds)
+    except ValueError as exc:
+        for given_sets in (sets, [_columns(s) for s in sets]):
+            with pytest.raises(ValueError) as new_exc:
+                merge(given_sets, **bounds)
+            assert str(new_exc.value) == str(exc)
+        return
+    directory = tmp_path_factory.mktemp("oracle")
+    _old_write_reference_set(old, directory / "old.tsv")
+    for given_sets in (sets, [_columns(s) for s in sets]):
+        rs = merge(given_sets, **bounds)
+        assert _bits(rs.points) == _bits(old["points"])
+        assert {k: v for k, v in vars(rs).items() if k != "points"} == {
+            k: v for k, v in old.items() if k != "points"
+        }
+        assert rs.i_ref.hex() == old["i_ref"].hex()
+        path = write_reference_set(rs, directory / "new.tsv")
+        assert path.read_bytes() == (directory / "old.tsv").read_bytes()
+        assert read_reference_set(path) == rs
+
+
+# -- the reader: columns, line numbers and memory ------------------------------
+
+
+def _old_read_reference_set(path) -> ReferenceSet:
+    """The whole-text reader the line-by-line one replaced, kept as its
+    oracle."""
+    from bibench.datalog import build_header, convert_at, numbered_lines
+    from bibench.refset import _HEADER, _i_ref_from, _point
+
+    header: dict[str, tuple[str, int]] = {}
+    points = []
+    lines = numbered_lines(path)
+    for number, line in lines:
+        if line.startswith("#"):
+            for token in line[1:].split():
+                key, sep, value = token.partition("=")
+                if sep:
+                    header[key] = (value, number)
+        else:
+            points.append(ObjectiveVector(*convert_at(path, number, "point", _point, line)))
+    rs = build_header(
+        path, header, _HEADER,
+        lambda v: ReferenceSet(
+            function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
+            points=tuple(points),
+            ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
+            nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
+            i_ref=v["i_ref"], version=v["version"], bounds_estimated=v["bounds"],
+        ),
+        lines[-1][0] if lines else 1,
+    )
+    if rs.version != version_of(rs.points):
+        raise LogParseError(
+            path, header["version"][1],
+            f"stored version {rs.version} does not match point content {version_of(rs.points)}",
+        )
+    recomputed = _i_ref_from(rs.points, rs.ideal, rs.nadir)
+    if recomputed != rs.i_ref:
+        raise LogParseError(
+            path, header["i_ref"][1],
+            f"stored i_ref {rs.i_ref!r} does not match recomputation {recomputed!r}",
+        )
+    return rs
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except (LogParseError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Line ends and separators that split lines differently in bytes and in
+# text, blank space, a comment, and bytes that are not ASCII.
+_SPLICES = st.sampled_from(
+    ["\r\n", "\r", "\n", "\n\n", "\x0b", "\x0c", "\x1c", "\x85", " ", "\t", "\n   \n",
+     "\n# note\n", "#", "é", "\xff", "0.5\t0.5\n", "x"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_equals_whole_text_reader(tmp_path_factory, data) -> None:
+    rs = merge(
+        [[_ov(k / 8, 1 - k / 8) for k in range(9)]], **KEY, **UNIT_BOUNDS
+    )
+    directory = tmp_path_factory.mktemp("parity")
+    text = write_reference_set(rs, directory / "rs.tsv").read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        splice = data.draw(_SPLICES).encode("latin-1")
+        text = text[:at] + splice + text[at:]
+    if data.draw(st.booleans()):
+        text = text.replace(b"\n", b"\r\n")
+    path = directory / "mangled.tsv"
+    path.write_bytes(text)
+    assert _outcome(read_reference_set, path) == _outcome(_old_read_reference_set, path)
+
+
+def _numbered_file(tmp_path, n: int) -> tuple[ReferenceSet, "Path"]:
+    rs = merge([PointColumns(np.linspace(0.0, 1.0, n), np.linspace(1.0, 0.0, n))],
+               **KEY, **UNIT_BOUNDS)
+    return rs, write_reference_set(rs, tmp_path / "rs.tsv")
+
+
+def test_non_ascii_byte_on_a_deep_line_names_that_line(tmp_path) -> None:
+    _, path = _numbered_file(tmp_path, 10_000)
+    lines = path.read_bytes().split(b"\n")
+    lines[8999] = lines[8999].replace(b"\t", "\té".encode("utf-8"))
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(LogParseError, match=r"rs\.tsv:9000: non-ASCII byte"):
+        read_reference_set(path)
+    # A bad point before it does not hide it: the whole file is decoded first.
+    lines[100] = b"0.5"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(LogParseError, match=r"rs\.tsv:9000: non-ASCII byte"):
+        read_reference_set(path)
+
+
+def test_crlf_file_reads_equal_to_its_lf_twin(tmp_path) -> None:
+    rs, path = _numbered_file(tmp_path, 500)
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_reference_set(crlf) == read_reference_set(path) == rs
+
+
+def test_blank_and_header_lines_keep_their_meaning(tmp_path) -> None:
+    rs, path = _numbered_file(tmp_path, 5)
+    header, points = path.read_text().splitlines()[:3], path.read_text().splitlines()[3:]
+    # Header lines may follow points, blank lines are skipped, and a "#" line
+    # without a key is a comment.
+    moved = tmp_path / "moved.tsv"
+    moved.write_text("\n".join(
+        ["", header[2], "  ", *points[:2], "# just a note", header[0], "", *points[2:],
+         header[1], "\t", ""]
+    ))
+    assert read_reference_set(moved) == rs
+    # Blank lines still count towards the line number of an error.
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join([*header, "", "", points[0], "0.5 0.5", *points[1:]]) + "\n")
+    with pytest.raises(LogParseError, match=r"bad\.tsv:7: point: expected 2 columns, got 1"):
+        read_reference_set(bad)
+    # A file without the header reports the missing keys at its last line.
+    bare = tmp_path / "bare.tsv"
+    bare.write_text("\n".join(points) + "\n\n")
+    with pytest.raises(LogParseError, match=r"bare\.tsv:5: missing header keys"):
+        read_reference_set(bare)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_merge_and_write_of_a_large_front_hold_no_object_per_point(tmp_path) -> None:
+    # One ObjectiveVector per point of this 50 000-point front takes 4.8 MB
+    # (the object and its two floats); building them and running the object
+    # path's merge and write peaked at 10.9 MB.  The filter, the sweep's
+    # temporaries and one chunk of text lines take 2.5 MB.
+    n = 50_000
+    front = PointColumns(np.linspace(0.0, 1.0, n), np.linspace(1.0, 0.0, n))
+
+    def merge_and_write() -> None:
+        write_reference_set(merge([front], **KEY, **UNIT_BOUNDS), tmp_path / "rs.tsv")
+
+    assert _traced_peak(merge_and_write) < 3_000_000
+    assert read_reference_set(tmp_path / "rs.tsv").points == front
+
+
+def test_read_of_a_large_set_holds_no_object_per_point(tmp_path) -> None:
+    # The whole-text reader peaked at 19.1 MB on this file: its text, the list
+    # of lines, a (number, line) tuple per line and an object per point.  The
+    # columns and the i_ref check's temporaries take 2.5 MB.
+    _, path = _numbered_file(tmp_path, 50_000)
+    assert _traced_peak(lambda: read_reference_set(path)) < 4_000_000
