@@ -11,10 +11,10 @@ checked when made.  Floats are written as shortest round-trip decimals, so
 rewriting a parsed file is byte-identical.
 
 Every bibench file is a text file of lines, so their shared line handling
-lives here: ``write_lines`` (atomic), ``numbered_lines`` (run logs and
-indexes; reference sets are read line by line in ``refset``), ``convert_at``,
-which turns a bad value into a :class:`LogParseError` naming ``path:line``,
-and ``build_header``, which does the same for a whole ``key=value`` header.
+lives here: ``write_lines`` writes every file atomically, ``numbered_lines``
+streams the lines of every run log, index and reference set, ``convert_at``
+turns a bad value into a :class:`LogParseError` naming ``path:line``, and
+``build_header`` does the same for a whole ``key=value`` header.
 
 ``ExperimentWriter`` owns the experiment tree: one directory per
 algorithm holding its run logs and their index.  Logs are staged under
@@ -41,6 +41,7 @@ import itertools
 import os
 import shutil
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -71,9 +72,10 @@ LOG_FORMAT = "runlog-v2"
 INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
 
-# Lines ``write_lines`` joins into one write: few enough to bound memory,
-# many enough that per-write overhead stays small.
+# Lines ``write_lines`` joins per write, bytes ``numbered_lines`` reads per
+# call: few enough to bound memory, many enough that call overhead stays small.
 _WRITE_CHUNK = 4096
+_READ_CHUNK = 1 << 16
 
 
 def problem_file(function_id: str, dimension: int, instance_id: int) -> str:
@@ -130,18 +132,29 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
     return path
 
 
-def numbered_lines(path: Path | str) -> list[tuple[int, str]]:
-    """The 1-based number and stripped text of every non-blank line of an
-    ASCII file; a non-ASCII byte raises :class:`LogParseError`."""
+def numbered_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield the 1-based number and stripped text of every non-blank line
+    of an ASCII file, numbered as ``str.splitlines`` numbers them.  The
+    file's bytes are first scanned for a non-ASCII byte, which raises
+    :class:`LogParseError` at its line (counted by ``\\n``) before any line
+    is yielded; lines are then read about ``_READ_CHUNK`` bytes at a time,
+    so neither the text nor its list of lines is ever held whole."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
-        raise LogParseError(path, line, "non-ASCII byte") from None
-    return [
-        (number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())
-    ]
+    with open(path, "rb") as f:
+        ends = 0  # "\n" bytes before the chunk
+        for chunk in iter(partial(f.read, _READ_CHUNK), b""):
+            if not chunk.isascii():
+                at = next(i for i, byte in enumerate(chunk) if byte > 127)
+                raise LogParseError(path, ends + chunk.count(b"\n", 0, at) + 1, "non-ASCII byte")
+            ends += chunk.count(b"\n")
+        f.seek(0)
+        number = 0
+        # A batch ends at a "\n" or at the file's end, and "\n" always ends a
+        # text line, so each batch splits into lines as the whole text would.
+        for batch in iter(partial(f.readlines, _READ_CHUNK), []):
+            for number, raw in enumerate(b"".join(batch).decode("ascii").splitlines(), number + 1):
+                if line := raw.strip():
+                    yield number, line
 
 
 def convert_at(path: Path | str, line: int, what: str, fn, text: str):
@@ -175,16 +188,17 @@ class LogVersionError(ValueError):
     """The file declares no format, or one its reader does not read."""
 
 
-def _format_body(path: Path, expected: str) -> list[tuple[int, str]]:
+def _format_body(path: Path, expected: str) -> Iterator[tuple[int, str]]:
     """``numbered_lines(path)`` after line 1, which must be
     ``% format=<expected>`` (otherwise :class:`LogVersionError`)."""
     lines = numbered_lines(path)
-    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
+    number, first = next(lines, (0, ""))
+    if number != 1 or not first.startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
-    declared = lines[0][1].partition("=")[2].strip()
+    declared = first.partition("=")[2].strip()
     if declared != expected:
         raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected}")
-    return lines[1:]
+    return lines
 
 
 class LogReplayError(ValueError):
@@ -230,29 +244,30 @@ def _fmt(x: float) -> str:
 
 
 def write_log(log: RunLog, path: Path | str) -> Path:
-    """Serialize a run log; raises ``ValueError`` on inconsistent records."""
+    """Serialize a run log in one pass over its records; raises
+    ``ValueError`` on inconsistent records, leaving ``path`` as it was."""
     h = log.header
-    last = 0
-    for r in log.records:
-        if r.eval_count <= last:
-            raise ValueError(
-                f"record eval_counts must increase strictly: {r.eval_count} after {last}"
-            )
-        last = r.eval_count
-        if not r.objectives.is_finite():
-            raise ValueError(f"record at eval {r.eval_count} has non-finite objectives")
-
     values = (
         h.function_id, h.instance_id, h.dimension, h.algorithm, h.refset_version,
         _fmt(h.i_ref), _fmt(h.ideal.f_alpha), _fmt(h.ideal.f_beta),
         _fmt(h.nadir.f_alpha), _fmt(h.nadir.f_beta), h.budget,
     )
-    lines = [f"% format={LOG_FORMAT}"] + [f"% {k}={v}" for k, v in zip(_HEADER, values)]
-    lines.extend(
-        f"{r.eval_count}\t{_fmt(r.objectives.f_alpha)}\t{_fmt(r.objectives.f_beta)}"
-        for r in log.records
-    )
-    return write_lines(path, lines)
+
+    def lines() -> Iterator[str]:
+        yield f"% format={LOG_FORMAT}"
+        yield from (f"% {k}={v}" for k, v in zip(_HEADER, values))
+        last = 0
+        for r in log.records:
+            if r.eval_count <= last:
+                raise ValueError(
+                    f"record eval_counts must increase strictly: {r.eval_count} after {last}"
+                )
+            last = r.eval_count
+            if not r.objectives.is_finite():
+                raise ValueError(f"record at eval {r.eval_count} has non-finite objectives")
+            yield f"{r.eval_count}\t{_fmt(r.objectives.f_alpha)}\t{_fmt(r.objectives.f_beta)}"
+
+    return write_lines(path, lines())
 
 
 def _run_header(v: dict) -> RunHeader:
@@ -276,8 +291,8 @@ def read_log(path: Path | str) -> RunLog:
     run_header: RunHeader | None = None
     records: list[LogRecord] = []
     budget = last = 0
-    lines = _format_body(path, LOG_FORMAT)
-    for number, line in lines:
+    number = 1
+    for number, line in _format_body(path, LOG_FORMAT):
         if line.startswith("%"):
             if run_header is not None:
                 raise LogParseError(path, number, "header line after the first record")
@@ -313,7 +328,7 @@ def read_log(path: Path | str) -> RunLog:
         records.append(LogRecord(eval_count, objectives))
 
     if run_header is None:
-        run_header = build_header(path, header, _HEADER, _run_header, lines[-1][0] if lines else 1)
+        run_header = build_header(path, header, _HEADER, _run_header, number)
     return RunLog(run_header, tuple(records))
 
 

@@ -12,8 +12,8 @@ by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 A set's points live in two read-only float64 columns (:class:`PointColumns`)
 from the merge to the file and back: the filter, ``i_ref``, the version
 and the writer work on the columns, the writer and the hash format them
-``_ROWS`` at a time, and the reader appends each parsed line to them, so
-no stage holds one object or one line of text per point.
+``_ROWS`` at a time, and the reader appends each line ``numbered_lines``
+yields to them, so no stage holds one object or one line of text per point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import numpy as np
 from bibench import suite
 from bibench.archive import sweep_hypervolume
 from bibench.core import ObjectiveVector, ProblemSpec
-from bibench.datalog import LogParseError, build_header, convert_at, problem_file, write_lines
+from bibench.datalog import (
+    LogParseError, build_header, convert_at, numbered_lines, problem_file, write_lines,
+)
 
 __all__ = [
     "PointColumns",
@@ -334,47 +336,25 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     ``i_ref`` and version must match recomputation from the points
     bit-for-bit; a mismatch means the file was edited or corrupted.
 
-    The file is read in binary, one line at a time, and each point is
-    appended to two ``array("d")`` columns, which become the set's points
-    without a copy.  Blank lines count towards line numbers.
+    Lines come from ``numbered_lines``, which reports a non-ASCII byte
+    anywhere in the file before any other failure; a bad point raises where
+    it is met.  Each point is appended to two ``array("d")`` columns, which
+    become the set's points without a copy.
     """
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     alpha, beta = array("d"), array("d")
-    number = last = 0
-    failure = None
-    with path.open("rb") as f:
-        # Each line is decoded on its own; a "\n"-terminated line may still
-        # hold several text lines ("\r", "\v", ... also end one), and those
-        # are numbered as separate lines.
-        for physical, raw in enumerate(f, 1):
-            try:
-                text = raw.decode("ascii")
-            except UnicodeDecodeError:
-                raise LogParseError(path, physical, "non-ASCII byte") from None
-            for line in text.splitlines():
-                number += 1
-                line = line.strip()
-                if not line:
-                    continue
-                last = number
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        key, sep, value = token.partition("=")
-                        if sep:
-                            header[key] = (value, number)
-                elif failure is None:
-                    # The first bad point is raised once the whole file has
-                    # decoded, so a later non-ASCII byte is reported first.
-                    try:
-                        point = convert_at(path, number, "point", _point, line)
-                    except LogParseError as exc:
-                        failure = exc
-                    else:
-                        alpha.append(point[0])
-                        beta.append(point[1])
-    if failure is not None:
-        raise failure
+    number = 1
+    for number, line in numbered_lines(path):
+        if line.startswith("#"):
+            for token in line[1:].split():
+                key, sep, value = token.partition("=")
+                if sep:
+                    header[key] = (value, number)
+        else:
+            f_alpha, f_beta = convert_at(path, number, "point", _point, line)
+            alpha.append(f_alpha)
+            beta.append(f_beta)
 
     rs = build_header(
         path, header, _HEADER,
@@ -389,7 +369,7 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             version=v["version"],
             bounds_estimated=v["bounds"],
         ),
-        last or 1,
+        number,
     )
     if rs.version != version_of(rs.points):
         raise LogParseError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -518,3 +519,57 @@ def test_iter_experiment_reads_no_log_outside_the_tree(tmp_path) -> None:
     index.write_text(index.read_text().replace("f1_d2_i1.tsv", "../../elsewhere/f1_d2_i1.tsv"))
     with pytest.raises(LogParseError, match=r"experiment_index\.tsv:3: file '\.\./\.\./elsewhere"):
         next(iter_experiment(tmp_path / "exp"))
+
+
+# -- streaming: one pass to write, one line at a time to read ------------------
+
+
+def _long_log(n: int) -> RunLog:
+    return RunLog(_header(budget=n), tuple(
+        LogRecord(t, ObjectiveVector(2.0 - t * 1.3e-5, 0.1 + t * 1.7e-5)) for t in range(1, n + 1)
+    ))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda t: LogRecord(t - 1, ObjectiveVector(0.0, 2.0)), "increase strictly"),
+        (lambda t: LogRecord(t, ObjectiveVector(0.0, float("nan"))), "non-finite"),
+    ],
+)
+def test_write_log_failure_past_the_first_chunk_keeps_old_file(tmp_path, bad, message) -> None:
+    # Whole chunks of lines are already written when the bad record is met.
+    path = write_log(RunLog(_header(), ()), tmp_path / "out" / "run.tsv")
+    old = path.read_bytes()
+    log = _long_log(3 * datalog._WRITE_CHUNK)
+    records = log.records + (bad(len(log.records) + 1),)
+    with pytest.raises(ValueError, match=message):
+        write_log(RunLog(log.header, records), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in path.parent.iterdir()] == ["run.tsv"]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_log_holds_no_list_of_lines(tmp_path) -> None:
+    # With every line listed before the write, this peaked at 4.9 MB; one
+    # chunk of lines takes about 0.8 MB.
+    log = _long_log(50_000)
+    path = tmp_path / "run.tsv"
+    assert _traced_peak(lambda: write_log(log, path)) < 2_000_000
+    assert read_log(path) == log
+
+
+def test_read_log_holds_no_text_or_list_of_lines(tmp_path) -> None:
+    # Reading the whole text and its list of lines peaked at 20.1 MB.  The
+    # records themselves, a LogRecord and an ObjectiveVector each, take
+    # about 11 MB.
+    path = write_log(_long_log(50_000), tmp_path / "run.tsv")
+    assert _traced_peak(lambda: read_log(path)) < 14_000_000

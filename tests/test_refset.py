@@ -8,13 +8,27 @@ import math
 import random
 import struct
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bibench import datalog, refset
 from bibench.core import NormalizedObjectives, ObjectiveVector
-from bibench.datalog import LogParseError, write_lines
+from bibench.datalog import (
+    INDEX_FILENAME,
+    ExperimentWriter,
+    LogParseError,
+    LogRecord,
+    RunHeader,
+    RunLog,
+    read_experiment_index,
+    read_log,
+    write_lines,
+    write_log,
+)
 from bibench.refset import (
     PointColumns,
     ReferenceSet,
@@ -472,15 +486,29 @@ def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
 # -- the reader: columns, line numbers and memory ------------------------------
 
 
+def _whole_text_numbered_lines(path) -> list[tuple[int, str]]:
+    """The whole-text line reader the streaming ``datalog.numbered_lines``
+    replaced, kept as its oracle."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise LogParseError(path, line, "non-ASCII byte") from None
+    return [
+        (number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())
+    ]
+
+
 def _old_read_reference_set(path) -> ReferenceSet:
     """The whole-text reader the line-by-line one replaced, kept as its
     oracle."""
-    from bibench.datalog import build_header, convert_at, numbered_lines
+    from bibench.datalog import build_header, convert_at
     from bibench.refset import _HEADER, _i_ref_from, _point
 
     header: dict[str, tuple[str, int]] = {}
     points = []
-    lines = numbered_lines(path)
+    lines = _whole_text_numbered_lines(path)
     for number, line in lines:
         if line.startswith("#"):
             for token in line[1:].split():
@@ -546,6 +574,55 @@ def test_reader_equals_whole_text_reader(tmp_path_factory, data) -> None:
     path = directory / "mangled.tsv"
     path.write_bytes(text)
     assert _outcome(read_reference_set, path) == _outcome(_old_read_reference_set, path)
+
+
+def _written_by_each_writer(directory) -> dict:
+    """A run log, an experiment index and a reference set, each as its
+    writer produces it, keyed by its reader."""
+    header = RunHeader(
+        function_id="f1", instance_id=1, dimension=2, ideal=ObjectiveVector(0.0, 0.0),
+        nadir=ObjectiveVector(2.0, 2.0), i_ref=-0.4, refset_version="ab12cd34ef56ab78",
+        algorithm="random", budget=100,
+    )
+    records = tuple(
+        LogRecord(t, ObjectiveVector(2.0 - k * 0.3, 0.2 + k * 0.3))
+        for k, t in enumerate((1, 4, 9, 30, 31))
+    )
+    with ExperimentWriter(directory / "exp") as writer:
+        for i in (1, 2, 3):
+            writer.write(RunLog(replace(header, instance_id=i), records))
+    rs = merge([[_ov(k / 8, 1 - k / 8) for k in range(9)]], **KEY, **UNIT_BOUNDS)
+    return {
+        read_log: directory / "exp" / "random" / "f1_d2_i1.tsv",
+        read_experiment_index: directory / "exp" / "random" / INDEX_FILENAME,
+        read_reference_set: write_reference_set(rs, directory / "rs.tsv"),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reader=st.sampled_from([read_log, read_experiment_index, read_reference_set]),
+    chunk=st.sampled_from([1, 2, 3, 5, 16, 1 << 16]),
+    data=st.data(),
+)
+def test_every_reader_equals_its_whole_text_twin(tmp_path_factory, reader, chunk, data) -> None:
+    # Small read chunks put line ends, "\r\n" pairs and non-ASCII bytes
+    # across chunk boundaries.
+    directory = tmp_path_factory.mktemp("readers")
+    text = _written_by_each_writer(directory)[reader].read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(_SPLICES).encode("latin-1") + text[at:]
+    if data.draw(st.booleans()):
+        text = text.replace(b"\n", b"\r\n")
+    path = directory / "exp" / "random" / "mangled.tsv"
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datalog, "_READ_CHUNK", chunk)
+        streamed = _outcome(reader, path)
+        for module in (datalog, refset):
+            patch.setattr(module, "numbered_lines", lambda p: iter(_whole_text_numbered_lines(p)))
+        assert streamed == _outcome(reader, path)
 
 
 def _numbered_file(tmp_path, n: int) -> tuple[ReferenceSet, "Path"]:
