@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertOutcome:
     """Result of one insertion attempt.
 
@@ -66,28 +66,6 @@ def roi_distance(u: float, v: float) -> float:
     return math.hypot(du, dv)
 
 
-class _CompensatedSum:
-    """Neumaier-compensated running sum of non-negative gains."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-
 class Archive:
     """Mutable single-writer archive of mutually non-dominated entries, held
     as parallel ``u`` and ``v`` lists."""
@@ -95,7 +73,7 @@ class Archive:
     def __init__(self) -> None:
         self._u: list[float] = []
         self._v: list[float] = []
-        self._hv = _CompensatedSum()
+        self._hv_sum = self._hv_error = 0.0  # Neumaier-compensated sum of the gains
         self._dist = math.inf
         self._roi_reached = False
         self._last_index = 0
@@ -120,7 +98,7 @@ class Archive:
 
     def hypervolume(self) -> float:
         """Cached ROI hypervolume dominated by the archive."""
-        hv = self._hv.value
+        hv = self._hv_sum + self._hv_error
         return hv if hv > 0.0 else 0.0
 
     def min_distance_to_roi(self) -> float:
@@ -175,7 +153,13 @@ class Archive:
 
         us[i:j] = [yu]
         vs[i:j] = [yv]
-        self._hv.add(hv_gain)
+        # Neumaier's step; gains are non-negative, so neither term needs abs().
+        total = self._hv_sum + hv_gain
+        if self._hv_sum >= hv_gain:
+            self._hv_error += (self._hv_sum - total) + hv_gain
+        else:
+            self._hv_error += (hv_gain - total) + self._hv_sum
+        self._hv_sum = total
         return InsertOutcome(True, j - i, hv_gain)
 
     def _gain(self, yu: float, yv: float, i: int, j: int) -> float:
@@ -201,9 +185,9 @@ class Archive:
                 prev_x = x
             bound = min(vs[k], 1.0)
         right_x = min(us[j], 1.0) if j < len(us) else 1.0
-        if right_x > prev_x and bound > v:
-            terms.append((right_x - prev_x) * (bound - v))
-        return math.fsum(terms)
+        last = (right_x - prev_x) * (bound - v) if right_x > prev_x and bound > v else 0.0
+        # fsum of one term is that term, so a one-rectangle gain needs no fsum.
+        return math.fsum([*terms, last]) if terms else last
 
 
 def sweep_hypervolume(u: np.ndarray, v: np.ndarray) -> float:

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
+    "Columns",
     "NormalizedObjectives",
     "ObjectiveVector",
     "ProblemSpec",
@@ -33,11 +37,8 @@ class ObjectiveVector:
     f_alpha: float
     f_beta: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.f_alpha) and math.isfinite(self.f_beta)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedObjectives:
     """An objective vector in ROI coordinates (ideal at (0,0), nadir at (1,1)).
 
@@ -118,3 +119,67 @@ def ulp_distance(a: float, b: float) -> int:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"ulp_distance requires finite arguments, got {a!r}, {b!r}")
     return abs(_float_ordinal(a) - _float_ordinal(b))
+
+
+class Columns(Sequence):
+    """A read-only sequence held as equal-length 1-D numpy columns, the
+    ``__slots__`` of a subclass, typed by its ``_dtypes``.  ``_item`` builds
+    an item from one number per column only when one is read; ``_row`` splits
+    one.  It slices to its own type, adds to a tuple, and equals another with
+    equal columns (``0.0 == -0.0``) or a tuple of equal items."""
+
+    __slots__ = ()
+    _ROWS = 4096
+
+    def __init__(self, *columns) -> None:
+        arrays = [np.asarray(c, dtype=d).view() for c, d in zip(columns, self._dtypes, strict=True)]
+        if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError(f"{type(self).__name__} needs 1-D columns of equal length")
+        for name, a in zip(self.__slots__, arrays):
+            a.flags.writeable = False
+            setattr(self, name, a)
+
+    @classmethod
+    def of(cls, items: Iterable) -> Columns:
+        """``items`` as is if of this type, else read in one ``np.fromiter`` pass."""
+        if isinstance(items, cls):
+            return items
+        rows = np.fromiter(map(cls._row, items), dtype=[("", d) for d in cls._dtypes])
+        return cls(*(rows[name] for name in rows.dtype.names))
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def chunks(self) -> Iterator[list[list]]:
+        """The columns as lists of Python numbers, ``_ROWS`` rows at a time."""
+        columns = self._arrays()
+        for k in range(0, len(self), self._ROWS):
+            yield [c[k:k + self._ROWS].tolist() for c in columns]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return type(self)(*(c[index] for c in self._arrays()))
+        return self._item(*(c[index].item() for c in self._arrays()))
+
+    def __iter__(self) -> Iterator:
+        for chunk in self.chunks():
+            yield from map(self._item, *chunk)
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + tuple(other) if isinstance(other, (tuple, Columns)) else NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"

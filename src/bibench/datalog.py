@@ -8,7 +8,8 @@ else, so the evaluated search points are not kept.  A :class:`RunHeader`
 is the run's :class:`ProblemSpec` plus algorithm and budget, so it is
 checked when made.  Floats are written as shortest round-trip decimals, so
 ``read_log(write_log(log))`` reproduces the log bit-for-bit and
-rewriting a parsed file is byte-identical.
+rewriting a parsed file is byte-identical.  Records are held as columns,
+24 bytes each, and written, read and replayed without record objects.
 
 Every bibench file is a text file of lines, so their shared line handling
 lives here: ``write_lines`` writes every file atomically, ``numbered_lines``
@@ -27,26 +28,29 @@ before the first problem runs, and a later failure leaves them there.
 without an index.
 
 ``Assessment`` is the one per-evaluation loop (normalize, archive insert,
-indicator update, first-hit record).  Live runs feed it every evaluation
-and ``recalculate`` feeds it a log's records under a (possibly different)
-problem spec, so a replay reproduces the live indicator trajectory and
-first-hit runtimes by construction; this is what makes reference-set
-updates retroactive without re-running experiments.
+then indicator update and first-hit record for an accepted point).  Live
+runs feed it every evaluation and ``recalculate`` a log's records under a
+(possibly different) problem spec, so a replay reproduces the live
+indicator trajectory and first-hit runtimes by construction; this is what
+makes reference-set updates retroactive without re-running experiments.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import shutil
+from array import array
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from bibench.archive import Archive
-from bibench.core import ObjectiveVector, ProblemSpec, normalize
+from bibench.core import Columns, ObjectiveVector, ProblemSpec, normalize
 from bibench.indicator import EMPTY_ARCHIVE_VALUE, IndicatorValue, evaluate_incremental
 from bibench.targets import RuntimeRecord, absolute_targets
 
@@ -58,6 +62,7 @@ __all__ = [
     "LogReplayError",
     "LogVersionError",
     "LogRecord",
+    "RecordColumns",
     "RunHeader",
     "RunLog",
     "iter_experiment",
@@ -87,6 +92,8 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(f"must be at least 1, got {value}")
+    if value >= 1 << 63:  # eval counts are held as int64
+        raise ValueError(f"must be below 2**63, got {value}")
     return value
 
 
@@ -113,8 +120,10 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
     lines are never all held at once.  A temporary file in that directory
     replaces ``path`` by ``os.replace``, so ``path`` holds the old bytes or
     the new ones, never a part, even when ``lines`` raises part-way, unless
-    the machine itself fails (there is no ``fsync``)."""
+    the machine itself fails (there is no ``fsync``); a failed write also
+    removes the directories it created."""
     path = Path(path)
+    created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.tmp")
     lines = iter(lines)
@@ -128,6 +137,9 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
+        for directory in created:
+            with contextlib.suppress(OSError):  # not empty: keep it
+                directory.rmdir()
         raise
     return path
 
@@ -137,22 +149,27 @@ def numbered_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     of an ASCII file, numbered as ``str.splitlines`` numbers them.  The
     file's bytes are first scanned for a non-ASCII byte, which raises
     :class:`LogParseError` at its line (counted by ``\\n``) before any line
-    is yielded; lines are then read about ``_READ_CHUNK`` bytes at a time,
-    so neither the text nor its list of lines is ever held whole."""
+    is yielded.  A file shorter than ``_READ_CHUNK`` is split from the bytes
+    scanned; a longer one is read again about ``_READ_CHUNK`` bytes at a
+    time, so neither its text nor its list of lines is ever held whole."""
     path = Path(path)
     with open(path, "rb") as f:
+        first = f.read(_READ_CHUNK)
         ends = 0  # "\n" bytes before the chunk
-        for chunk in iter(partial(f.read, _READ_CHUNK), b""):
+        for chunk in itertools.chain([first], iter(partial(f.read, _READ_CHUNK), b"")):
             if not chunk.isascii():
                 at = next(i for i, byte in enumerate(chunk) if byte > 127)
                 raise LogParseError(path, ends + chunk.count(b"\n", 0, at) + 1, "non-ASCII byte")
             ends += chunk.count(b"\n")
-        f.seek(0)
+        batches = [first]
+        if len(first) == _READ_CHUNK:
+            f.seek(0)
+            batches = map(b"".join, iter(partial(f.readlines, _READ_CHUNK), []))
         number = 0
         # A batch ends at a "\n" or at the file's end, and "\n" always ends a
         # text line, so each batch splits into lines as the whole text would.
-        for batch in iter(partial(f.readlines, _READ_CHUNK), []):
-            for number, raw in enumerate(b"".join(batch).decode("ascii").splitlines(), number + 1):
+        for batch in batches:
+            for number, raw in enumerate(batch.decode("ascii").splitlines(), number + 1):
                 if line := raw.strip():
                     yield number, line
 
@@ -225,7 +242,7 @@ def _spec_fields(spec: ProblemSpec) -> dict:
     return {f.name: getattr(spec, f.name) for f in fields(ProblemSpec)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One archive-entering evaluation: count and raw objectives."""
 
@@ -233,10 +250,23 @@ class LogRecord:
     objectives: ObjectiveVector
 
 
+class RecordColumns(Columns):
+    """A read-only sequence of :class:`LogRecord` held as an int64
+    ``eval_count`` column and float64 ``f_alpha`` and ``f_beta`` columns."""
+
+    __slots__ = ("eval_count", "f_alpha", "f_beta")
+    _dtypes = ("i8", "f8", "f8")
+    _item = staticmethod(lambda t, f_alpha, f_beta: LogRecord(t, ObjectiveVector(f_alpha, f_beta)))
+    _row = attrgetter("eval_count", "objectives.f_alpha", "objectives.f_beta")
+
+
 @dataclass(frozen=True)
 class RunLog:
     header: RunHeader
-    records: tuple[LogRecord, ...]
+    records: Sequence[LogRecord]  # RecordColumns; any iterable of LogRecord is converted
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", RecordColumns.of(self.records))
 
 
 def _fmt(x: float) -> str:
@@ -257,15 +287,14 @@ def write_log(log: RunLog, path: Path | str) -> Path:
         yield f"% format={LOG_FORMAT}"
         yield from (f"% {k}={v}" for k, v in zip(_HEADER, values))
         last = 0
-        for r in log.records:
-            if r.eval_count <= last:
-                raise ValueError(
-                    f"record eval_counts must increase strictly: {r.eval_count} after {last}"
-                )
-            last = r.eval_count
-            if not r.objectives.is_finite():
-                raise ValueError(f"record at eval {r.eval_count} has non-finite objectives")
-            yield f"{r.eval_count}\t{_fmt(r.objectives.f_alpha)}\t{_fmt(r.objectives.f_beta)}"
+        for chunk in log.records.chunks():
+            for t, f_alpha, f_beta in zip(*chunk):
+                if t <= last:
+                    raise ValueError(f"record eval_counts must increase strictly: {t} after {last}")
+                last = t
+                if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
+                    raise ValueError(f"record at eval {t} has non-finite objectives")
+                yield f"{t}\t{f_alpha!r}\t{f_beta!r}"
 
     return write_lines(path, lines())
 
@@ -289,7 +318,7 @@ def read_log(path: Path | str) -> RunLog:
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
-    records: list[LogRecord] = []
+    evals, alpha, beta = array("q"), array("d"), array("d")
     budget = last = 0
     number = 1
     for number, line in _format_body(path, LOG_FORMAT):
@@ -311,11 +340,10 @@ def read_log(path: Path | str) -> RunLog:
                 path, number, f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}"
             )
         try:
-            eval_count = int(parts[0])
-            objectives = ObjectiveVector(float(parts[1]), float(parts[2]))
+            eval_count, f_alpha, f_beta = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise LogParseError(path, number, str(exc)) from None
-        if not objectives.is_finite():
+        if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
             raise LogParseError(path, number, "non-finite value in record")
         if eval_count <= last:
             raise LogParseError(
@@ -325,11 +353,13 @@ def read_log(path: Path | str) -> RunLog:
         if eval_count > budget:
             raise LogParseError(path, number, f"eval count {eval_count} exceeds budget {budget}")
         last = eval_count
-        records.append(LogRecord(eval_count, objectives))
+        evals.append(eval_count)
+        alpha.append(f_alpha)
+        beta.append(f_beta)
 
     if run_header is None:
         run_header = build_header(path, header, _HEADER, _run_header, number)
-    return RunLog(run_header, tuple(records))
+    return RunLog(run_header, RecordColumns(evals, alpha, beta))
 
 
 class Assessment:
@@ -345,11 +375,15 @@ class Assessment:
         self.runtimes = RuntimeRecord(absolute_targets(spec))
 
     def add(self, eval_count: int, y: ObjectiveVector) -> bool:
-        """Assess evaluation ``eval_count``; True if it entered the archive."""
+        """Assess evaluation ``eval_count``; True if it entered the archive.  A
+        rejected point changes no value or first hit, only the evaluations."""
         outcome = self.archive.insert(normalize(y, self.spec), eval_count)
+        if not outcome.accepted:
+            self.runtimes.evaluations = eval_count
+            return False
         self.value = evaluate_incremental(self.value, outcome, self.archive)
         self.runtimes.record(eval_count, self.value.value)
-        return outcome.accepted
+        return True
 
 
 def recalculate(
@@ -373,13 +407,13 @@ def recalculate(
         )
     assessment = Assessment(new_spec)
     trajectory: list[tuple[int, IndicatorValue]] = []
-    for r in log.records:
-        if not assessment.add(r.eval_count, r.objectives):
-            raise LogReplayError(
-                f"record at eval {r.eval_count} was rejected on replay; "
-                f"the log is corrupt or incomplete"
-            )
-        trajectory.append((r.eval_count, assessment.value))
+    for chunk in log.records.chunks():
+        for t, f_alpha, f_beta in zip(*chunk):
+            if not assessment.add(t, ObjectiveVector(f_alpha, f_beta)):
+                raise LogReplayError(
+                    f"record at eval {t} was rejected on replay; the log is corrupt or incomplete"
+                )
+            trajectory.append((t, assessment.value))
     # The live run recorded up to the full budget; only archive-entering
     # evaluations are logged, so restore the true total spent.
     runtimes = assessment.runtimes

@@ -33,7 +33,7 @@ class Branch(Enum):
     DISTANCE = "distance"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndicatorValue:
     """An indicator value; its sign names the branch that produced it.
 
@@ -74,7 +74,7 @@ def evaluate(arch: Archive) -> IndicatorValue:
 def evaluate_incremental(
     prev: IndicatorValue, outcome: InsertOutcome, arch: Archive
 ) -> IndicatorValue:
-    """O(1) per-evaluation update used by experiment loops.
+    """O(1) update after an insertion; ``Assessment`` calls it only for accepted ones.
 
     A rejected insertion leaves ``prev`` untouched without consulting the
     archive.  An accepted one reads the archive's compensated caches, which

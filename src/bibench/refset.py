@@ -12,7 +12,7 @@ by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 A set's points live in two read-only float64 columns (:class:`PointColumns`)
 from the merge to the file and back: the filter, ``i_ref``, the version
 and the writer work on the columns, the writer and the hash format them
-``_ROWS`` at a time, and the reader appends each line ``numbered_lines``
+a chunk of rows at a time, and the reader appends each line ``numbered_lines``
 yields to them, so no stage holds one object or one line of text per point.
 """
 
@@ -24,13 +24,14 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from bibench import suite
 from bibench.archive import sweep_hypervolume
-from bibench.core import ObjectiveVector, ProblemSpec
+from bibench.core import Columns, ObjectiveVector, ProblemSpec
 from bibench.datalog import (
     LogParseError, build_header, convert_at, numbered_lines, problem_file, write_lines,
 )
@@ -48,64 +49,19 @@ __all__ = [
 ]
 
 _VERSION_DIGITS = 16
-# Points formatted to text at a time by the writer and the version hash.
-_ROWS = 4096
 
 
-class PointColumns(Sequence):
+class PointColumns(Columns):
     """A read-only sequence of :class:`ObjectiveVector` held as two float64
-    columns, ``f_alpha`` and ``f_beta``.
-
-    ``len`` is O(1), and an object is built only for a point that is read;
-    a slice or an index array gives another :class:`PointColumns`.
-    Two sequences are equal iff their columns are (so ``0.0 == -0.0``, as
-    for the objects), and one also equals a tuple of equal objects.
-    """
+    columns, ``f_alpha`` and ``f_beta``."""
 
     __slots__ = ("f_alpha", "f_beta")
-
-    def __init__(self, f_alpha, f_beta) -> None:
-        columns = [np.asarray(f, dtype=float).view() for f in (f_alpha, f_beta)]
-        if columns[0].ndim != 1 or columns[0].shape != columns[1].shape:
-            raise ValueError("point columns must be two 1-D arrays of equal length")
-        for f in columns:
-            f.flags.writeable = False
-        self.f_alpha, self.f_beta = columns
-
-    def __len__(self) -> int:
-        return len(self.f_alpha)
-
-    def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            return PointColumns(self.f_alpha[index], self.f_beta[index])
-        return ObjectiveVector(float(self.f_alpha[index]), float(self.f_beta[index]))
-
-    def __iter__(self) -> Iterator[ObjectiveVector]:
-        return map(ObjectiveVector, self.f_alpha.tolist(), self.f_beta.tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        if not isinstance(other, PointColumns):
-            return NotImplemented
-        return np.array_equal(self.f_alpha, other.f_alpha) and np.array_equal(
-            self.f_beta, other.f_beta
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"PointColumns({tuple(self)!r})"
+    _dtypes = ("f8", "f8")
+    _item = ObjectiveVector
+    _row = attrgetter("f_alpha", "f_beta")
 
 
-def _columns(points: Iterable[ObjectiveVector]) -> PointColumns:
-    """``points`` as columns: a :class:`PointColumns` as it is, any other
-    iterable read in one ``np.fromiter`` pass."""
-    if isinstance(points, PointColumns):
-        return points
-    uv = np.fromiter(((p.f_alpha, p.f_beta) for p in points), dtype=np.dtype((float, 2)))
-    return PointColumns(uv[:, 0], uv[:, 1])
+_columns = PointColumns.of
 
 
 @dataclass(frozen=True)
@@ -184,10 +140,8 @@ def _line(f_alpha: float, f_beta: float) -> str:
 
 
 def _line_chunks(points: PointColumns) -> Iterator[Iterator[str]]:
-    """The points' canonical lines, formatted ``_ROWS`` rows at a time."""
-    for k in range(0, len(points), _ROWS):
-        rows = slice(k, k + _ROWS)
-        yield map(_line, points.f_alpha[rows].tolist(), points.f_beta[rows].tolist())
+    """The points' canonical lines, formatted one chunk of rows at a time."""
+    return (map(_line, *chunk) for chunk in points.chunks())
 
 
 def version_of(points: Iterable[ObjectiveVector]) -> str:
@@ -287,7 +241,7 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
     """Write ``rs`` through ``write_lines``, its point lines formatted from
-    the columns ``_ROWS`` at a time."""
+    the columns one chunk of rows at a time."""
     bounds = "estimated" if rs.bounds_estimated else "analytic"
     header = (
         f"# function={rs.function_id} instance={rs.instance_id} "
@@ -362,7 +316,7 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             function_id=v["function"],
             instance_id=v["instance"],
             dimension=v["dimension"],
-            points=PointColumns(np.frombuffer(alpha), np.frombuffer(beta)),
+            points=PointColumns(alpha, beta),
             ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
             nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
             i_ref=v["i_ref"],

@@ -241,17 +241,19 @@ def run_experiment(
             spec = refset.load_reference_set(refset_dir, fid, dim, inst).problem_spec()
             budget = cfg.budget_for(dim)
             assessment = datalog.Assessment(spec)
-            records: list[datalog.LogRecord] = []
+            evals, alpha, beta = array("q"), array("d"), array("d")
 
             def observe(t: int, y: ObjectiveVector) -> None:
                 if assessment.add(t, y):
-                    records.append(datalog.LogRecord(t, y))
+                    evals.append(t)
+                    alpha.append(y.f_alpha)
+                    beta.append(y.f_beta)
 
             rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
             algo(_budgeted(fn, budget, observe), dim, budget, rng)
 
             header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
-            path = writer.write(datalog.RunLog(header, tuple(records)))
+            path = writer.write(datalog.RunLog(header, datalog.RecordColumns(evals, alpha, beta)))
             results.append(RunResult(
                 **vars(header), runtimes=assessment.runtimes, log_path=path,
                 archive_size=len(assessment.archive),

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibench import datalog
 from bibench.archive import Archive
@@ -21,6 +22,7 @@ from bibench.datalog import (
     LogRecord,
     LogReplayError,
     LogVersionError,
+    RecordColumns,
     RunHeader,
     RunLog,
     iter_experiment,
@@ -573,3 +575,117 @@ def test_read_log_holds_no_text_or_list_of_lines(tmp_path) -> None:
     # about 11 MB.
     path = write_log(_long_log(50_000), tmp_path / "run.tsv")
     assert _traced_peak(lambda: read_log(path)) < 14_000_000
+
+
+@pytest.mark.parametrize("good", [1, 5_000])
+def test_failed_write_log_removes_the_directories_it_made(tmp_path, good) -> None:
+    # The bad record follows one good record, or more than one chunk of lines.
+    log = _long_log(good)
+    records = log.records + (LogRecord(good, ObjectiveVector(0.0, 2.0)),)
+    with pytest.raises(ValueError, match="increase strictly"):
+        write_log(RunLog(log.header, records), tmp_path / "new" / "sub" / "run.tsv")
+    assert list(tmp_path.iterdir()) == []
+    # A directory that was already there stays.
+    (tmp_path / "new").mkdir()
+    with pytest.raises(ValueError, match="increase strictly"):
+        write_log(RunLog(log.header, records), tmp_path / "new" / "sub" / "run.tsv")
+    assert list(tmp_path.rglob("*")) == [tmp_path / "new"]
+
+
+def test_read_log_holds_three_columns_not_an_object_per_record(tmp_path) -> None:
+    # A LogRecord and an ObjectiveVector per record took about 11 MB of the
+    # 14 MB allowed above; the columns and one batch of lines take about 1.5 MB.
+    path = write_log(_long_log(50_000), tmp_path / "run.tsv")
+    assert _traced_peak(lambda: read_log(path)) < 4_000_000
+
+
+# -- records as columns ---------------------------------------------------------
+
+
+_RECORDS = (
+    LogRecord(1, ObjectiveVector(1.5, 0.25)),
+    LogRecord(4, ObjectiveVector(0.75, -0.0)),
+    LogRecord(9, ObjectiveVector(0.5, -1e-300)),
+)
+
+
+def test_records_are_the_same_columns_from_a_tuple_a_generator_or_a_file(tmp_path) -> None:
+    from_tuple = RunLog(_header(), _RECORDS)
+    from_generator = RunLog(_header(), (r for r in _RECORDS))
+    from_file = read_log(write_log(from_tuple, tmp_path / "run.tsv"))
+    assert from_tuple == from_generator == from_file
+    for log in (from_tuple, from_generator, from_file):
+        assert isinstance(log.records, RecordColumns)
+        assert log.records == _RECORDS and tuple(log.records) == _RECORDS
+    assert from_file.records.eval_count.tolist() == [1, 4, 9]
+    assert RunLog(_header(), ()).records == () and not RunLog(_header(), ()).records
+
+
+def test_records_slice_add_hash_and_repr_as_their_tuple() -> None:
+    records = RunLog(_header(), _RECORDS).records
+    assert len(records) == 3 and list(records) == list(_RECORDS)
+    assert records[0] == _RECORDS[0] and records[-1] == _RECORDS[-1]
+    with pytest.raises(IndexError):
+        records[3]
+    for index in (slice(1, None), slice(None, None, -1), slice(0, 0)):
+        assert isinstance(records[index], RecordColumns) and records[index] == _RECORDS[index]
+    assert records + _RECORDS == records + records == _RECORDS + _RECORDS
+    assert type(records + _RECORDS) is tuple
+    with pytest.raises(TypeError):
+        records + list(_RECORDS)
+    assert hash(records) == hash(_RECORDS)
+    assert repr(records) == f"RecordColumns({_RECORDS!r})"
+    assert _RECORDS[1] in records and records.index(_RECORDS[2]) == 2
+    assert records != RunLog(_header(), _RECORDS[:2]).records
+
+
+def test_records_have_no_public_mutator() -> None:
+    records = RunLog(_header(), _RECORDS).records
+    for name in ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+                 "__setitem__", "__delitem__", "__iadd__"):
+        assert not hasattr(records, name), name
+    for column in (records.eval_count, records.f_alpha, records.f_beta):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(AttributeError):
+        records.note = "edited"
+
+
+# -- the rejected-point shortcut against the loop it replaced ---------------------
+
+
+class _EveryPointAssessment(datalog.Assessment):
+    """``Assessment.add`` before rejected points skipped the indicator
+    update and the first-hit record: the oracle for that shortcut."""
+
+    def add(self, eval_count: int, y: ObjectiveVector) -> bool:
+        outcome = self.archive.insert(normalize(y, self.spec), eval_count)
+        self.value = evaluate_incremental(self.value, outcome, self.archive)
+        self.runtimes.record(eval_count, self.value.value)
+        return outcome.accepted
+
+
+# Raw values under the ideal (0, 0) and nadir (2, 2) of ``_spec``: below the
+# ideal (negative normalized coordinates), on the ideal, inside, on the nadir
+# and beyond it; drawing from few values makes duplicates and equal-u ties.
+_VALUES = st.sampled_from((-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0)) | st.floats(-1.0, 5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(_VALUES, _VALUES, st.integers(1, 3)), min_size=1, max_size=60),
+    i_ref=st.sampled_from((-0.9, -0.4, 0.0)),
+)
+def test_rejected_point_shortcut_matches_assessing_every_point(points, i_ref) -> None:
+    spec = _spec(i_ref)
+    lean, oracle = datalog.Assessment(spec), _EveryPointAssessment(spec)
+    t = 0
+    for f_alpha, f_beta, step in points:
+        t += step
+        y = ObjectiveVector(f_alpha, f_beta)
+        assert lean.add(t, y) == oracle.add(t, y)
+    assert lean.runtimes.first_hit == oracle.runtimes.first_hit
+    assert lean.runtimes.evaluations == oracle.runtimes.evaluations == t
+    assert lean.value.value.hex() == oracle.value.value.hex()
+    assert lean.archive.entries == oracle.archive.entries
+    assert lean.archive.clamp_warnings == oracle.archive.clamp_warnings

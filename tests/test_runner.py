@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import filecmp
+import gc
 import math
 import shutil
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bibench import postprocess, refset, runner, suite
+from bibench import datalog, postprocess, refset, runner, suite
 from bibench.core import ObjectiveVector
 from bibench.datalog import read_experiment_index, read_log, recalculate
 from bibench.runner import (
@@ -404,6 +405,37 @@ def test_bootstrap_collector_memory_is_bounded_by_front_not_budget() -> None:
         tracemalloc.stop()
     assert [(p.f_alpha, p.f_beta) for p in front] == [(k / 10, 1 - k / 10) for k in range(10)]
     assert peak < 1_000_000
+
+
+def test_live_run_records_hold_no_object_per_record(tmp_path) -> None:
+    # A walk along f1's Pareto set puts each of its 50 000 evaluations into
+    # the archive and the log.  A LogRecord and an ObjectiveVector per record
+    # held about 11 MB; three columns hold 1.2 MB.
+    n = 50_000
+    fn = get_function("f1", instance_id=1, dimension=2)
+    step = (fn.optimum_beta - fn.optimum_alpha) / n
+
+    def front_walk(evaluate, dimension, budget, rng):
+        for k in range(budget):
+            evaluate(fn.optimum_alpha + k * step)
+
+    logs = []
+    write = datalog.ExperimentWriter.write
+    cfg = _f1_config(tmp_path, budget=n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(ALGORITHMS, "random", front_walk)
+        m.setattr(datalog.ExperimentWriter, "write", lambda w, log: logs.append(log) or write(w, log))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            gc.collect()
+            with_records = tracemalloc.get_traced_memory()[0]
+            count = len(logs.pop().records)
+            held = with_records - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert count == n
+    assert held < 3_000_000
 
 
 def test_bootstrap_names_the_problem_of_a_non_finite_value(tmp_path, monkeypatch) -> None:
