@@ -45,7 +45,7 @@ import shutil
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
-from operator import attrgetter
+from operator import index
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -257,7 +257,7 @@ class RecordColumns(Columns):
     __slots__ = ("eval_count", "f_alpha", "f_beta")
     _dtypes = ("i8", "f8", "f8")
     _item = staticmethod(lambda t, f_alpha, f_beta: LogRecord(t, ObjectiveVector(f_alpha, f_beta)))
-    _row = attrgetter("eval_count", "objectives.f_alpha", "objectives.f_beta")
+    _row = staticmethod(lambda r: (index(r.eval_count), r.objectives.f_alpha, r.objectives.f_beta))
 
 
 @dataclass(frozen=True)

@@ -619,6 +619,10 @@ def test_records_are_the_same_columns_from_a_tuple_a_generator_or_a_file(tmp_pat
         assert log.records == _RECORDS and tuple(log.records) == _RECORDS
     assert from_file.records.eval_count.tolist() == [1, 4, 9]
     assert RunLog(_header(), ()).records == () and not RunLog(_header(), ()).records
+    # An eval count that is not an integer is refused, not truncated.
+    for count in (1.5, "3"):
+        with pytest.raises(TypeError):
+            RunLog(_header(), (LogRecord(count, ObjectiveVector(1.0, 1.0)),))
 
 
 def test_records_slice_add_hash_and_repr_as_their_tuple() -> None:
