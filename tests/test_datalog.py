@@ -452,6 +452,14 @@ def test_read_rejects_budget_below_one(tmp_path, budget) -> None:
         read_log(path)
 
 
+def test_read_rejects_budget_beyond_int64(tmp_path) -> None:
+    # Eval counts are held as int64, so no budget may admit one beyond it.
+    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path.write_text(path.read_text().replace("% budget=100", f"% budget={2**63}"))
+    with pytest.raises(LogParseError, match=r"run\.tsv:12: budget: must be below 2\*\*63"):
+        read_log(path)
+
+
 def test_experiment_index_requires_format_line(tmp_path) -> None:
     path = tmp_path / INDEX_FILENAME
     row = "f1_d2_i1.tsv\tf1\t1\t2\tab12\n"

@@ -421,10 +421,15 @@ def test_live_run_records_hold_no_object_per_record(tmp_path) -> None:
 
     logs = []
     write = datalog.ExperimentWriter.write
+
+    def keep(writer, log):
+        logs.append(log)
+        return write(writer, log)
+
     cfg = _f1_config(tmp_path, budget=n)
     with pytest.MonkeyPatch.context() as m:
         m.setitem(ALGORITHMS, "random", front_walk)
-        m.setattr(datalog.ExperimentWriter, "write", lambda w, log: logs.append(log) or write(w, log))
+        m.setattr(datalog.ExperimentWriter, "write", keep)
         tracemalloc.start()
         try:
             run_experiment(cfg)
