@@ -125,8 +125,9 @@ class Columns(Sequence):
     """A read-only sequence held as equal-length 1-D numpy columns, the
     ``__slots__`` of a subclass, typed by its ``_dtypes``.  ``_item`` builds
     an item from one number per column only when one is read; ``_row`` splits
-    one.  It slices to its own type, adds to a tuple, and equals another with
-    equal columns (``0.0 == -0.0``) or a tuple of equal items."""
+    one.  It slices to its own type, adds to a tuple, equals another with
+    equal columns (``0.0 == -0.0``) or a tuple of equal items, and pickles
+    and copies through its constructor."""
 
     __slots__ = ()
     _ROWS = 4096
@@ -146,6 +147,9 @@ class Columns(Sequence):
             return items
         rows = np.fromiter(map(cls._row, items), dtype=[("", d) for d in cls._dtypes])
         return cls(*(rows[name] for name in rows.dtype.names))
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self._arrays())
 
     def _arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.__slots__]

@@ -225,7 +225,12 @@ class LogReplayError(ValueError):
 @dataclass(frozen=True)
 class RunHeader(ProblemSpec):
     algorithm: str
-    budget: int
+    budget: int  # int64, as the eval counts it bounds
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 1 <= self.budget < 1 << 63:
+            raise ValueError(f"budget must lie in [1, 2**63), got {self.budget}")
 
     @classmethod
     def for_run(cls, spec: ProblemSpec, algorithm: str, budget: int) -> RunHeader:
@@ -275,7 +280,8 @@ def _fmt(x: float) -> str:
 
 def write_log(log: RunLog, path: Path | str) -> Path:
     """Serialize a run log in one pass over its records; raises
-    ``ValueError`` on inconsistent records, leaving ``path`` as it was."""
+    ``ValueError`` on inconsistent records, leaving ``path`` as it was.
+    Counts increase strictly, so only the last is checked against the budget."""
     h = log.header
     values = (
         h.function_id, h.instance_id, h.dimension, h.algorithm, h.refset_version,
@@ -295,6 +301,8 @@ def write_log(log: RunLog, path: Path | str) -> Path:
                 if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
                     raise ValueError(f"record at eval {t} has non-finite objectives")
                 yield f"{t}\t{f_alpha!r}\t{f_beta!r}"
+        if last > h.budget:
+            raise ValueError(f"record at eval {last} exceeds budget {h.budget}")
 
     return write_lines(path, lines())
 

@@ -4,7 +4,9 @@ A reference set fixes the target difficulty for one problem instance: its
 negated normalized hypervolume is the absolute reference value ``i_ref``
 (always in [-1, 0] thanks to ROI clipping), and a content hash over the
 canonically sorted, 17-significant-digit serialization of its points is
-the version string displayed with any derived performance data.
+the version string displayed with any derived performance data.  Both are
+computed from the points and bounds when a :class:`ReferenceSet` is made,
+never passed in.
 
 Files are plain text: ``#``-prefixed ``key=value`` header lines followed
 by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
@@ -23,7 +25,7 @@ import itertools
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -72,9 +74,11 @@ class ReferenceSet:
     ``f_alpha``, hence strictly descending ``f_beta``), held as
     :class:`PointColumns`; any iterable of :class:`ObjectiveVector`, such
     as a tuple, is converted when the set is made.  ``ideal`` and
-    ``nadir`` are the normalization bounds ``i_ref`` was computed under;
-    ``bounds_estimated`` marks a nadir read off the merged front's extreme
-    points rather than known analytically.
+    ``nadir`` are the normalization bounds; ``bounds_estimated`` marks a
+    nadir read off the merged front's extreme points rather than known
+    analytically.  ``i_ref`` and ``version`` are not arguments: they are
+    computed from the checked points and bounds when the set is made, so
+    no set can carry values that disagree with its points.
     """
 
     function_id: str
@@ -83,8 +87,8 @@ class ReferenceSet:
     points: Sequence[ObjectiveVector]
     ideal: ObjectiveVector
     nadir: ObjectiveVector
-    i_ref: float
-    version: str
+    i_ref: float = field(init=False)
+    version: str = field(init=False)
     bounds_estimated: bool
 
     def __post_init__(self) -> None:
@@ -100,7 +104,11 @@ class ReferenceSet:
                 "reference points must be mutually non-dominated and "
                 "canonically sorted by f_alpha"
             )
-        self.problem_spec()  # dimension, bounds and i_ref
+        # ProblemSpec checks the key and bounds before i_ref is computed under them.
+        ProblemSpec(self.function_id, self.instance_id, self.dimension, self.ideal, self.nadir,
+                    i_ref=0.0, refset_version="")
+        object.__setattr__(self, "i_ref", _i_ref_from(points, self.ideal, self.nadir))
+        object.__setattr__(self, "version", version_of(points))
 
     def problem_spec(self) -> ProblemSpec:
         """The :class:`ProblemSpec` a run against this reference set uses."""
@@ -170,7 +178,7 @@ def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVe
     return -hv if hv > 0.0 else 0.0
 
 
-def _front(sets: Iterable[Iterable[ObjectiveVector]], key: str) -> PointColumns:
+def _front(sets: Iterable[Iterable[ObjectiveVector]]) -> PointColumns:
     """The non-dominated filter of the union of ``sets``; a single
     :class:`PointColumns` set is filtered without a copy."""
     columns = [_columns(s) for s in sets]
@@ -181,11 +189,7 @@ def _front(sets: Iterable[Iterable[ObjectiveVector]], key: str) -> PointColumns:
             np.concatenate([np.empty(0), *(c.f_alpha for c in columns)]),
             np.concatenate([np.empty(0), *(c.f_beta for c in columns)]),
         )
-    try:
-        rows = nondominated_rows(points.f_alpha, points.f_beta)
-    except ValueError as exc:
-        raise ValueError(f"merge {key}: {exc}") from None
-    return points[rows]
+    return points[nondominated_rows(points.f_alpha, points.f_beta)]
 
 
 def merge(
@@ -203,35 +207,25 @@ def merge(
     operation is order-independent and idempotent, and each set may be
     passed already reduced to its own front.  A :class:`PointColumns` set
     is filtered as it is; any other set is read in one ``np.fromiter``
-    pass.  A non-finite value raises ``ValueError`` naming the problem.
-    The bounds passed are exact; ``nadir=None`` estimates the nadir from
-    the extreme points of the merged front and flags the result as
-    estimated.
+    pass.  A non-finite value, or bounds ``ReferenceSet`` rejects, raises
+    ``ValueError`` naming the problem.  The bounds passed are exact;
+    ``nadir=None`` estimates the nadir from the extreme points of the
+    merged front and flags the result as estimated.
     """
     key = suite.problem_id(function_id, dimension, instance_id)
-    front = _front(sets, key)
-    if not len(front):
-        raise ValueError("merge: no points supplied")
-    estimated = nadir is None
-    if estimated:
-        nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
-    if not (ideal.f_alpha < nadir.f_alpha and ideal.f_beta < nadir.f_beta):
-        raise ValueError(
-            f"degenerate bounds for {key}: "
-            f"ideal {ideal} must be strictly below nadir {nadir}"
-        )
-
-    return ReferenceSet(
-        function_id=function_id,
-        instance_id=instance_id,
-        dimension=dimension,
-        points=front,
-        ideal=ideal,
-        nadir=nadir,
-        i_ref=_i_ref_from(front, ideal, nadir),
-        version=version_of(front),
-        bounds_estimated=estimated,
-    )
+    try:
+        front = _front(sets)
+        if len(front):
+            estimated = nadir is None
+            if estimated:
+                nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
+            return ReferenceSet(
+                function_id=function_id, instance_id=instance_id, dimension=dimension,
+                points=front, ideal=ideal, nadir=nadir, bounds_estimated=estimated,
+            )
+    except ValueError as exc:
+        raise ValueError(f"merge {key}: {exc}") from None
+    raise ValueError("merge: no points supplied")
 
 
 def refset_path(directory: Path | str, function_id: str, dimension: int, instance_id: int) -> Path:
@@ -287,8 +281,9 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     All header keys must parse, with ``bounds`` either ``analytic`` or
     ``estimated``; each point is two finite numbers.  The header must pass
     ``ProblemSpec``'s checks and the points ``ReferenceSet``'s.  The stored
-    ``i_ref`` and version must match recomputation from the points
-    bit-for-bit; a mismatch means the file was edited or corrupted.
+    version and ``i_ref`` must equal, bit for bit, those the set derives
+    from its points, each checked at its own header line; a mismatch means
+    the file was edited or corrupted.
 
     Lines come from ``numbered_lines``, which reports a non-ASCII byte
     anywhere in the file before any other failure; a bad point raises where
@@ -310,32 +305,23 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             alpha.append(f_alpha)
             beta.append(f_beta)
 
-    rs = build_header(
+    stored, rs = build_header(
         path, header, _HEADER,
-        lambda v: ReferenceSet(
-            function_id=v["function"],
-            instance_id=v["instance"],
-            dimension=v["dimension"],
+        lambda v: (v, ReferenceSet(
+            function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
             points=PointColumns(alpha, beta),
             ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
             nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
-            i_ref=v["i_ref"],
-            version=v["version"],
             bounds_estimated=v["bounds"],
-        ),
+        )),
         number,
     )
-    if rs.version != version_of(rs.points):
-        raise LogParseError(
-            path, header["version"][1],
-            f"stored version {rs.version} does not match point content {version_of(rs.points)}",
-        )
-    recomputed = _i_ref_from(rs.points, rs.ideal, rs.nadir)
-    if recomputed != rs.i_ref:
-        raise LogParseError(
-            path, header["i_ref"][1],
-            f"stored i_ref {rs.i_ref!r} does not match recomputation {recomputed!r}",
-        )
+    for key, derived in (("version", "point content"), ("i_ref", "recomputation")):
+        if stored[key] != getattr(rs, key):
+            raise LogParseError(
+                path, header[key][1],
+                f"stored {key} {stored[key]} does not match {derived} {getattr(rs, key)}",
+            )
     return rs
 
 

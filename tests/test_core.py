@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -13,6 +15,8 @@ from bibench.core import (
     normalize,
     ulp_distance,
 )
+from bibench.datalog import RecordColumns, RunHeader, RunLog
+from bibench.refset import PointColumns, merge
 
 
 def _spec(
@@ -72,3 +76,20 @@ def test_ulp_distance_basics() -> None:
     assert ulp_distance(-math.nextafter(0.0, 1.0), math.nextafter(0.0, 1.0)) == 2
     with pytest.raises(ValueError):
         ulp_distance(math.nan, 1.0)
+
+
+def test_columns_stay_read_only_through_pickle_and_deepcopy() -> None:
+    # Before, unpickling restored the slots without the constructor, so the
+    # copies' columns were writeable.
+    records = RecordColumns([1, 2], [0.5, 0.25], [0.1, 0.2])
+    points = PointColumns([0.25, 0.75], [0.75, 0.25])
+    spec = _spec()
+    log = RunLog(RunHeader.for_run(spec, "random", 10), records)
+    rs = merge([points], function_id="f1", instance_id=1, dimension=2,
+               ideal=spec.ideal, nadir=spec.nadir)
+    for value in (records, points, log, rs):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value
+            columns = getattr(copied, "records", getattr(copied, "points", copied))
+            assert type(columns) in (RecordColumns, PointColumns)
+            assert not any(a.flags.writeable for a in columns._arrays())

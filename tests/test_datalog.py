@@ -452,6 +452,25 @@ def test_read_rejects_budget_below_one(tmp_path, budget) -> None:
         read_log(path)
 
 
+@pytest.mark.parametrize("budget", [0, -5, 2**63])
+def test_run_header_refuses_a_budget_read_log_refuses(budget) -> None:
+    # Before, RunHeader(budget=0) was made and write_log wrote "% budget=0".
+    with pytest.raises(ValueError, match=rf"budget must lie in \[1, 2\*\*63\), got {budget}"):
+        _header(budget=budget)
+
+
+def test_write_log_refuses_an_eval_count_above_the_budget(tmp_path) -> None:
+    # Before, this log was written, and read_log refused it at its record
+    # (":13: eval count 11 exceeds budget 10").
+    records = (LogRecord(3, ObjectiveVector(1.0, 0.5)), LogRecord(11, ObjectiveVector(0.5, 1.0)))
+    path = tmp_path / "new" / "run.tsv"
+    with pytest.raises(ValueError, match="record at eval 11 exceeds budget 10"):
+        write_log(RunLog(_header(budget=10), records), path)
+    assert not (tmp_path / "new").exists()
+    log = RunLog(_header(budget=11), records)
+    assert read_log(write_log(log, path)) == log
+
+
 def test_read_rejects_budget_beyond_int64(tmp_path) -> None:
     # Eval counts are held as int64, so no budget may admit one beyond it.
     path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from bibench import datalog, refset
 from bibench.core import NormalizedObjectives, ObjectiveVector
@@ -121,7 +121,7 @@ def test_merge_rejects_degenerate_estimated_bounds() -> None:
     # A single point is its own estimated nadir, which an explicit ideal on
     # either of its bound lines cannot lie strictly below.
     for ideal in (_ov(1.0, 0.0), _ov(0.0, 2.0)):
-        with pytest.raises(ValueError, match="degenerate bounds"):
+        with pytest.raises(ValueError, match=r"merge f1:2:1: ideal must be strictly below nadir"):
             merge([[_ov(1.0, 2.0)]], **KEY, ideal=ideal, nadir=None)
 
 
@@ -230,15 +230,13 @@ def test_reference_set_validation() -> None:
     with pytest.raises(ValueError, match="at least one point"):
         ReferenceSet(
             function_id="f1", instance_id=1, dimension=2, points=(),
-            ideal=_ov(0, 0), nadir=_ov(1, 1), i_ref=0.0, version="x" * 16,
-            bounds_estimated=False,
+            ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
         )
     with pytest.raises(ValueError, match="non-dominated"):
         ReferenceSet(
             function_id="f1", instance_id=1, dimension=2,
             points=(_ov(0.2, 0.8), _ov(0.3, 0.9)),
-            ideal=_ov(0, 0), nadir=_ov(1, 1), i_ref=0.0, version="x" * 16,
-            bounds_estimated=False,
+            ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
         )
 
 
@@ -315,8 +313,7 @@ def test_reference_set_rejects_non_finite_point() -> None:
         with pytest.raises(ValueError, match="non-finite"):
             ReferenceSet(
                 function_id="f1", instance_id=1, dimension=2, points=(bad,),
-                ideal=_ov(0, 0), nadir=_ov(1, 1), i_ref=0.0, version="x" * 16,
-                bounds_estimated=False,
+                ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
             )
 
 
@@ -334,7 +331,7 @@ def test_points_are_a_read_only_sequence_view() -> None:
     with pytest.raises(ValueError):
         rs.points.f_alpha[0] = 0.0
     # A tuple of objects and its columns make equal sets; -0.0 equals 0.0.
-    made = ReferenceSet(**{**vars(rs), "points": pts})
+    made = replace(rs, points=pts)
     assert made == rs and isinstance(made.points, PointColumns)
     assert PointColumns([0.0], [1.0]) == PointColumns([-0.0], [1.0])
     assert PointColumns([0.0], [1.0]) != PointColumns([0.0, 1.0], [1.0, 0.0])
@@ -404,9 +401,10 @@ def _old_merge(sets, *, function_id, instance_id, dimension, ideal, nadir=None) 
     if estimated:
         nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
     if not (ideal.f_alpha < nadir.f_alpha and ideal.f_beta < nadir.f_beta):
+        coord = "f_alpha" if not ideal.f_alpha < nadir.f_alpha else "f_beta"
         raise ValueError(
-            f"degenerate bounds for {key}: "
-            f"ideal {ideal} must be strictly below nadir {nadir}"
+            f"merge {key}: ideal must be strictly below nadir in {coord}: "
+            f"{getattr(ideal, coord)} !< {getattr(nadir, coord)}"
         )
     return dict(
         function_id=function_id, instance_id=instance_id, dimension=dimension,
@@ -483,6 +481,55 @@ def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
         assert read_reference_set(path) == rs
 
 
+@settings(max_examples=300, deadline=None)
+@given(_merge_inputs())
+def test_every_merged_set_reads_back_equal(tmp_path_factory, inputs) -> None:
+    sets, ideal, nadir = inputs
+    try:
+        rs = merge(sets, **KEY, ideal=ideal, nadir=nadir)
+    except ValueError:
+        reject()
+    back = read_reference_set(write_reference_set(rs, tmp_path_factory.mktemp("back") / "rs.tsv"))
+    assert back == rs
+    assert back.i_ref.hex() == rs.i_ref.hex() and back.version == rs.version
+
+
+def test_reference_set_derives_i_ref_and_version(tmp_path) -> None:
+    pts = (_ov(0.25, 0.75), _ov(0.75, 0.25))
+    made = dict(**KEY, points=pts, **UNIT_BOUNDS, bounds_estimated=False)
+    rs = ReferenceSet(**made)
+    assert (rs.i_ref, rs.version) == (-0.3125, version_of(pts))
+    for name, value in (("i_ref", -0.9), ("version", "x" * 16)):
+        with pytest.raises(TypeError, match=name):
+            ReferenceSet(**made, **{name: value})
+    # Before, a hand-built set could carry any i_ref and version, and its
+    # file did not read back.
+    assert read_reference_set(write_reference_set(rs, tmp_path / "rs.tsv")) == rs
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("version=eaef2d0a33d4bbd3", "version=0000000000000000",
+         r"rs\.tsv:2: stored version 0000000000000000 does not match point content eaef2d0a33d4bbd3$"),
+        ("i_ref=-0.3125", "i_ref=-0.3125000000000001",
+         r"rs\.tsv:3: stored i_ref -0\.3125000000000001 does not match recomputation -0\.3125$"),
+        # Before, an i_ref outside [-1, 0] failed at the last header line.
+        ("i_ref=-0.3125", "i_ref=0.5",
+         r"rs\.tsv:3: stored i_ref 0\.5 does not match recomputation -0\.3125$"),
+    ],
+    ids=["version", "i_ref", "i_ref-out-of-range"],
+)
+def test_stored_version_and_i_ref_fail_at_their_own_lines(tmp_path, old, new, message) -> None:
+    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    lines = write_reference_set(rs, tmp_path / "rs.tsv").read_text().replace(old, new).splitlines()
+    # Version and i_ref move to header lines of their own, 2 and 3.
+    key, version, i_ref = lines[0].rsplit(" ", 2)
+    (tmp_path / "rs.tsv").write_text("\n".join([key, f"# {version}", f"# {i_ref}", *lines[1:]]))
+    with pytest.raises(LogParseError, match=message):
+        read_reference_set(tmp_path / "rs.tsv")
+
+
 # -- the reader: columns, line numbers and memory ------------------------------
 
 
@@ -504,7 +551,7 @@ def _old_read_reference_set(path) -> ReferenceSet:
     """The whole-text reader the line-by-line one replaced, kept as its
     oracle."""
     from bibench.datalog import build_header, convert_at
-    from bibench.refset import _HEADER, _i_ref_from, _point
+    from bibench.refset import _HEADER, _point
 
     header: dict[str, tuple[str, int]] = {}
     points = []
@@ -517,27 +564,26 @@ def _old_read_reference_set(path) -> ReferenceSet:
                     header[key] = (value, number)
         else:
             points.append(ObjectiveVector(*convert_at(path, number, "point", _point, line)))
-    rs = build_header(
+    stored, rs = build_header(
         path, header, _HEADER,
-        lambda v: ReferenceSet(
+        lambda v: (v, ReferenceSet(
             function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
             points=tuple(points),
             ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
             nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
-            i_ref=v["i_ref"], version=v["version"], bounds_estimated=v["bounds"],
-        ),
+            bounds_estimated=v["bounds"],
+        )),
         lines[-1][0] if lines else 1,
     )
-    if rs.version != version_of(rs.points):
+    if stored["version"] != rs.version:
         raise LogParseError(
             path, header["version"][1],
-            f"stored version {rs.version} does not match point content {version_of(rs.points)}",
+            f"stored version {stored['version']} does not match point content {rs.version}",
         )
-    recomputed = _i_ref_from(rs.points, rs.ideal, rs.nadir)
-    if recomputed != rs.i_ref:
+    if stored["i_ref"] != rs.i_ref:
         raise LogParseError(
             path, header["i_ref"][1],
-            f"stored i_ref {rs.i_ref!r} does not match recomputation {recomputed!r}",
+            f"stored i_ref {stored['i_ref']!r} does not match recomputation {rs.i_ref!r}",
         )
     return rs
 
