@@ -52,6 +52,7 @@ from typing import Iterable, Iterator, Sequence
 from bibench.archive import Archive
 from bibench.core import Columns, ObjectiveVector, ProblemSpec, normalize
 from bibench.indicator import EMPTY_ARCHIVE_VALUE, IndicatorValue, evaluate_incremental
+from bibench.suite import problem_id
 from bibench.targets import RuntimeRecord, absolute_targets
 
 __all__ = [
@@ -406,13 +407,9 @@ def recalculate(
     :class:`LogReplayError`.
     """
     h = log.header
-    if (h.function_id, h.instance_id, h.dimension) != (
-        new_spec.function_id, new_spec.instance_id, new_spec.dimension,
-    ):
-        raise ValueError(
-            f"problem key mismatch: log is {h.function_id}:{h.dimension}:{h.instance_id}, "
-            f"spec is {new_spec.function_id}:{new_spec.dimension}:{new_spec.instance_id}"
-        )
+    logged, spec = (problem_id(p.function_id, p.dimension, p.instance_id) for p in (h, new_spec))
+    if logged != spec:
+        raise ValueError(f"problem key mismatch: log is {logged}, spec is {spec}")
     assessment = Assessment(new_spec)
     trajectory: list[tuple[int, IndicatorValue]] = []
     for chunk in log.records.chunks():
@@ -507,7 +504,7 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     ``path:line``."""
     path = Path(path)
     entries: list[IndexEntry] = []
-    rows: dict[str | tuple, int] = {}  # file name or problem key -> line
+    rows: dict[tuple[str, str], int] = {}  # ("file", name) or ("problem", key) -> line
     for number, line in _format_body(path, INDEX_FORMAT):
         if line.startswith("%"):
             continue
@@ -519,8 +516,8 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
             raise LogParseError(path, number, f"file {name!r} is not a name in this directory")
         instance_id = convert_at(path, number, "instance", _positive_int, parts[2])
         dimension = convert_at(path, number, "dimension", _positive_int, parts[3])
-        problem = (function_id, dimension, instance_id)
-        for key, what in ((name, name), (problem, "problem " + ":".join(map(str, problem)))):
+        problem = problem_id(function_id, dimension, instance_id)
+        for key, what in ((("file", name), name), (("problem", problem), "problem " + problem)):
             if key in rows:
                 raise LogParseError(path, number, f"{what} is already listed on line {rows[key]}")
             rows[key] = number

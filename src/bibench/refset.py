@@ -41,6 +41,7 @@ from bibench.datalog import (
 __all__ = [
     "PointColumns",
     "ReferenceSet",
+    "front",
     "load_reference_set",
     "merge",
     "nondominated_rows",
@@ -178,18 +179,17 @@ def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVe
     return -hv if hv > 0.0 else 0.0
 
 
-def _front(sets: Iterable[Iterable[ObjectiveVector]]) -> PointColumns:
-    """The non-dominated filter of the union of ``sets``; a single
-    :class:`PointColumns` set is filtered without a copy."""
+def front(sets: Iterable[Iterable[ObjectiveVector]]) -> PointColumns:
+    """The non-dominated filter of the union of ``sets``, in canonical order:
+    the sets' columns are concatenated into new arrays, then filtered by
+    ``nondominated_rows``, so the result shares no memory with any set.  A
+    :class:`PointColumns` set is read as it is; any other set in one
+    ``np.fromiter`` pass."""
     columns = [_columns(s) for s in sets]
-    if len(columns) == 1:
-        points = columns[0]
-    else:
-        points = PointColumns(
-            np.concatenate([np.empty(0), *(c.f_alpha for c in columns)]),
-            np.concatenate([np.empty(0), *(c.f_beta for c in columns)]),
-        )
-    return points[nondominated_rows(points.f_alpha, points.f_beta)]
+    alpha = np.concatenate([np.empty(0), *(c.f_alpha for c in columns)])
+    beta = np.concatenate([np.empty(0), *(c.f_beta for c in columns)])
+    rows = nondominated_rows(alpha, beta)
+    return PointColumns(alpha[rows], beta[rows])
 
 
 def merge(
@@ -203,25 +203,24 @@ def merge(
 ) -> ReferenceSet:
     """Merge raw solution sets for one problem key into a reference set.
 
-    The result's points are the non-dominated filter of the union, so the
-    operation is order-independent and idempotent, and each set may be
-    passed already reduced to its own front.  A :class:`PointColumns` set
-    is filtered as it is; any other set is read in one ``np.fromiter``
-    pass.  A non-finite value, or bounds ``ReferenceSet`` rejects, raises
+    The result's points are :func:`front` of the sets, the non-dominated
+    filter of their union, so the operation is order-independent and
+    idempotent, and each set may be passed already reduced to its own
+    front.  A non-finite value, or bounds ``ReferenceSet`` rejects, raises
     ``ValueError`` naming the problem.  The bounds passed are exact;
     ``nadir=None`` estimates the nadir from the extreme points of the
     merged front and flags the result as estimated.
     """
     key = suite.problem_id(function_id, dimension, instance_id)
     try:
-        front = _front(sets)
-        if len(front):
+        points = front(sets)
+        if len(points):
             estimated = nadir is None
             if estimated:
-                nadir = ObjectiveVector(front[-1].f_alpha, front[0].f_beta)
+                nadir = ObjectiveVector(points[-1].f_alpha, points[0].f_beta)
             return ReferenceSet(
                 function_id=function_id, instance_id=instance_id, dimension=dimension,
-                points=front, ideal=ideal, nadir=nadir, bounds_estimated=estimated,
+                points=points, ideal=ideal, nadir=nadir, bounds_estimated=estimated,
             )
     except ValueError as exc:
         raise ValueError(f"merge {key}: {exc}") from None
@@ -335,8 +334,7 @@ def load_reference_set(
     if not path.is_file():
         raise FileNotFoundError(f"no reference set for problem {key} (expected {path})")
     rs = read_reference_set(path)
-    if (rs.function_id, rs.dimension, rs.instance_id) != (function_id, dimension, instance_id):
-        raise ValueError(
-            f"{path}: file is for {rs.function_id}:{rs.dimension}:{rs.instance_id}, not {key}"
-        )
+    found = suite.problem_id(rs.function_id, rs.dimension, rs.instance_id)
+    if found != key:
+        raise ValueError(f"{path}: file is for {found}, not {key}")
     return rs

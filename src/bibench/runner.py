@@ -113,45 +113,37 @@ def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callab
 
 
 class _FrontCollector:
-    """The evaluation observer of one problem's bootstrap baselines: reduces
-    the points it is shown to their non-dominated subset as they arrive, so
-    it holds about one front plus one buffer of points, never the whole
-    budget.  The buffer and the front hold raw doubles, not float objects,
-    and ``front()`` hands the front's two arrays to ``refset.merge``."""
+    """The evaluation observer of one problem's bootstrap baselines: folds
+    the points it is shown into their non-dominated subset through
+    ``refset.front`` whenever its buffer holds as many points as the front
+    (at least ``_CHUNK``), so it holds about one front plus one buffer of
+    points, never the whole budget.  The buffer is two ``array("d")``
+    columns and the front a ``refset.PointColumns``, raw doubles both."""
 
     def __init__(self, key: str) -> None:
         self._key = key
-        self._front = (np.empty(0), np.empty(0))
-        self._alpha = array("d")
-        self._beta = array("d")
+        self._front = refset.PointColumns((), ())
+        self._alpha, self._beta = array("d"), array("d")
         self._limit = _CHUNK
 
     def add(self, t: int, y: ObjectiveVector) -> None:
         self._alpha.append(y.f_alpha)
         self._beta.append(y.f_beta)
         if len(self._alpha) >= self._limit:
-            self._fold()
-
-    def _fold(self) -> None:
-        alpha = np.concatenate((self._front[0], self._alpha))
-        beta = np.concatenate((self._front[1], self._beta))
-        # The old front and buffer are copied; release them before sorting.
-        self._front = None
-        self._alpha, self._beta = array("d"), array("d")
-        try:
-            rows = refset.nondominated_rows(alpha, beta)
-        except ValueError as exc:
-            raise ValueError(f"bootstrap {self._key}: {exc}") from None
-        self._front = (alpha[rows], beta[rows])
-        # Buffering as many points as the front holds before the next fold
-        # keeps the total sorting cost O(n log n).
-        self._limit = max(_CHUNK, len(rows))
+            self.front()
 
     def front(self) -> refset.PointColumns:
         """The non-dominated subset of every point added so far, each equal
         point's first-seen bits kept."""
-        self._fold()
-        return refset.PointColumns(*self._front)
+        try:
+            self._front = refset.front((self._front, refset.PointColumns(self._alpha, self._beta)))
+        except ValueError as exc:
+            raise ValueError(f"bootstrap {self._key}: {exc}") from None
+        self._alpha, self._beta = array("d"), array("d")
+        # Buffering as many points as the front holds before the next fold
+        # keeps the total sorting cost O(n log n).
+        self._limit = max(_CHUNK, len(self._front))
+        return self._front
 
 
 def _problem_rng(master_seed: int, purpose: int, algo_index: int,
