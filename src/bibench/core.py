@@ -17,6 +17,7 @@ import math
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,8 @@ class ProblemSpec:
     ``i_ref`` is the absolute quality-indicator reference value of the
     problem's reference set (the negated normalized hypervolume of that
     set), and ``refset_version`` is the content hash of the reference set
-    it was derived from.
+    it was derived from.  Fields named in ``_INTEGERS`` must be integers,
+    not ``bool``; those in ``_NAMES`` non-empty printable ASCII, unpadded.
     """
 
     function_id: str
@@ -67,8 +69,17 @@ class ProblemSpec:
     nadir: ObjectiveVector
     i_ref: float
     refset_version: str
+    _INTEGERS, _NAMES = ("instance_id", "dimension"), ()
 
     def __post_init__(self) -> None:
+        for name in self._INTEGERS:
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in self._NAMES:
+            text = getattr(self, name)
+            if not (isinstance(text, str) and text.isascii() and text.isprintable()
+                    and text != "" and text == text.strip()):
+                raise ValueError(f"{name} must be non-empty unpadded printable ASCII, got {text!r}")
         if self.instance_id < 1:
             raise ValueError(f"instance must be positive, got {self.instance_id}")
         if self.dimension < 1:

@@ -227,6 +227,8 @@ class LogReplayError(ValueError):
 class RunHeader(ProblemSpec):
     algorithm: str
     budget: int  # int64, as the eval counts it bounds
+    _INTEGERS = ProblemSpec._INTEGERS + ("budget",)
+    _NAMES = ("function_id", "algorithm", "refset_version")  # file names and text fields
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -180,11 +180,8 @@ def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVe
 
 
 def front(sets: Iterable[Iterable[ObjectiveVector]]) -> PointColumns:
-    """The non-dominated filter of the union of ``sets``, in canonical order:
-    the sets' columns are concatenated into new arrays, then filtered by
-    ``nondominated_rows``, so the result shares no memory with any set.  A
-    :class:`PointColumns` set is read as it is; any other set in one
-    ``np.fromiter`` pass."""
+    """The non-dominated filter of the union of ``sets``, in canonical order,
+    in new arrays that share no memory with any set."""
     columns = [_columns(s) for s in sets]
     alpha = np.concatenate([np.empty(0), *(c.f_alpha for c in columns)])
     beta = np.concatenate([np.empty(0), *(c.f_beta for c in columns)])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bibench import refset
+from bibench import refset, runner
 from bibench.cli import main
 from bibench.datalog import read_log
 from bibench.suite import analytic_front_oracle, get_function
@@ -129,6 +129,29 @@ def test_unknown_function_fails_before_work(tmp_path, capsys) -> None:
     ]) == 1
     err = capsys.readouterr().err
     assert "bibench: error:" in err and "f9" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_empty_dimension_list_is_named(tmp_path, capsys) -> None:
+    assert main(["run", "--dims", ",", "--out", str(tmp_path / "x")]) == 1
+    assert "bibench: error: empty dimension list" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_baseline_over_its_budget_exits_one(tmp_path, capsys, monkeypatch) -> None:
+    # The budget guard is the runner's, not the baseline's: a baseline that
+    # asks for one evaluation more than it was given fails the run.
+    def greedy(evaluate, dimension, budget, rng):
+        for _ in range(budget + 1):
+            evaluate(rng.uniform(-5.0, 5.0, dimension))
+
+    monkeypatch.setitem(runner.ALGORITHMS, "random", greedy)
+    refdir, _ = _write_analytic_refset(tmp_path)
+    assert main([
+        "run", "--functions", "f1", "--dims", "2", "--instances", "1", "--budget", "40",
+        "--refsets", str(refdir), "--out", str(tmp_path / "x"),
+    ]) == 1
+    assert "bibench: error: evaluation budget 40 exhausted" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

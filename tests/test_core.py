@@ -68,6 +68,26 @@ def test_problem_spec_validates_bounds_and_i_ref() -> None:
     _spec(i_ref=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["ideal", "nadir"])
+def test_problem_spec_refuses_a_non_finite_bound(which, bad) -> None:
+    bounds = {"ideal": (0.0, 0.0), "nadir": (1.0, 1.0)}
+    bounds[which] = (0.0, bad) if which == "ideal" else (bad, 1.0)
+    coord = "f_beta" if which == "ideal" else "f_alpha"
+    with pytest.raises(ValueError, match=f"ideal/nadir {coord} must be finite"):
+        _spec(**bounds)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [([0.5, 0.25], [0.75]), ([[0.5, 0.25]], [[0.75, 0.5]]), ([[0.5]], [0.75])],
+    ids=["unequal-length", "two-dimensional", "one-two-dimensional"],
+)
+def test_columns_refuse_unequal_or_multidimensional_columns(columns) -> None:
+    with pytest.raises(ValueError, match="PointColumns needs 1-D columns of equal length"):
+        PointColumns(*columns)
+
+
 def test_ulp_distance_basics() -> None:
     assert ulp_distance(1.0, 1.0) == 0
     assert ulp_distance(1.0, math.nextafter(1.0, 2.0)) == 1

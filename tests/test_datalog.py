@@ -215,7 +215,7 @@ def test_recalculate_rejects_key_mismatch() -> None:
         i_ref=-0.4,
         refset_version="ab12cd34ef56ab78",
     )
-    with pytest.raises(ValueError, match="key mismatch"):
+    with pytest.raises(ValueError, match="^problem key mismatch: log is f1:2:1, spec is f2:2:1$"):
         recalculate(log, other)
 
 
@@ -281,6 +281,48 @@ def test_run_header_for_run_takes_reference_data_from_spec() -> None:
 def test_run_header_is_checked_as_a_problem_spec() -> None:
     with pytest.raises(ValueError, match="dimension must be positive"):
         replace(_header(), dimension=0)
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("budget", True, "budget must be an integer, got True"),
+        ("budget", 10.5, "budget must be an integer, got 10.5"),
+        ("instance_id", True, "instance_id must be an integer, got True"),
+        ("dimension", True, "dimension must be an integer, got True"),
+        ("function_id", "f\t1", "function_id must be non-empty unpadded printable ASCII"),
+        ("function_id", "f\n1", "function_id must be non-empty unpadded printable ASCII"),
+        ("function_id", " f1", "function_id must be non-empty unpadded printable ASCII"),
+        ("algorithm", "", "algorithm must be non-empty unpadded printable ASCII"),
+        ("refset_version", "ab\t12", "refset_version must be non-empty unpadded printable ASCII"),
+        ("refset_version", "ab\n12", "refset_version must be non-empty unpadded printable ASCII"),
+        ("refset_version", "", "refset_version must be non-empty unpadded printable ASCII"),
+        ("refset_version", "ab ", "refset_version must be non-empty unpadded printable ASCII"),
+    ],
+    ids=[
+        "budget-bool", "budget-float", "instance-bool", "dimension-bool", "function-tab",
+        "function-newline", "function-padded", "algorithm-empty", "version-tab",
+        "version-newline", "version-empty", "version-padded",
+    ],
+)
+def test_run_header_refuses_a_value_the_readers_refuse(field, value, message) -> None:
+    # Before, each header was made and published: the bool and float numbers
+    # failed read_log at their line ("invalid literal for int()"), a tab,
+    # newline or empty version the index ("expected 5 columns"), " f1" the
+    # log's lookup (FileNotFoundError), and "ab " came back as "ab".
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(_header(), **{field: value})
+
+
+def test_an_accepted_header_round_trips_through_the_experiment_tree(tmp_path) -> None:
+    header = replace(
+        _header(), function_id="f 1", algorithm="algo-2.x", refset_version="v=1 #2",
+        budget=2**63 - 1,
+    )
+    log = RunLog(header, (LogRecord(2**62, ObjectiveVector(0.5, 0.25)),))
+    with ExperimentWriter(tmp_path) as writer:
+        writer.write(log)
+    assert list(iter_experiment(tmp_path)) == [log]
 
 
 def _write_experiment(root):
@@ -527,6 +569,31 @@ def test_experiment_index_rejects_repeated_problem(tmp_path) -> None:
         LogParseError, match=r"experiment_index\.tsv:5: problem f1:2:1 is already listed on line 3"
     ):
         read_experiment_index(path)
+
+
+def test_experiment_index_file_named_like_a_problem_is_not_that_problem(tmp_path) -> None:
+    # File names and problem keys are separate keyspaces: a file named
+    # "f1:2:1" listed for f2 does not repeat problem f1:2:1, nor the reverse.
+    path = tmp_path / INDEX_FILENAME
+    path.write_text(
+        "% format=experiment-index-v1\n"
+        "f1:2:1\tf2\t1\t2\tab12\n"
+        "f1_d2_i1.tsv\tf1\t1\t2\tab12\n"
+        "f2:2:1\tf3\t1\t2\tab12\n"
+    )
+    assert [(e.file, e.function_id) for e in read_experiment_index(path)] == [
+        ("f1:2:1", "f2"), ("f1_d2_i1.tsv", "f1"), ("f2:2:1", "f3"),
+    ]
+
+
+def test_iter_experiment_skips_a_subdirectory_of_an_unindexed_directory(tmp_path) -> None:
+    # A directory inside one without an index is not a run log, so neither
+    # that directory nor its run-log-named contents make it an error.
+    _write_experiment(tmp_path)
+    nested = tmp_path / "refsets" / "f1_d2_i1.tsv"
+    nested.mkdir(parents=True)
+    write_log(RunLog(_header(), ()), nested / "f1_d2_i1.tsv")
+    assert [log.header.instance_id for log in iter_experiment(tmp_path)] == [1, 2]
 
 
 @pytest.mark.parametrize(

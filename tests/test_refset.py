@@ -33,6 +33,7 @@ from bibench.refset import (
     PointColumns,
     ReferenceSet,
     _columns,
+    front,
     merge,
     nondominated_rows,
     read_reference_set,
@@ -174,6 +175,18 @@ def test_nondominated_rows_equals_set_sort_loop(points) -> None:
     assert _bits(points[i] for i in rows) == _bits(_set_sort_loop_filter(points))
     # Each kept row is the first seen of the points equal to it (0.0 == -0.0).
     assert all(i == next(j for j, q in enumerate(points) if q == points[i]) for i in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_lists(), st.integers(min_value=0, max_value=40))
+def test_front_of_one_set_or_of_its_parts_is_one_filter(points, cut) -> None:
+    # One path for every call: a lone PointColumns set is copied and
+    # filtered like a union, so the front never shares memory with a set.
+    whole = _columns(points)
+    fronts = [front([whole]), front([points[:cut], _columns(points[cut:])])]
+    assert [_bits(f) for f in fronts] == [_bits(_set_sort_loop_filter(points))] * 2
+    assert not any(np.shares_memory(f.f_alpha, whole.f_alpha) for f in fronts)
+    assert len(front([])) == 0
 
 
 def test_merge_rejects_non_finite_points_naming_the_problem() -> None:

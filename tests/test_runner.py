@@ -5,6 +5,7 @@ from __future__ import annotations
 import filecmp
 import gc
 import math
+import re
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -160,7 +161,8 @@ def test_mismatched_refset_file_rejected(tmp_path) -> None:
         functions=("f1",), dimensions=(2,), instances=(2,),
         budget=10, refset_dir=refdir,
     )
-    with pytest.raises(ValueError, match="f1:2:2"):
+    message = f"{wrong}: file is for f1:2:1, not f1:2:2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(cfg)
 
 
@@ -269,6 +271,27 @@ def test_failed_run_or_recalc_removes_the_output_directory_it_created(tmp_path) 
     with pytest.raises(FileNotFoundError, match="f1:2:2"):
         recalc_experiment(cfg.output_dir, only_i1, tmp_path / "rescored")
     assert not (tmp_path / "rescored").exists()
+
+
+def test_baseline_over_its_budget_fails_and_leaves_the_tree(tmp_path) -> None:
+    # A baseline only sees the runner's budgeted callback, which refuses the
+    # evaluation past the budget; the failed run publishes nothing.
+    cfg = _f1_config(tmp_path, budget=40)
+    run_experiment(cfg)
+    before = _tree(cfg.output_dir)
+    asked = []
+
+    def greedy(evaluate, dimension, budget, rng):
+        for _ in range(budget + 1):
+            evaluate(rng.uniform(-5.0, 5.0, dimension))
+            asked.append(1)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(ALGORITHMS, "random", greedy)
+        with pytest.raises(RuntimeError, match="^evaluation budget 40 exhausted$"):
+            run_experiment(replace(cfg, seed=1))
+    assert len(asked) == 40
+    assert _tree(cfg.output_dir) == before
 
 
 def test_failed_run_keeps_its_in_run_reference_sets(tmp_path) -> None:

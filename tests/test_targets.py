@@ -83,6 +83,12 @@ def test_record_requires_increasing_t() -> None:
         rec.record(2, 0.05)
 
 
+@pytest.mark.parametrize("targets", [(-0.5, -0.5), (-0.25, -0.5), (-0.9, -0.1, -0.2)])
+def test_record_refuses_targets_not_strictly_ascending(targets) -> None:
+    with pytest.raises(ValueError, match="targets must be strictly ascending"):
+        RuntimeRecord(targets)
+
+
 def test_hits_never_change_once_set() -> None:
     rec = RuntimeRecord([0.0, 0.5])
     rec.record(2, 0.4)
