@@ -316,7 +316,7 @@ def test_run_header_refuses_a_value_the_readers_refuse(field, value, message) ->
 
 def test_an_accepted_header_round_trips_through_the_experiment_tree(tmp_path) -> None:
     header = replace(
-        _header(), function_id="f 1", algorithm="algo-2.x", refset_version="v=1 #2",
+        _header(), function_id="f1.x-2", algorithm="algo-2.x", refset_version="v=1 #2",
         budget=2**63 - 1,
     )
     log = RunLog(header, (LogRecord(2**62, ObjectiveVector(0.5, 0.25)),))
