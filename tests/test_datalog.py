@@ -306,10 +306,10 @@ def test_run_header_is_checked_as_a_problem_spec() -> None:
     ],
 )
 def test_run_header_refuses_a_value_the_readers_refuse(field, value, message) -> None:
-    # Before, each header was made and published: the bool and float numbers
-    # failed read_log at their line ("invalid literal for int()"), a tab,
-    # newline or empty version the index ("expected 5 columns"), " f1" the
-    # log's lookup (FileNotFoundError), and "ab " came back as "ab".
+    # Each value, once written, is one the readers refuse or alter: the bool
+    # and float numbers fail read_log at their line ("invalid literal for
+    # int()"), a tab, newline or empty name the index ("expected 5 columns"),
+    # " f1" the log's lookup (FileNotFoundError), and "ab " reads as "ab".
     with pytest.raises(ValueError, match=re.escape(message)):
         replace(_header(), **{field: value})
 
