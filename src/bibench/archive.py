@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InsertOutcome:
     """Result of one insertion attempt.
 
@@ -51,7 +51,16 @@ class InsertOutcome:
     removed_count: int
     hv_gain: float
 
+    def __init__(self, accepted: bool, removed_count: int, hv_gain: float) -> None:
+        _set_accepted(self, accepted)
+        _set_removed_count(self, removed_count)
+        _set_hv_gain(self, hv_gain)
 
+
+_set_accepted, _set_removed_count, _set_hv_gain = (
+    InsertOutcome.accepted.__set__, InsertOutcome.removed_count.__set__,
+    InsertOutcome.hv_gain.__set__,
+)
 _REJECTED = InsertOutcome(False, 0, 0.0)
 
 
@@ -143,11 +152,11 @@ class Archive:
             j += 1
 
         hv_gain = self._gain(yu, yv, i, j)
-        d = roi_distance(yu, yv)
-        if d < self._dist:
-            self._dist = d
-        if yu <= 1.0 and yv <= 1.0:
+        if yu <= 1.0 and yv <= 1.0:  # in the ROI, at distance 0
             self._roi_reached = True
+            self._dist = 0.0
+        elif (d := roi_distance(yu, yv)) < self._dist:
+            self._dist = d
         if yu < 0.0 or yv < 0.0:
             self.clamp_warnings += 1
 
@@ -176,6 +185,9 @@ class Archive:
         v = yv if yv > 0.0 else 0.0
         bound = min(vs[i - 1], 1.0) if i > 0 else 1.0
         prev_x = yu if yu > 0.0 else 0.0
+        right_x = min(us[j], 1.0) if j < len(us) else 1.0
+        if i == j:  # nothing removed: one rectangle, up to the right neighbour
+            return (right_x - prev_x) * (bound - v) if right_x > prev_x and bound > v else 0.0
         terms = []
         for k in range(i, j):
             x = min(max(us[k], 0.0), 1.0)
@@ -184,7 +196,6 @@ class Archive:
             if x > prev_x:
                 prev_x = x
             bound = min(vs[k], 1.0)
-        right_x = min(us[j], 1.0) if j < len(us) else 1.0
         last = (right_x - prev_x) * (bound - v) if right_x > prev_x and bound > v else 0.0
         # fsum of one term is that term, so a one-rectangle gain needs no fsum.
         return math.fsum([*terms, last]) if terms else last

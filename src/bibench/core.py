@@ -31,15 +31,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObjectiveVector:
     """A point in raw (unnormalized) two-dimensional objective space."""
 
     f_alpha: float
     f_beta: float
 
+    # Each assessed record builds this and three more frozen value types.  The
+    # generated __init__ stores fields through object.__setattr__; the slot
+    # descriptors, bound below, build the object in about two thirds of the time.
+    def __init__(self, f_alpha: float, f_beta: float) -> None:
+        _set_f_alpha(self, f_alpha)
+        _set_f_beta(self, f_beta)
 
-@dataclass(frozen=True, slots=True)
+
+_set_f_alpha, _set_f_beta = ObjectiveVector.f_alpha.__set__, ObjectiveVector.f_beta.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NormalizedObjectives:
     """An objective vector in ROI coordinates (ideal at (0,0), nadir at (1,1)).
 
@@ -50,6 +60,13 @@ class NormalizedObjectives:
     u: float
     v: float
 
+    def __init__(self, u: float, v: float) -> None:
+        _set_u(self, u)
+        _set_v(self, v)
+
+
+_set_u, _set_v = NormalizedObjectives.u.__set__, NormalizedObjectives.v.__set__
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -59,7 +76,10 @@ class ProblemSpec:
     problem's reference set (the negated normalized hypervolume of that
     set), and ``refset_version`` is the content hash of the reference set
     it was derived from.  Fields named in ``_INTEGERS`` must be integers,
-    not ``bool``; those in ``_NAMES`` non-empty printable ASCII, unpadded.
+    not ``bool``; those in ``_NAMES`` non-empty printable ASCII, unpadded;
+    those in ``_PATH_PARTS``, written into file and directory names, must
+    hold no ``/`` and not start with ``.``.  ``function_id`` holds no
+    whitespace, which would split it in a reference set's header.
     """
 
     function_id: str
@@ -69,7 +89,7 @@ class ProblemSpec:
     nadir: ObjectiveVector
     i_ref: float
     refset_version: str
-    _INTEGERS, _NAMES = ("instance_id", "dimension"), ()
+    _INTEGERS, _NAMES, _PATH_PARTS = ("instance_id", "dimension"), (), ("function_id",)
 
     def __post_init__(self) -> None:
         for name in self._INTEGERS:
@@ -80,6 +100,12 @@ class ProblemSpec:
             if not (isinstance(text, str) and text.isascii() and text.isprintable()
                     and text != "" and text == text.strip()):
                 raise ValueError(f"{name} must be non-empty unpadded printable ASCII, got {text!r}")
+        for name in self._PATH_PARTS:
+            text = str(getattr(self, name))
+            if "/" in text or text.startswith("."):
+                raise ValueError(f"{name} must hold no '/' and not start with '.', got {text!r}")
+        if any(map(str.isspace, text := str(self.function_id))):
+            raise ValueError(f"function_id must hold no whitespace, got {text!r}")
         if self.instance_id < 1:
             raise ValueError(f"instance must be positive, got {self.instance_id}")
         if self.dimension < 1:

@@ -229,6 +229,7 @@ class RunHeader(ProblemSpec):
     budget: int  # int64, as the eval counts it bounds
     _INTEGERS = ProblemSpec._INTEGERS + ("budget",)
     _NAMES = ("function_id", "algorithm", "refset_version")  # file names and text fields
+    _PATH_PARTS = ProblemSpec._PATH_PARTS + ("algorithm",)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -414,13 +415,14 @@ def recalculate(
         raise ValueError(f"problem key mismatch: log is {logged}, spec is {spec}")
     assessment = Assessment(new_spec)
     trajectory: list[tuple[int, IndicatorValue]] = []
+    add, append = assessment.add, trajectory.append
     for chunk in log.records.chunks():
         for t, f_alpha, f_beta in zip(*chunk):
-            if not assessment.add(t, ObjectiveVector(f_alpha, f_beta)):
+            if not add(t, ObjectiveVector(f_alpha, f_beta)):
                 raise LogReplayError(
                     f"record at eval {t} was rejected on replay; the log is corrupt or incomplete"
                 )
-            trajectory.append((t, assessment.value))
+            append((t, assessment.value))
     # The live run recorded up to the full budget; only archive-entering
     # evaluations are logged, so restore the true total spent.
     runtimes = assessment.runtimes

@@ -33,7 +33,7 @@ class Branch(Enum):
     DISTANCE = "distance"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IndicatorValue:
     """An indicator value; its sign names the branch that produced it.
 
@@ -44,15 +44,17 @@ class IndicatorValue:
 
     value: float
 
-    def __post_init__(self) -> None:
-        if not self.value >= -1.0:
-            raise ValueError(f"indicator value must be at least -1, got {self.value}")
+    def __init__(self, value: float) -> None:
+        if not value >= -1.0:
+            raise ValueError(f"indicator value must be at least -1, got {value}")
+        _set_value(self, value)
 
     @property
     def branch(self) -> Branch:
         return Branch.HYPERVOLUME if self.value <= 0.0 else Branch.DISTANCE
 
 
+_set_value = IndicatorValue.value.__set__
 EMPTY_ARCHIVE_VALUE = IndicatorValue(math.inf)
 
 

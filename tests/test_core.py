@@ -5,9 +5,11 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+from bibench.archive import InsertOutcome
 from bibench.core import (
     NormalizedObjectives,
     ObjectiveVector,
@@ -16,6 +18,7 @@ from bibench.core import (
     ulp_distance,
 )
 from bibench.datalog import RecordColumns, RunHeader, RunLog
+from bibench.indicator import IndicatorValue
 from bibench.refset import PointColumns, merge
 
 
@@ -113,3 +116,37 @@ def test_columns_stay_read_only_through_pickle_and_deepcopy() -> None:
             columns = getattr(copied, "records", getattr(copied, "points", copied))
             assert type(columns) in (RecordColumns, PointColumns)
             assert not any(a.flags.writeable for a in columns._arrays())
+
+
+@pytest.mark.parametrize(
+    ("cls", "values", "other", "refused"),
+    [
+        (ObjectiveVector, (1.5, -2.0), (1.5, -2.5), ()),
+        (NormalizedObjectives, (0.25, 1.5), (0.5, 1.5), ()),
+        (InsertOutcome, (True, 2, 0.125), (True, 1, 0.125), ()),
+        (IndicatorValue, (-0.5,), (0.5,), ((-1.5,), (math.nan,))),
+    ],
+    ids=["ObjectiveVector", "NormalizedObjectives", "InsertOutcome", "IndicatorValue"],
+)
+def test_per_record_value_types_are_frozen_values(cls, values, other, refused) -> None:
+    # Each type has its own __init__, which stores through the slots; it must
+    # keep everything the generated one gave.
+    names = [f.name for f in fields(cls)]
+    kwargs = dict(zip(names, values, strict=True))
+    obj = cls(*values)
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0)
+    assert obj == cls(**kwargs) and hash(obj) == hash(cls(**kwargs))
+    assert obj != cls(*other) and cls(*other) == cls(*other)
+    assert repr(obj) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+    assert replace(obj, **dict(zip(names, other))) == cls(*other)
+    for copied in (replace(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copied) is cls and copied == obj
+        with pytest.raises(FrozenInstanceError):
+            setattr(copied, names[0], values[0])
+    for bad in refused:
+        with pytest.raises(ValueError, match="indicator value must be at least -1"):
+            cls(*bad)
+        with pytest.raises(ValueError, match="indicator value must be at least -1"):
+            replace(obj, **dict(zip(names, bad)))

@@ -298,11 +298,17 @@ def test_run_header_is_checked_as_a_problem_spec() -> None:
         ("refset_version", "ab\n12", "refset_version must be non-empty unpadded printable ASCII"),
         ("refset_version", "", "refset_version must be non-empty unpadded printable ASCII"),
         ("refset_version", "ab ", "refset_version must be non-empty unpadded printable ASCII"),
+        ("algorithm", "..", "algorithm must hold no '/' and not start with '.', got '..'"),
+        ("algorithm", ".staging", "algorithm must hold no '/' and not start with '.'"),
+        ("algorithm", "x/y", "algorithm must hold no '/' and not start with '.', got 'x/y'"),
+        ("function_id", "a/b", "function_id must hold no '/' and not start with '.'"),
+        ("function_id", "f 1", "function_id must hold no whitespace, got 'f 1'"),
     ],
     ids=[
         "budget-bool", "budget-float", "instance-bool", "dimension-bool", "function-tab",
         "function-newline", "function-padded", "algorithm-empty", "version-tab",
-        "version-newline", "version-empty", "version-padded",
+        "version-newline", "version-empty", "version-padded", "algorithm-parent",
+        "algorithm-staging", "algorithm-slash", "function-slash", "function-space",
     ],
 )
 def test_run_header_refuses_a_value_the_readers_refuse(field, value, message) -> None:
@@ -310,6 +316,10 @@ def test_run_header_refuses_a_value_the_readers_refuse(field, value, message) ->
     # and float numbers fail read_log at their line ("invalid literal for
     # int()"), a tab, newline or empty name the index ("expected 5 columns"),
     # " f1" the log's lookup (FileNotFoundError), and "ab " reads as "ab".
+    # ExperimentWriter makes paths of the algorithm and function: ".." would
+    # publish above the root, ".staging" inside the staging directory, "x/y"
+    # where iter_experiment never looks, and "a/b" fails close().  "f 1"
+    # splits in a reference set's header.
     with pytest.raises(ValueError, match=re.escape(message)):
         replace(_header(), **{field: value})
 

@@ -197,6 +197,17 @@ def test_merge_rejects_non_finite_points_naming_the_problem() -> None:
             merge([[_ov(0.1, 0.9)], [bad, _ov(0.9, 0.1)]], **KEY, **UNIT_BOUNDS)
 
 
+@pytest.mark.parametrize("function_id", ["f 1", "f\t1"], ids=["space", "tab"])
+def test_merge_refuses_a_function_id_holding_whitespace(function_id) -> None:
+    # The "#" header is split on whitespace: "f 1" was written and read back
+    # as function "f".
+    key = {**KEY, "function_id": function_id}
+    with pytest.raises(
+        ValueError, match=f"^merge {function_id}:2:1: function_id must hold no whitespace, got "
+    ):
+        merge([[_ov(0.5, 0.5)]], **key, **UNIT_BOUNDS)
+
+
 def test_compute_i_ref_anchors() -> None:
     nadir_only = merge([[_ov(1.0, 1.0)]], **KEY, **UNIT_BOUNDS)
     assert nadir_only.i_ref == 0.0
