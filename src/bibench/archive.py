@@ -151,7 +151,16 @@ class Archive:
         while j < n and vs[j] >= yv:
             j += 1
 
-        hv_gain = self._gain(yu, yv, i, j)
+        hv_gain = 0.0
+        if yu < 1.0 and yv < 1.0:  # only such a point covers ROI area; clip to the ROI
+            prev_x = yu if yu > 0.0 else 0.0
+            v = yv if yv > 0.0 else 0.0
+            bound = vs[i - 1] if i > 0 and vs[i - 1] < 1.0 else 1.0
+            right_x = us[j] if j < n and us[j] < 1.0 else 1.0
+            if i < j:
+                hv_gain = self._gain(prev_x, v, bound, right_x, i, j)
+            elif right_x > prev_x and bound > v:  # nothing removed: one rectangle
+                hv_gain = (right_x - prev_x) * (bound - v)
         if yu <= 1.0 and yv <= 1.0:  # in the ROI, at distance 0
             self._roi_reached = True
             self._dist = 0.0
@@ -171,31 +180,25 @@ class Archive:
         self._hv_sum = total
         return InsertOutcome(True, j - i, hv_gain)
 
-    def _gain(self, yu: float, yv: float, i: int, j: int) -> float:
-        """ROI area newly covered by ``(yu, yv)``, as a sum of positive rectangles.
+    def _gain(self, prev_x: float, v: float, bound: float, right_x: float, i: int, j: int) -> float:
+        """ROI area newly covered by a point at ``(prev_x, v)``, clipped at 0,
+        that removes entries ``i`` to ``j - 1``, as a sum of positive rectangles.
 
-        Walking from the point to its surviving right neighbour, the old
-        cover boundary is the left neighbour's ``v`` and then each removed
-        entry's ``v`` in turn; every term is a product of non-negative
-        differences, so no cancellation occurs.
+        Walking from the point to ``right_x``, its surviving right neighbour's
+        ``u``, the old cover boundary is ``bound``, the left neighbour's ``v``,
+        and then each removed entry's ``v`` in turn; every term is a product
+        of non-negative differences, so no cancellation occurs.
         """
-        if yu >= 1.0 or yv >= 1.0:
-            return 0.0
         us, vs = self._u, self._v
-        v = yv if yv > 0.0 else 0.0
-        bound = min(vs[i - 1], 1.0) if i > 0 else 1.0
-        prev_x = yu if yu > 0.0 else 0.0
-        right_x = min(us[j], 1.0) if j < len(us) else 1.0
-        if i == j:  # nothing removed: one rectangle, up to the right neighbour
-            return (right_x - prev_x) * (bound - v) if right_x > prev_x and bound > v else 0.0
         terms = []
+        # Clipped by comparisons, which give min and max's values without a call.
         for k in range(i, j):
-            x = min(max(us[k], 0.0), 1.0)
+            x = 0.0 if (x := us[k]) < 0.0 else 1.0 if x > 1.0 else x
             if x > prev_x and bound > v:
                 terms.append((x - prev_x) * (bound - v))
             if x > prev_x:
                 prev_x = x
-            bound = min(vs[k], 1.0)
+            bound = 1.0 if (b := vs[k]) > 1.0 else b
         last = (right_x - prev_x) * (bound - v) if right_x > prev_x and bound > v else 0.0
         # fsum of one term is that term, so a one-rectangle gain needs no fsum.
         return math.fsum([*terms, last]) if terms else last

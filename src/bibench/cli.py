@@ -38,15 +38,18 @@ def _parse_list(text: str, what: str, convert) -> list:
 def _int_axis(text: str | None, what: str, axis: tuple[int, ...]) -> tuple[int, ...]:
     """The integers a comma list of values and inclusive dash ranges
     ("2,5" or "1-10") selects, or all of ``axis`` when ``text`` is empty.
-    A range keeps at most one value more than ``axis`` has, which still
-    holds its first value off the axis for the suite to name, so a wide
-    range costs no memory."""
+    A range that ends below its start is an error.  A range keeps at most
+    one value more than ``axis`` has, which still holds its first value off
+    the axis for the suite to name, so a wide range costs no memory."""
     if not text:
         return axis
 
     def convert(part: str) -> Sequence[int]:
         lo, dash, hi = part.partition("-")
-        return range(int(lo), int(hi) + 1)[: len(axis) + 1] if dash else [int(part)]
+        values = range(int(lo), int(hi) + 1) if dash else [int(part)]
+        if not values:
+            raise ValueError("inverted range")
+        return values[: len(axis) + 1]
 
     return tuple(_parse_list(text, what, convert))
 

@@ -27,6 +27,7 @@ __all__ = [
     "ObjectiveVector",
     "ProblemSpec",
     "normalize",
+    "normalize_columns",
     "ulp_distance",
 ]
 
@@ -138,6 +139,18 @@ def normalize(y: ObjectiveVector, p: ProblemSpec) -> NormalizedObjectives:
     u = (y.f_alpha - p.ideal.f_alpha) / (p.nadir.f_alpha - p.ideal.f_alpha)
     v = (y.f_beta - p.ideal.f_beta) / (p.nadir.f_beta - p.ideal.f_beta)
     return NormalizedObjectives(u, v)
+
+
+def normalize_columns(f_alpha: np.ndarray, f_beta: np.ndarray, ideal: ObjectiveVector,
+                      nadir: ObjectiveVector) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize` of the points ``(f_alpha[i], f_beta[i])`` as float64
+    columns ``(u, v)``, by the same IEEE operations, so with the same bits.
+    Nothing is checked: non-finite values stay so, and a quotient too large
+    for a double is ``inf``, as with Python floats, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (np.asarray(f_alpha, dtype=float) - ideal.f_alpha) / (nadir.f_alpha - ideal.f_alpha)
+        v = (np.asarray(f_beta, dtype=float) - ideal.f_beta) / (nadir.f_beta - ideal.f_beta)
+    return u, v
 
 
 def _float_ordinal(x: float) -> int:

@@ -33,6 +33,8 @@ runs feed it every evaluation and ``recalculate`` a log's records under a
 (possibly different) problem spec, so a replay reproduces the live
 indicator trajectory and first-hit runtimes by construction; this is what
 makes reference-set updates retroactive without re-running experiments.
+A live run normalizes each point; a replay normalizes its columns a chunk
+at a time with the same IEEE operations, so every value has the same bits.
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ from operator import index
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from bibench.archive import Archive
-from bibench.core import Columns, ObjectiveVector, ProblemSpec, normalize
+from bibench.core import (Columns, NormalizedObjectives, ObjectiveVector, ProblemSpec,
+                          normalize, normalize_columns)
 from bibench.indicator import EMPTY_ARCHIVE_VALUE, IndicatorValue, evaluate_incremental
 from bibench.suite import problem_id
 from bibench.targets import RuntimeRecord, absolute_targets
@@ -375,10 +380,11 @@ def read_log(path: Path | str) -> RunLog:
 
 
 class Assessment:
-    """One run's assessment under one problem spec.  ``add`` takes every
-    evaluation in order: normalize, archive insert, indicator update, first
-    hits.  Live runs and log replay both use it, so a replay reproduces the
-    live trajectory by construction."""
+    """One run's assessment under one problem spec.  ``add`` normalizes each
+    evaluation, in order; ``add_normalized`` inserts it, then updates the
+    indicator and first hits.  Live runs add every evaluation; a replay adds
+    records it normalized as columns, with the same IEEE operations and bits,
+    so it reproduces the live trajectory by construction."""
 
     def __init__(self, spec: ProblemSpec) -> None:
         self.spec = spec
@@ -387,9 +393,12 @@ class Assessment:
         self.runtimes = RuntimeRecord(absolute_targets(spec))
 
     def add(self, eval_count: int, y: ObjectiveVector) -> bool:
-        """Assess evaluation ``eval_count``; True if it entered the archive.  A
-        rejected point changes no value or first hit, only the evaluations."""
-        outcome = self.archive.insert(normalize(y, self.spec), eval_count)
+        """Assess evaluation ``eval_count``; True if it entered the archive."""
+        return self.add_normalized(eval_count, normalize(y, self.spec))
+
+    def add_normalized(self, eval_count: int, z: NormalizedObjectives) -> bool:
+        """``add`` of a point normalized under ``spec``; a rejected one sets only evaluations."""
+        outcome = self.archive.insert(z, eval_count)
         if not outcome.accepted:
             self.runtimes.evaluations = eval_count
             return False
@@ -407,7 +416,9 @@ def recalculate(
     runtime record against ``new_spec``'s absolute targets.  Every logged
     record was archive-entering when written and dominance is invariant
     under the (monotone affine) normalization, so a rejected record raises
-    :class:`LogReplayError`.
+    :class:`LogReplayError`.  Records are normalized ``Columns._ROWS`` at a
+    time; the records before a non-finite value are assessed first, and that
+    value then raises :func:`normalize`'s ``ValueError``, as in a live run.
     """
     h = log.header
     logged, spec = (problem_id(p.function_id, p.dimension, p.instance_id) for p in (h, new_spec))
@@ -415,14 +426,22 @@ def recalculate(
         raise ValueError(f"problem key mismatch: log is {logged}, spec is {spec}")
     assessment = Assessment(new_spec)
     trajectory: list[tuple[int, IndicatorValue]] = []
-    add, append = assessment.add, trajectory.append
-    for chunk in log.records.chunks():
-        for t, f_alpha, f_beta in zip(*chunk):
-            if not add(t, ObjectiveVector(f_alpha, f_beta)):
+    add, append = assessment.add_normalized, trajectory.append
+    records, rows = log.records, Columns._ROWS
+    for k in range(0, len(records), rows):
+        f_alpha, f_beta = records.f_alpha[k:k + rows], records.f_beta[k:k + rows]
+        finite = np.isfinite(f_alpha) & np.isfinite(f_beta)
+        n = len(finite) if finite.all() else int(finite.argmin())
+        u, v = normalize_columns(f_alpha[:n], f_beta[:n], new_spec.ideal, new_spec.nadir)
+        points = map(NormalizedObjectives, u.tolist(), v.tolist())
+        for t, z in zip(records.eval_count[k:k + n].tolist(), points):
+            if not add(t, z):
                 raise LogReplayError(
                     f"record at eval {t} was rejected on replay; the log is corrupt or incomplete"
                 )
             append((t, assessment.value))
+        if n < len(finite):  # raises, naming the coordinate
+            normalize(ObjectiveVector(f_alpha[n].item(), f_beta[n].item()), new_spec)
     # The live run recorded up to the full budget; only archive-entering
     # evaluations are logged, so restore the true total spent.
     runtimes = assessment.runtimes

@@ -59,13 +59,14 @@ EMPTY_ARCHIVE_VALUE = IndicatorValue(math.inf)
 
 
 def _current(arch: Archive) -> IndicatorValue:
-    """A non-empty archive's value, on the branch ``reaches_roi`` selects."""
-    if not arch.reaches_roi:
-        return IndicatorValue(arch.min_distance_to_roi())
+    """A non-empty archive's value, on the branch ``reaches_roi`` selects.  It
+    runs per accepted point, so it reads the archive's caches directly."""
+    if not arch._roi_reached:
+        return IndicatorValue(arch._dist)
     # The exact clipped hypervolume is <= 1; summation may overshoot by a
     # fraction of an ULP, which must not breach the [-1, 0] invariant.
-    hv = arch.hypervolume()
-    return IndicatorValue(-min(hv, 1.0) if hv > 0.0 else 0.0)
+    hv = arch._hv_sum + arch._hv_error
+    return IndicatorValue(-1.0 if hv >= 1.0 else -hv if hv > 0.0 else 0.0)
 
 
 def evaluate(arch: Archive) -> IndicatorValue:

@@ -138,6 +138,22 @@ def test_empty_dimension_list_is_named(tmp_path, capsys) -> None:
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    ("flag", "text", "message"),
+    [("--dims", "2,5-3", "cannot parse dimension '5-3'"),
+     ("--instances", "1,10-1", "cannot parse instance '10-1'")],
+)
+def test_inverted_range_is_refused(tmp_path, capsys, flag, text, message) -> None:
+    # A range ending below its start selects nothing; it is not skipped.  The
+    # small grid and budgets keep a run short should the range pass.
+    assert main([
+        "run", "--functions", "f1", "--dims", "2", "--instances", "1", flag, text,
+        "--budget", "20", "--bootstrap-budget", "100", "--out", str(tmp_path / "x"),
+    ]) == 1
+    assert f"bibench: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_baseline_over_its_budget_exits_one(tmp_path, capsys, monkeypatch) -> None:
     # The budget guard is the runner's, not the baseline's: a baseline that
     # asks for one evaluation more than it was given fails the run.

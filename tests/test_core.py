@@ -5,9 +5,11 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibench.archive import InsertOutcome
 from bibench.core import (
@@ -15,6 +17,7 @@ from bibench.core import (
     ObjectiveVector,
     ProblemSpec,
     normalize,
+    normalize_columns,
     ulp_distance,
 )
 from bibench.datalog import RecordColumns, RunHeader, RunLog
@@ -55,6 +58,42 @@ def test_normalize_rejects_non_finite_naming_coordinate() -> None:
         normalize(ObjectiveVector(math.nan, 0.0), p)
     with pytest.raises(ValueError, match="f_beta"):
         normalize(ObjectiveVector(0.0, math.inf), p)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _axis(draw) -> tuple[float, float, list[float]]:
+    """An ideal below a nadir, at least one ULP apart or as far apart as two
+    doubles get, and values on both, at signed zero, and anywhere else."""
+    ideal = draw(st.floats(-1e300, 1e300) | st.sampled_from((-1e308, -math.pi, -0.0, 0.0, 1.5)))
+    nadir = draw(
+        st.sampled_from((math.nextafter(ideal, math.inf), 1e308))
+        | st.floats(ideal, 1e308, exclude_min=True)
+    )
+    values = draw(st.lists(st.sampled_from((ideal, nadir, -0.0, 0.0, 1e308, -1e308)) | _FINITE,
+                           min_size=1, max_size=30))
+    return ideal, nadir, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_axis(), beta=_axis())
+def test_normalize_columns_matches_normalize_bit_for_bit(alpha, beta) -> None:
+    # One-ULP spans and huge values make quotients that overflow to inf, and
+    # a span that overflows makes inf / inf = nan, as Python floats do; none
+    # of it may warn.
+    (lo_a, hi_a, f_alpha), (lo_b, hi_b, f_beta) = alpha, beta
+    n = min(len(f_alpha), len(f_beta))
+    f_alpha, f_beta = f_alpha[:n], f_beta[:n]
+    p = _spec(ideal=(lo_a, lo_b), nadir=(hi_a, hi_b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = normalize_columns(f_alpha, f_beta, p.ideal, p.nadir)
+    assert (u.dtype, v.dtype, u.shape, v.shape) == (float, float, (n,), (n,))
+    for a, b, got_u, got_v in zip(f_alpha, f_beta, u.tolist(), v.tolist()):
+        want = normalize(ObjectiveVector(a, b), p)
+        assert (got_u.hex(), got_v.hex()) == (want.u.hex(), want.v.hex())
 
 
 def test_problem_spec_validates_bounds_and_i_ref() -> None:

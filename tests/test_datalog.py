@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +203,33 @@ def test_recalculate_rejects_corrupted_log() -> None:
         ),
     )
     with pytest.raises(LogReplayError, match="eval 2"):
+        recalculate(log, _spec())
+
+
+# A staircase of 5000 mutually non-dominated records inside the ROI of
+# ``_spec``, so every one is accepted; rows past 4096 lie in a later chunk.
+_STAIRS = [(k * 1e-4, 2.0 - k * 1e-4) for k in range(1, 5001)]
+
+
+@pytest.mark.parametrize(
+    ("values", "error", "message"),
+    [
+        # normalize names the non-finite value once replay reaches its record...
+        ([(0.5, 0.5), (math.nan, 0.1)], ValueError, "^f_alpha is not finite: nan$"),
+        # ...so a rejected record before it is named first.
+        ([(0.5, 0.5), (0.6, 0.6), (math.inf, 0.1)], LogReplayError, "at eval 2 "),
+        ([*_STAIRS, (0.1, -math.inf)], ValueError, "^f_beta is not finite: -inf$"),
+        ([*_STAIRS[:4500], (0.5, 1.99), *_STAIRS[4500:], (math.nan, 0.1)],
+         LogReplayError, "at eval 4501 "),
+    ],
+    ids=["non-finite", "rejected-first", "non-finite-past-a-chunk", "rejected-past-a-chunk"],
+)
+def test_recalculate_raises_at_the_first_bad_record(values, error, message) -> None:
+    log = RunLog(
+        _header(budget=len(values)),
+        [LogRecord(t, ObjectiveVector(*y)) for t, y in enumerate(values, 1)],
+    )
+    with pytest.raises(error, match=message):
         recalculate(log, _spec())
 
 
@@ -797,3 +826,65 @@ def test_rejected_point_shortcut_matches_assessing_every_point(points, i_ref) ->
     assert lean.value.value.hex() == oracle.value.value.hex()
     assert lean.archive.entries == oracle.archive.entries
     assert lean.archive.clamp_warnings == oracle.archive.clamp_warnings
+
+
+# -- replay's column path against adding each record -------------------------
+
+
+def _replay(log: RunLog, spec: ProblemSpec, add_each: bool):
+    """The trajectory's values in hex, the first hits, evaluations and clamp
+    warnings of a replay, or the error it raised: through ``recalculate``, or
+    through ``Assessment.add`` record by record, as replays did before they
+    normalized columns."""
+    made = []
+
+    class Kept(datalog.Assessment):
+        def __init__(self, spec: ProblemSpec) -> None:
+            super().__init__(spec)
+            made.append(self)
+
+    try:
+        if add_each:
+            trajectory, assessment = [], Kept(spec)
+            for record in log.records:
+                if not assessment.add(record.eval_count, record.objectives):
+                    raise LogReplayError(f"record at eval {record.eval_count} was rejected")
+                trajectory.append((record.eval_count, assessment.value))
+            runtimes = assessment.runtimes
+            runtimes.evaluations = max(runtimes.evaluations, log.header.budget)
+        else:
+            with mock.patch.object(datalog, "Assessment", Kept):
+                trajectory, runtimes = recalculate(log, spec)
+    except LogReplayError as exc:
+        return "LogReplayError", str(exc).partition(" was ")[0]
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    (assessment,) = made
+    return (
+        [(t, v.value.hex()) for t, v in trajectory],
+        runtimes.first_hit, runtimes.evaluations, assessment.archive.clamp_warnings,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(_VALUES, _VALUES, st.integers(1, 3)), min_size=1, max_size=60),
+    i_ref=st.sampled_from((-0.9, -0.4, 0.0)),
+    # The log's own bounds, others that move points across the ideal and the
+    # nadir, and a span of one ULP, whose quotients overflow to inf.
+    bounds=st.sampled_from((
+        ((0.0, 0.0), (2.0, 2.0)), ((-0.5, 0.25), (3.0, 2.0)), ((0.1, -1.0), (0.7, 4.5)),
+        ((0.0, 0.0), (5e-324, 2.0)),
+    )),
+)
+def test_recalculate_matches_adding_each_record(points, i_ref, bounds) -> None:
+    live = datalog.Assessment(_spec())
+    records, t = [], 0
+    for f_alpha, f_beta, step in points:
+        t += step
+        if live.add(t, y := ObjectiveVector(f_alpha, f_beta)):
+            records.append(LogRecord(t, y))
+    log = RunLog(_header(budget=t), records)
+    ideal, nadir = (ObjectiveVector(*b) for b in bounds)
+    spec = replace(_spec(i_ref), ideal=ideal, nadir=nadir)
+    assert _replay(log, spec, add_each=False) == _replay(log, spec, add_each=True)
