@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -171,19 +171,24 @@ def ulp_distance(a: float, b: float) -> int:
     return abs(_float_ordinal(a) - _float_ordinal(b))
 
 
-class Columns(Sequence):
-    """A read-only sequence held as equal-length 1-D numpy columns, the
-    ``__slots__`` of a subclass, typed by its ``_dtypes``.  ``_item`` builds
-    an item from one number per column only when one is read; ``_row`` splits
-    one.  It slices to its own type, adds to a tuple, equals another with
-    equal columns (``0.0 == -0.0``) or a tuple of equal items, and pickles
-    and copies through its constructor."""
+class Columns:
+    """Read-only items held as equal-length 1-D numpy columns, the
+    ``__slots__`` of a subclass, typed by its ``_dtypes``; a column is cast
+    only if numpy deems it safe (else ``TypeError``).  Iterating builds
+    each item with ``_item``.  It equals another of its type with equal
+    columns (``0.0 == -0.0``) and pickles and copies through its
+    constructor; :meth:`checked` refuses a value of any other type."""
 
     __slots__ = ()
     _ROWS = 4096
 
     def __init__(self, *columns) -> None:
-        arrays = [np.asarray(c, dtype=d).view() for c, d in zip(columns, self._dtypes, strict=True)]
+        arrays = []
+        for name, column, dtype in zip(self.__slots__, columns, self._dtypes, strict=True):
+            a = np.asarray(column)
+            if a.size and not np.can_cast(a.dtype, dtype, "safe"):  # 1.5, "3" or 2**64-1 as a count
+                raise TypeError(f"{name} must hold {np.dtype(dtype)} values, got {a.dtype}")
+            arrays.append(a.astype(dtype, copy=False).view())
         if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError(f"{type(self).__name__} needs 1-D columns of equal length")
         for name, a in zip(self.__slots__, arrays):
@@ -191,12 +196,11 @@ class Columns(Sequence):
             setattr(self, name, a)
 
     @classmethod
-    def of(cls, items: Iterable) -> Columns:
-        """``items`` as is if of this type, else read in one ``np.fromiter`` pass."""
-        if isinstance(items, cls):
-            return items
-        rows = np.fromiter(map(cls._row, items), dtype=[("", d) for d in cls._dtypes])
-        return cls(*(rows[name] for name in rows.dtype.names))
+    def checked(cls, value, name: str) -> Columns:
+        """``value`` if of this type, else ``TypeError`` naming ``name``."""
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be {cls.__name__}, got {type(value).__name__}")
+        return value
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(self._arrays())
@@ -213,27 +217,14 @@ class Columns(Sequence):
     def __len__(self) -> int:
         return len(getattr(self, self.__slots__[0]))
 
-    def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            return type(self)(*(c[index] for c in self._arrays()))
-        return self._item(*(c[index].item() for c in self._arrays()))
-
     def __iter__(self) -> Iterator:
         for chunk in self.chunks():
             yield from map(self._item, *chunk)
 
-    def __add__(self, other) -> tuple:
-        return tuple(self) + tuple(other) if isinstance(other, (tuple, Columns)) else NotImplemented
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, tuple):
-            return tuple(self) == other
         if type(other) is not type(self):
             return NotImplemented
         return all(map(np.array_equal, self._arrays(), other._arrays()))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({tuple(self)!r})"

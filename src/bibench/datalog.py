@@ -15,7 +15,7 @@ Every bibench file is a text file of lines, so their shared line handling
 lives here: ``write_lines`` writes every file atomically, ``numbered_lines``
 streams the lines of every run log, index and reference set, ``convert_at``
 turns a bad value into a :class:`LogParseError` naming ``path:line``, and
-``build_header`` does the same for a whole ``key=value`` header.
+``add_header_key`` and ``build_header`` do so for a ``key=value`` header.
 
 ``ExperimentWriter`` owns the experiment tree: one directory per
 algorithm holding its run logs and their index.  Logs are staged under
@@ -47,9 +47,8 @@ import shutil
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
-from operator import index
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -189,6 +188,13 @@ def convert_at(path: Path | str, line: int, what: str, fn, text: str):
         raise LogParseError(path, line, f"{what}: {exc}") from None
 
 
+def add_header_key(path: Path, header: dict, key: str, value: str, line: int) -> None:
+    """``header[key] = (value, line)``; a key given twice raises :class:`LogParseError`."""
+    if key in header:
+        raise LogParseError(path, line, f"header key {key} repeats line {header[key][1]}")
+    header[key] = (value, line)
+
+
 def build_header(
     path: Path, header: dict[str, tuple[str, int]], keys: dict, build, line: int,
     missing: str = "missing header keys",
@@ -265,22 +271,37 @@ class LogRecord:
 
 
 class RecordColumns(Columns):
-    """A read-only sequence of :class:`LogRecord` held as an int64
-    ``eval_count`` column and float64 ``f_alpha`` and ``f_beta`` columns."""
+    """Run-log records held as an int64 ``eval_count`` column and float64
+    ``f_alpha`` and ``f_beta`` columns; iterating yields :class:`LogRecord`."""
 
     __slots__ = ("eval_count", "f_alpha", "f_beta")
     _dtypes = ("i8", "f8", "f8")
     _item = staticmethod(lambda t, f_alpha, f_beta: LogRecord(t, ObjectiveVector(f_alpha, f_beta)))
-    _row = staticmethod(lambda r: (index(r.eval_count), r.objectives.f_alpha, r.objectives.f_beta))
 
 
 @dataclass(frozen=True)
 class RunLog:
+    """A run's header and archive-entering records, checked once when made:
+    :class:`RecordColumns` (else ``TypeError``) whose counts rise strictly from
+    1 to at most the budget, with finite objectives (else ``ValueError``)."""
+
     header: RunHeader
-    records: Sequence[LogRecord]  # RecordColumns; any iterable of LogRecord is converted
+    records: RecordColumns
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", RecordColumns.of(self.records))
+        records = RecordColumns.checked(self.records, "records")
+        counts, budget = records.eval_count, self.header.budget
+        before = np.concatenate(([0], counts[:-1]))
+        finite = np.isfinite(records.f_alpha) & np.isfinite(records.f_beta)
+        bad = (counts <= before) | ~finite | (counts > budget)
+        if bad.any():
+            row = int(bad.argmax())
+            t, last = int(counts[row]), int(before[row])
+            if t <= last:
+                raise ValueError(f"record eval_counts must increase strictly: {t} after {last}")
+            if not finite[row]:
+                raise ValueError(f"record at eval {t} has non-finite objectives")
+            raise ValueError(f"record at eval {t} exceeds budget {budget}")
 
 
 def _fmt(x: float) -> str:
@@ -288,32 +309,18 @@ def _fmt(x: float) -> str:
 
 
 def write_log(log: RunLog, path: Path | str) -> Path:
-    """Serialize a run log in one pass over its records; raises
-    ``ValueError`` on inconsistent records, leaving ``path`` as it was.
-    Counts increase strictly, so only the last is checked against the budget."""
+    """Serialize a run log, formatting its records one chunk of rows at a
+    time; the :class:`RunLog` checked them when it was made."""
     h = log.header
     values = (
         h.function_id, h.instance_id, h.dimension, h.algorithm, h.refset_version,
         _fmt(h.i_ref), _fmt(h.ideal.f_alpha), _fmt(h.ideal.f_beta),
         _fmt(h.nadir.f_alpha), _fmt(h.nadir.f_beta), h.budget,
     )
-
-    def lines() -> Iterator[str]:
-        yield f"% format={LOG_FORMAT}"
-        yield from (f"% {k}={v}" for k, v in zip(_HEADER, values))
-        last = 0
-        for chunk in log.records.chunks():
-            for t, f_alpha, f_beta in zip(*chunk):
-                if t <= last:
-                    raise ValueError(f"record eval_counts must increase strictly: {t} after {last}")
-                last = t
-                if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
-                    raise ValueError(f"record at eval {t} has non-finite objectives")
-                yield f"{t}\t{f_alpha!r}\t{f_beta!r}"
-        if last > h.budget:
-            raise ValueError(f"record at eval {last} exceeds budget {h.budget}")
-
-    return write_lines(path, lines())
+    header = [f"% format={LOG_FORMAT}", *(f"% {k}={v}" for k, v in zip(_HEADER, values))]
+    records = (f"{t}\t{f_alpha!r}\t{f_beta!r}"
+               for chunk in log.records.chunks() for t, f_alpha, f_beta in zip(*chunk))
+    return write_lines(path, itertools.chain(header, records))
 
 
 def _run_header(v: dict) -> RunHeader:
@@ -330,8 +337,9 @@ def read_log(path: Path | str) -> RunLog:
     """Parse a ``runlog-v2`` run log.  A missing or other format raises
     :class:`LogVersionError`; malformed headers or records, including eval
     counts that are not strictly increasing within ``[1, budget]``, a
-    ``budget`` below 1, and a header that ``ProblemSpec`` rejects, raise
-    :class:`LogParseError` naming ``path:line``."""
+    ``budget`` below 1, a header key given twice and a header that
+    ``ProblemSpec`` rejects, raise :class:`LogParseError` naming
+    ``path:line``."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
@@ -344,7 +352,7 @@ def read_log(path: Path | str) -> RunLog:
                 raise LogParseError(path, number, "header line after the first record")
             key, sep, value = line[1:].strip().partition("=")
             if sep:
-                header[key.strip()] = (value.strip(), number)
+                add_header_key(path, header, key.strip(), value.strip(), number)
             continue
         if run_header is None:
             run_header = build_header(
@@ -417,8 +425,8 @@ def recalculate(
     record was archive-entering when written and dominance is invariant
     under the (monotone affine) normalization, so a rejected record raises
     :class:`LogReplayError`.  Records are normalized ``Columns._ROWS`` at a
-    time; the records before a non-finite value are assessed first, and that
-    value then raises :func:`normalize`'s ``ValueError``, as in a live run.
+    time; a value whose normalization overflows to ``inf`` raises from
+    ``Archive.insert``, as in a live run.
     """
     h = log.header
     logged, spec = (problem_id(p.function_id, p.dimension, p.instance_id) for p in (h, new_spec))
@@ -429,19 +437,15 @@ def recalculate(
     add, append = assessment.add_normalized, trajectory.append
     records, rows = log.records, Columns._ROWS
     for k in range(0, len(records), rows):
-        f_alpha, f_beta = records.f_alpha[k:k + rows], records.f_beta[k:k + rows]
-        finite = np.isfinite(f_alpha) & np.isfinite(f_beta)
-        n = len(finite) if finite.all() else int(finite.argmin())
-        u, v = normalize_columns(f_alpha[:n], f_beta[:n], new_spec.ideal, new_spec.nadir)
+        u, v = normalize_columns(records.f_alpha[k:k + rows], records.f_beta[k:k + rows],
+                                 new_spec.ideal, new_spec.nadir)
         points = map(NormalizedObjectives, u.tolist(), v.tolist())
-        for t, z in zip(records.eval_count[k:k + n].tolist(), points):
+        for t, z in zip(records.eval_count[k:k + rows].tolist(), points):
             if not add(t, z):
                 raise LogReplayError(
                     f"record at eval {t} was rejected on replay; the log is corrupt or incomplete"
                 )
             append((t, assessment.value))
-        if n < len(finite):  # raises, naming the coordinate
-            normalize(ObjectiveVector(f_alpha[n].item(), f_beta[n].item()), new_spec)
     # The live run recorded up to the full budget; only archive-entering
     # evaluations are logged, so restore the true total spent.
     runtimes = assessment.runtimes

@@ -24,9 +24,8 @@ import hashlib
 import itertools
 import math
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,8 @@ from bibench import suite
 from bibench.archive import sweep_hypervolume
 from bibench.core import Columns, ObjectiveVector, ProblemSpec
 from bibench.datalog import (
-    LogParseError, build_header, convert_at, numbered_lines, problem_file, write_lines,
+    LogParseError, add_header_key, build_header, convert_at, numbered_lines, problem_file,
+    write_lines,
 )
 
 __all__ = [
@@ -55,16 +55,12 @@ _VERSION_DIGITS = 16
 
 
 class PointColumns(Columns):
-    """A read-only sequence of :class:`ObjectiveVector` held as two float64
-    columns, ``f_alpha`` and ``f_beta``."""
+    """Read-only raw objective vectors held as two float64 columns,
+    ``f_alpha`` and ``f_beta``; iterating yields :class:`ObjectiveVector`."""
 
     __slots__ = ("f_alpha", "f_beta")
     _dtypes = ("f8", "f8")
     _item = ObjectiveVector
-    _row = attrgetter("f_alpha", "f_beta")
-
-
-_columns = PointColumns.of
 
 
 @dataclass(frozen=True)
@@ -73,8 +69,7 @@ class ReferenceSet:
 
     ``points`` are raw objective vectors in canonical order (ascending
     ``f_alpha``, hence strictly descending ``f_beta``), held as
-    :class:`PointColumns`; any iterable of :class:`ObjectiveVector`, such
-    as a tuple, is converted when the set is made.  ``ideal`` and
+    :class:`PointColumns`; any other value raises ``TypeError``.  ``ideal`` and
     ``nadir`` are the normalization bounds; ``bounds_estimated`` marks a
     nadir read off the merged front's extreme points rather than known
     analytically.  ``i_ref`` and ``version`` are not arguments: they are
@@ -85,7 +80,7 @@ class ReferenceSet:
     function_id: str
     instance_id: int
     dimension: int
-    points: Sequence[ObjectiveVector]
+    points: PointColumns
     ideal: ObjectiveVector
     nadir: ObjectiveVector
     i_ref: float = field(init=False)
@@ -93,8 +88,7 @@ class ReferenceSet:
     bounds_estimated: bool
 
     def __post_init__(self) -> None:
-        points = _columns(self.points)
-        object.__setattr__(self, "points", points)
+        points = PointColumns.checked(self.points, "points")
         alpha, beta = points.f_alpha, points.f_beta
         if not len(points):
             raise ValueError("a reference set needs at least one point")
@@ -153,13 +147,13 @@ def _line_chunks(points: PointColumns) -> Iterator[Iterator[str]]:
     return (map(_line, *chunk) for chunk in points.chunks())
 
 
-def version_of(points: Iterable[ObjectiveVector]) -> str:
-    """Content hash of a point set's canonical serialization: the SHA-256 of
-    the points' canonical lines joined by newlines, fed to the hash one
-    chunk of lines at a time, so the joined text is never built."""
+def version_of(points: PointColumns) -> str:
+    """SHA-256 of the canonical lines of ``points``, a :class:`PointColumns`
+    (else ``TypeError``), joined by newlines and fed to the hash one chunk
+    of lines at a time, so the joined text is never built."""
     digest = hashlib.sha256()
     separator = ""
-    for lines in _line_chunks(_columns(points)):
+    for lines in _line_chunks(PointColumns.checked(points, "points")):
         digest.update((separator + "\n".join(lines)).encode("ascii"))
         separator = "\n"
     return digest.hexdigest()[:_VERSION_DIGITS]
@@ -179,10 +173,11 @@ def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVe
     return -hv if hv > 0.0 else 0.0
 
 
-def front(sets: Iterable[Iterable[ObjectiveVector]]) -> PointColumns:
+def front(sets: Iterable[PointColumns]) -> PointColumns:
     """The non-dominated filter of the union of ``sets``, in canonical order,
-    in new arrays that share no memory with any set."""
-    columns = [_columns(s) for s in sets]
+    in new arrays that share no memory with any set.  A set that is not
+    :class:`PointColumns` raises ``TypeError``."""
+    columns = [PointColumns.checked(s, "each set") for s in sets]
     alpha = np.concatenate([np.empty(0), *(c.f_alpha for c in columns)])
     beta = np.concatenate([np.empty(0), *(c.f_beta for c in columns)])
     rows = nondominated_rows(alpha, beta)
@@ -190,7 +185,7 @@ def front(sets: Iterable[Iterable[ObjectiveVector]]) -> PointColumns:
 
 
 def merge(
-    sets: Iterable[Iterable[ObjectiveVector]],
+    sets: Iterable[PointColumns],
     *,
     function_id: str,
     instance_id: int,
@@ -200,13 +195,13 @@ def merge(
 ) -> ReferenceSet:
     """Merge raw solution sets for one problem key into a reference set.
 
-    The result's points are :func:`front` of the sets, the non-dominated
-    filter of their union, so the operation is order-independent and
-    idempotent, and each set may be passed already reduced to its own
-    front.  A non-finite value, or bounds ``ReferenceSet`` rejects, raises
-    ``ValueError`` naming the problem.  The bounds passed are exact;
-    ``nadir=None`` estimates the nadir from the extreme points of the
-    merged front and flags the result as estimated.
+    The result's points are :func:`front` of the :class:`PointColumns`
+    sets, their union's non-dominated filter, so merging is
+    order-independent and idempotent, and a set may be passed already
+    reduced to its front.  A non-finite value, or bounds ``ReferenceSet``
+    rejects, raises ``ValueError`` naming the problem.  The bounds passed
+    are exact; ``nadir=None`` estimates the nadir from the extreme points
+    of the merged front and flags the result as estimated.
     """
     key = suite.problem_id(function_id, dimension, instance_id)
     try:
@@ -214,7 +209,7 @@ def merge(
         if len(points):
             estimated = nadir is None
             if estimated:
-                nadir = ObjectiveVector(points[-1].f_alpha, points[0].f_beta)
+                nadir = ObjectiveVector(points.f_alpha[-1].item(), points.f_beta[0].item())
             return ReferenceSet(
                 function_id=function_id, instance_id=instance_id, dimension=dimension,
                 points=points, ideal=ideal, nadir=nadir, bounds_estimated=estimated,
@@ -274,12 +269,12 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     """Parse a reference-set file; every failure raises :class:`LogParseError`
     naming ``path:line``.
 
-    All header keys must parse, with ``bounds`` either ``analytic`` or
-    ``estimated``; each point is two finite numbers.  The header must pass
-    ``ProblemSpec``'s checks and the points ``ReferenceSet``'s.  The stored
-    version and ``i_ref`` must equal, bit for bit, those the set derives
-    from its points, each checked at its own header line; a mismatch means
-    the file was edited or corrupted.
+    All header keys must parse, each given once, with ``bounds`` either
+    ``analytic`` or ``estimated``; each point is two finite numbers.  The
+    header must pass ``ProblemSpec``'s checks and the points
+    ``ReferenceSet``'s.  The stored version and ``i_ref`` must equal, bit
+    for bit, those the set derives from its points, each checked at its
+    own header line; a mismatch means the file was edited or corrupted.
 
     Lines come from ``numbered_lines``, which reports a non-ASCII byte
     anywhere in the file before any other failure; a bad point raises where
@@ -295,7 +290,7 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             for token in line[1:].split():
                 key, sep, value = token.partition("=")
                 if sep:
-                    header[key] = (value, number)
+                    add_header_key(path, header, key, value, number)
         else:
             f_alpha, f_beta = convert_at(path, number, "point", _point, line)
             alpha.append(f_alpha)

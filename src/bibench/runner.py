@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,6 +57,16 @@ def default_budget(dimension: int) -> int:
     return 10_000 * dimension
 
 
+def _check_budget(name: str, value) -> None:
+    """Refuse a budget that is a ``bool``, not an integer, or outside [1, 2**63)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    if value >= 1 << 63:
+        raise ValueError(f"{name} must be below 2**63, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; immutable and reusable."""
@@ -76,8 +87,9 @@ class ExperimentConfig:
                 f"unknown algorithm {self.algorithm!r}, expected one of "
                 f"{sorted(ALGORITHMS)}"
             )
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+        if self.budget is not None:
+            _check_budget("budget", self.budget)
+        _check_budget("bootstrap budget", self.bootstrap_budget)
 
     def budget_for(self, dimension: int) -> int:
         return self.budget if self.budget is not None else default_budget(dimension)
@@ -172,8 +184,7 @@ def bootstrap_refsets(
     Bootstrapping twice with the same seed yields identical files, hence
     identical versions.
     """
-    if budget < 1:
-        raise ValueError(f"bootstrap budget must be at least 1, got {budget}")
+    _check_budget("bootstrap budget", budget)
     output_dir = Path(output_dir)
     hill_climber = functools.partial(
         baselines.scalarized_hill_climber, weights=BOOTSTRAP_WEIGHTS

@@ -1,4 +1,5 @@
-"""Shared test oracles, deliberately independent of the library internals.
+"""Shared test oracles, deliberately independent of the library internals,
+and the one way tests build record and point columns.
 
 The Monte Carlo hypervolume estimator checks box coverage point by point
 against every archive member (no staircase assumptions), and the
@@ -11,6 +12,21 @@ import numpy as np
 import pytest
 
 from bibench.core import NormalizedObjectives
+from bibench.datalog import RecordColumns
+from bibench.refset import PointColumns
+
+
+def record_columns(rows=()) -> RecordColumns:
+    """``(eval_count, f_alpha, f_beta)`` rows as a run log's records."""
+    rows = list(rows)
+    return RecordColumns([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
+def point_columns(vectors=()) -> PointColumns:
+    """Objects with ``f_alpha`` and ``f_beta``, such as ``ObjectiveVector``, as
+    a reference set's points."""
+    vectors = list(vectors)
+    return PointColumns([y.f_alpha for y in vectors], [y.f_beta for y in vectors])
 
 
 @pytest.fixture(scope="session")

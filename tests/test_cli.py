@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import point_columns
 
 from bibench import refset, runner
 from bibench.cli import main
@@ -18,7 +19,7 @@ def _write_analytic_refset(tmp_path, instance_id: int = 1):
     fn = get_function("f1", instance_id=instance_id, dimension=2)
     pts = [analytic_front_oracle(fn, k / 500) for k in range(501)]
     rs = refset.merge(
-        [pts], function_id="f1", instance_id=instance_id, dimension=2,
+        [point_columns(pts)], function_id="f1", instance_id=instance_id, dimension=2,
         ideal=fn.analytic_ideal, nadir=fn.analytic_nadir,
     )
     refdir = tmp_path / "refsets"

@@ -8,6 +8,7 @@ import pickle
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,6 +129,25 @@ def test_problem_spec_refuses_a_non_finite_bound(which, bad) -> None:
 def test_columns_refuse_unequal_or_multidimensional_columns(columns) -> None:
     with pytest.raises(ValueError, match="PointColumns needs 1-D columns of equal length"):
         PointColumns(*columns)
+
+
+@pytest.mark.parametrize(
+    ("cls", "columns", "message"),
+    [
+        (RecordColumns, ([1.5], [1.0], [1.0]), "eval_count must hold int64 values, got float64"),
+        (RecordColumns, (["3"], [1.0], [1.0]), "eval_count must hold int64 values, got <U1"),
+        (RecordColumns, (np.array([2**64 - 1], dtype=np.uint64), [1.0], [1.0]),
+         "eval_count must hold int64 values, got uint64"),
+        (PointColumns, ([0.5], ["0.5"]), "f_beta must hold float64 values, got <U3"),
+    ],
+    ids=["float-count", "text-count", "uint64-count", "text-value"],
+)
+def test_columns_refuse_values_of_another_kind(cls, columns, message) -> None:
+    # Before, each was cast: 1.5 was truncated to the count 1, "3" parsed as
+    # 3, and 2**64 - 1 wrapped to -1.
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        cls(*columns)
+    assert PointColumns([1, 2], [True, False]).f_beta.tolist() == [1.0, 0.0]
 
 
 def test_ulp_distance_basics() -> None:

@@ -11,11 +11,12 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
+from conftest import record_columns
 from hypothesis import given, settings, strategies as st
 
 from bibench import datalog
 from bibench.archive import Archive
-from bibench.core import ObjectiveVector, ProblemSpec, normalize
+from bibench.core import NormalizedObjectives, ObjectiveVector, ProblemSpec, normalize
 from bibench.datalog import (
     INDEX_FILENAME,
     ExperimentWriter,
@@ -71,27 +72,23 @@ def _live_run(spec: ProblemSpec, n_evals: int, seed: int):
         value = evaluate_incremental(value, outcome, arch)
         runtimes.record(t, value.value)
         if outcome.accepted:
-            records.append(LogRecord(t, raw))
+            records.append((t, raw.f_alpha, raw.f_beta))
             live_trajectory.append((t, value))
     return records, live_trajectory, runtimes
 
 
 def test_empty_log_round_trips(tmp_path) -> None:
-    log = RunLog(_header(), ())
+    log = RunLog(_header(), record_columns())
     path = write_log(log, tmp_path / "empty.tsv")
     assert read_log(path) == log
 
 
 def test_three_record_log_round_trips(tmp_path) -> None:
-    records = (
-        LogRecord(1, ObjectiveVector(1.5, 0.25)),
-        LogRecord(4, ObjectiveVector(0.75, 0.5)),
-        LogRecord(9, ObjectiveVector(0.5, 0.4999999999999999)),
-    )
+    records = record_columns([(1, 1.5, 0.25), (4, 0.75, 0.5), (9, 0.5, 0.4999999999999999)])
     log = RunLog(_header(), records)
     back = read_log(write_log(log, tmp_path / "run.tsv"))
     assert back == log
-    assert back.records[2].objectives.f_beta == 0.4999999999999999
+    assert list(back.records)[2].objectives.f_beta == 0.4999999999999999
 
 
 def test_large_random_log_rewrite_is_byte_identical(tmp_path) -> None:
@@ -100,30 +97,21 @@ def test_large_random_log_rewrite_is_byte_identical(tmp_path) -> None:
     t = 0
     for _ in range(10_000):
         t += rng.randint(1, 4)
-        records.append(
-            LogRecord(t, ObjectiveVector(rng.uniform(0, 10) ** 3, rng.expovariate(1.0)))
-        )
-    log = RunLog(_header(budget=t), tuple(records))
+        records.append((t, rng.uniform(0, 10) ** 3, rng.expovariate(1.0)))
+    log = RunLog(_header(budget=t), record_columns(records))
     first = write_log(log, tmp_path / "a.tsv")
     second = write_log(read_log(first), tmp_path / "b.tsv")
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_write_rejects_inconsistent_records(tmp_path) -> None:
-    bad_order = RunLog(
-        _header(),
-        (
-            LogRecord(5, ObjectiveVector(1.0, 1.0)),
-            LogRecord(5, ObjectiveVector(0.5, 0.5)),
-        ),
-    )
+    # The RunLog refuses them when made, so no such log reaches write_log.
     with pytest.raises(ValueError, match="increase strictly"):
-        write_log(bad_order, tmp_path / "x.tsv")
-    bad_value = RunLog(
-        _header(), (LogRecord(1, ObjectiveVector(float("inf"), 1.0)),)
-    )
+        write_log(RunLog(_header(), record_columns([(5, 1.0, 1.0), (5, 0.5, 0.5)])),
+                  tmp_path / "x.tsv")
     with pytest.raises(ValueError, match="non-finite"):
-        write_log(bad_value, tmp_path / "x.tsv")
+        write_log(RunLog(_header(), record_columns([(1, float("inf"), 1.0)])), tmp_path / "x.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_rejects_missing_or_wrong_format_line(tmp_path) -> None:
@@ -140,7 +128,7 @@ def test_read_rejects_missing_or_wrong_format_line(tmp_path) -> None:
 
 
 def test_read_reports_line_numbers(tmp_path) -> None:
-    good = write_log(RunLog(_header(), (LogRecord(1, ObjectiveVector(1.0, 1.0)),)), tmp_path / "good.tsv")
+    good = write_log(RunLog(_header(), record_columns([(1, 1.0, 1.0)])), tmp_path / "good.tsv")
     lines = good.read_text().splitlines()
     assert lines[12].startswith("1\t")  # 12 header lines, then the record
 
@@ -174,7 +162,7 @@ def test_read_requires_all_header_keys(tmp_path) -> None:
 
 
 def test_read_skips_blank_and_extra_comment_lines(tmp_path) -> None:
-    log = RunLog(_header(), (LogRecord(3, ObjectiveVector(1.0, 0.5)),))
+    log = RunLog(_header(), record_columns([(3, 1.0, 0.5)]))
     path = write_log(log, tmp_path / "padded.tsv")
     text = path.read_text()
     path.write_text(text.replace("% budget=100", "% budget=100\n\n% note=hand-edited\n"))
@@ -184,7 +172,7 @@ def test_read_skips_blank_and_extra_comment_lines(tmp_path) -> None:
 def test_recalculate_same_spec_matches_live_run(tmp_path) -> None:
     spec = _spec()
     records, live_traj, live_runtimes = _live_run(spec, 400, seed=1)
-    log = RunLog(_header(budget=400), tuple(records))
+    log = RunLog(_header(budget=400), record_columns(records))
     path = write_log(log, tmp_path / "run.tsv")
     trajectory, runtimes = recalculate(read_log(path), spec)
     assert [(t, v.value, v.branch) for t, v in trajectory] == [
@@ -195,13 +183,7 @@ def test_recalculate_same_spec_matches_live_run(tmp_path) -> None:
 
 
 def test_recalculate_rejects_corrupted_log() -> None:
-    log = RunLog(
-        _header(),
-        (
-            LogRecord(1, ObjectiveVector(0.5, 0.5)),
-            LogRecord(2, ObjectiveVector(0.6, 0.6)),  # dominated
-        ),
-    )
+    log = RunLog(_header(), record_columns([(1, 0.5, 0.5), (2, 0.6, 0.6)]))  # 2 is dominated
     with pytest.raises(LogReplayError, match="eval 2"):
         recalculate(log, _spec())
 
@@ -211,30 +193,46 @@ def test_recalculate_rejects_corrupted_log() -> None:
 _STAIRS = [(k * 1e-4, 2.0 - k * 1e-4) for k in range(1, 5001)]
 
 
+def _numbered(values, budget: int | None = None) -> RunLog:
+    """A log of ``values`` at eval counts 1, 2, ..., within ``budget``
+    (default: the last count)."""
+    rows = [(t, *y) for t, y in enumerate(values, 1)]
+    return RunLog(_header(budget=budget or len(rows)), record_columns(rows))
+
+
 @pytest.mark.parametrize(
-    ("values", "error", "message"),
+    ("values", "message"),
     [
-        # normalize names the non-finite value once replay reaches its record...
-        ([(0.5, 0.5), (math.nan, 0.1)], ValueError, "^f_alpha is not finite: nan$"),
-        # ...so a rejected record before it is named first.
-        ([(0.5, 0.5), (0.6, 0.6), (math.inf, 0.1)], LogReplayError, "at eval 2 "),
-        ([*_STAIRS, (0.1, -math.inf)], ValueError, "^f_beta is not finite: -inf$"),
-        ([*_STAIRS[:4500], (0.5, 1.99), *_STAIRS[4500:], (math.nan, 0.1)],
-         LogReplayError, "at eval 4501 "),
+        ([(0.5, 0.5), (0.6, 0.6), (0.7, 0.1)], "at eval 2 "),
+        ([*_STAIRS[:4500], (0.5, 1.99), *_STAIRS[4500:]], "at eval 4501 "),
     ],
-    ids=["non-finite", "rejected-first", "non-finite-past-a-chunk", "rejected-past-a-chunk"],
+    ids=["rejected-first", "rejected-past-a-chunk"],
 )
-def test_recalculate_raises_at_the_first_bad_record(values, error, message) -> None:
-    log = RunLog(
-        _header(budget=len(values)),
-        [LogRecord(t, ObjectiveVector(*y)) for t, y in enumerate(values, 1)],
-    )
-    with pytest.raises(error, match=message):
-        recalculate(log, _spec())
+def test_recalculate_raises_at_the_first_bad_record(values, message) -> None:
+    with pytest.raises(LogReplayError, match=message):
+        recalculate(_numbered(values), _spec())
+
+
+@pytest.mark.parametrize(
+    ("values", "budget", "message"),
+    [
+        ([(0.5, 0.5), (math.nan, 0.1)], None, "^record at eval 2 has non-finite objectives$"),
+        # A replay raised at the rejected record 2; the RunLog now refuses record 3.
+        ([(0.5, 0.5), (0.6, 0.6), (math.inf, 0.1)], None, "^record at eval 3 has non-finite"),
+        ([*_STAIRS, (0.1, -math.inf)], None, "^record at eval 5001 has non-finite objectives$"),
+        # The first record that breaks any rule is named, whichever rule it is.
+        ([(0.5, 0.5), (0.4, 0.6), (0.3, 0.7), (math.nan, 0.1)], 2,
+         "^record at eval 3 exceeds budget 2$"),
+    ],
+    ids=["non-finite", "rejected-first", "non-finite-past-a-chunk", "past-the-budget-first"],
+)
+def test_run_log_refuses_its_first_bad_record(values, budget, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        _numbered(values, budget)
 
 
 def test_recalculate_rejects_key_mismatch() -> None:
-    log = RunLog(_header(), ())
+    log = RunLog(_header(), record_columns())
     other = ProblemSpec(
         function_id="f2",
         instance_id=1,
@@ -250,10 +248,7 @@ def test_recalculate_rejects_key_mismatch() -> None:
 
 def test_recalculate_restores_budget_evaluations() -> None:
     spec = _spec()
-    log = RunLog(
-        _header(budget=5000),
-        (LogRecord(7, ObjectiveVector(0.5, 0.5)),),
-    )
+    log = RunLog(_header(budget=5000), record_columns([(7, 0.5, 0.5)]))
     _, runtimes = recalculate(log, spec)
     assert runtimes.evaluations == 5000
 
@@ -261,7 +256,7 @@ def test_recalculate_restores_budget_evaluations() -> None:
 def test_harder_i_ref_weakly_delays_every_hit() -> None:
     spec = _spec(i_ref=-0.4)
     records, _, _ = _live_run(spec, 600, seed=3)
-    log = RunLog(_header(budget=600), tuple(records))
+    log = RunLog(_header(budget=600), record_columns(records))
     _, base = recalculate(log, spec)
     harder = ProblemSpec(
         function_id=spec.function_id,
@@ -284,7 +279,7 @@ def test_recalculate_equals_brute_force_scan() -> None:
     for trial in range(5):
         spec = _spec(i_ref=round(rng.uniform(-0.9, -0.1), 3))
         records, _, _ = _live_run(spec, 300, seed=100 + trial)
-        log = RunLog(_header(budget=300, i_ref=spec.i_ref), tuple(records))
+        log = RunLog(_header(budget=300, i_ref=spec.i_ref), record_columns(records))
         trajectory, runtimes = recalculate(log, spec)
         targets = absolute_targets(spec)
         for k, target in enumerate(targets):
@@ -358,7 +353,7 @@ def test_an_accepted_header_round_trips_through_the_experiment_tree(tmp_path) ->
         _header(), function_id="f1.x-2", algorithm="algo-2.x", refset_version="v=1 #2",
         budget=2**63 - 1,
     )
-    log = RunLog(header, (LogRecord(2**62, ObjectiveVector(0.5, 0.25)),))
+    log = RunLog(header, record_columns([(2**62, 0.5, 0.25)]))
     with ExperimentWriter(tmp_path) as writer:
         writer.write(log)
     assert list(iter_experiment(tmp_path)) == [log]
@@ -369,7 +364,7 @@ def _write_experiment(root):
     the index path."""
     writer = ExperimentWriter(root)
     for i in (1, 2):
-        writer.write(RunLog(replace(_header(), instance_id=i), ()))
+        writer.write(RunLog(replace(_header(), instance_id=i), record_columns()))
     writer.close()
     return root / "random" / INDEX_FILENAME
 
@@ -377,9 +372,9 @@ def _write_experiment(root):
 def test_log_path_layout(tmp_path) -> None:
     header = replace(_header(), function_id="f2", dimension=10, instance_id=3)
     with ExperimentWriter(tmp_path) as writer:
-        p = writer.write(RunLog(header, ()))
+        p = writer.write(RunLog(header, record_columns()))
     assert p == tmp_path / "random" / "f2_d10_i3.tsv"
-    assert read_log(p) == RunLog(header, ())
+    assert read_log(p) == RunLog(header, record_columns())
 
 
 def test_run_log_directory_without_index_is_an_error(tmp_path) -> None:
@@ -388,7 +383,7 @@ def test_run_log_directory_without_index_is_an_error(tmp_path) -> None:
     write_lines(tmp_path / "refsets" / "f1_d2_i1.tsv", ["# function=f1 instance=1"])
     assert [log.header.instance_id for log in iter_experiment(tmp_path)] == [1, 2]
     with ExperimentWriter(tmp_path) as writer:
-        writer.write(RunLog(replace(_header(), algorithm="hillclimber"), ()))
+        writer.write(RunLog(replace(_header(), algorithm="hillclimber"), record_columns()))
     (tmp_path / "hillclimber" / INDEX_FILENAME).unlink()
     with pytest.raises(FileNotFoundError, match=f"without an {INDEX_FILENAME} in hillclimber$"):
         next(iter_experiment(tmp_path))
@@ -397,7 +392,7 @@ def test_run_log_directory_without_index_is_an_error(tmp_path) -> None:
 def test_interrupted_close_leaves_logs_without_old_index(tmp_path, monkeypatch) -> None:
     _write_experiment(tmp_path)
     writer = ExperimentWriter(tmp_path)
-    writer.write(RunLog(replace(_header(), refset_version="ffff0000ffff0000"), ()))
+    writer.write(RunLog(replace(_header(), refset_version="ffff0000ffff0000"), record_columns()))
 
     def fail(*_):
         raise OSError("disk gone")
@@ -433,7 +428,7 @@ def test_experiment_index_rejects_bad_rows(tmp_path) -> None:
 
 def _log_text(tmp_path, rows, budget: int = 100):
     """A log file: a written header with ``budget`` followed by the raw ``rows``."""
-    good = write_log(RunLog(_header(budget=budget), ()), tmp_path / "good.tsv")
+    good = write_log(RunLog(_header(budget=budget), record_columns()), tmp_path / "good.tsv")
     path = tmp_path / "edited.tsv"
     path.write_text(good.read_text() + "".join(row + "\n" for row in rows))
     return path
@@ -470,7 +465,7 @@ def test_read_rejects_header_line_after_records(tmp_path) -> None:
     ids=["dimension", "ideal-nadir", "instance"],
 )
 def test_read_rejects_header_that_fails_problem_spec(tmp_path, old, new, message) -> None:
-    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace(old, new))
     with pytest.raises(LogParseError, match=message):
         read_log(path)
@@ -505,14 +500,14 @@ def test_write_lines_generator_failure_keeps_old_file(tmp_path) -> None:
 
 
 def test_read_reports_non_ascii_byte_with_line(tmp_path) -> None:
-    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace("% algorithm=random", "% algorithm=caf\u00e9"))
     with pytest.raises(LogParseError, match=r"run\.tsv:5: non-ASCII byte"):
         read_log(path)
 
 
 def test_read_reports_bad_header_number_with_line(tmp_path) -> None:
-    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace("% instance=1", "% instance=one"))
     with pytest.raises(LogParseError, match=r"run\.tsv:3: instance: invalid literal"):
         read_log(path)
@@ -527,7 +522,7 @@ def test_experiment_index_reports_bad_number_with_line(tmp_path) -> None:
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_read_rejects_budget_below_one(tmp_path, budget) -> None:
-    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace("% budget=100", f"% budget={budget}"))
     with pytest.raises(LogParseError, match=rf"run\.tsv:12: budget: must be at least 1, got {budget}"):
         read_log(path)
@@ -543,7 +538,7 @@ def test_run_header_refuses_a_budget_read_log_refuses(budget) -> None:
 def test_write_log_refuses_an_eval_count_above_the_budget(tmp_path) -> None:
     # Before, this log was written, and read_log refused it at its record
     # (":13: eval count 11 exceeds budget 10").
-    records = (LogRecord(3, ObjectiveVector(1.0, 0.5)), LogRecord(11, ObjectiveVector(0.5, 1.0)))
+    records = record_columns([(3, 1.0, 0.5), (11, 0.5, 1.0)])
     path = tmp_path / "new" / "run.tsv"
     with pytest.raises(ValueError, match="record at eval 11 exceeds budget 10"):
         write_log(RunLog(_header(budget=10), records), path)
@@ -554,7 +549,7 @@ def test_write_log_refuses_an_eval_count_above_the_budget(tmp_path) -> None:
 
 def test_read_rejects_budget_beyond_int64(tmp_path) -> None:
     # Eval counts are held as int64, so no budget may admit one beyond it.
-    path = write_log(RunLog(_header(), ()), tmp_path / "run.tsv")
+    path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace("% budget=100", f"% budget={2**63}"))
     with pytest.raises(LogParseError, match=r"run\.tsv:12: budget: must be below 2\*\*63"):
         read_log(path)
@@ -631,7 +626,7 @@ def test_iter_experiment_skips_a_subdirectory_of_an_unindexed_directory(tmp_path
     _write_experiment(tmp_path)
     nested = tmp_path / "refsets" / "f1_d2_i1.tsv"
     nested.mkdir(parents=True)
-    write_log(RunLog(_header(), ()), nested / "f1_d2_i1.tsv")
+    write_log(RunLog(_header(), record_columns()), nested / "f1_d2_i1.tsv")
     assert [log.header.instance_id for log in iter_experiment(tmp_path)] == [1, 2]
 
 
@@ -650,7 +645,7 @@ def test_experiment_index_rejects_a_file_outside_its_directory(tmp_path, name) -
 def test_iter_experiment_reads_no_log_outside_the_tree(tmp_path) -> None:
     index = _write_experiment(tmp_path / "exp")
     outside = tmp_path / "elsewhere" / "f1_d2_i1.tsv"
-    write_log(RunLog(_header(), ()), outside)
+    write_log(RunLog(_header(), record_columns()), outside)
     index.write_text(index.read_text().replace("f1_d2_i1.tsv", "../../elsewhere/f1_d2_i1.tsv"))
     with pytest.raises(LogParseError, match=r"experiment_index\.tsv:3: file '\.\./\.\./elsewhere"):
         next(iter_experiment(tmp_path / "exp"))
@@ -659,27 +654,46 @@ def test_iter_experiment_reads_no_log_outside_the_tree(tmp_path) -> None:
 # -- streaming: one pass to write, one line at a time to read ------------------
 
 
+def _long_rows(n: int) -> list[tuple[int, float, float]]:
+    return [(t, 2.0 - t * 1.3e-5, 0.1 + t * 1.7e-5) for t in range(1, n + 1)]
+
+
 def _long_log(n: int) -> RunLog:
-    return RunLog(_header(budget=n), tuple(
-        LogRecord(t, ObjectiveVector(2.0 - t * 1.3e-5, 0.1 + t * 1.7e-5)) for t in range(1, n + 1)
-    ))
+    return RunLog(_header(budget=n), record_columns(_long_rows(n)))
+
+
+class _BrokenOffRecords(RecordColumns):
+    """Records whose lines end in an ``OSError`` after the last one, as when
+    the disk fills part-way through a write."""
+
+    def chunks(self):
+        yield from super().chunks()
+        raise OSError("no space left")
+
+
+def _broken_off(log: RunLog) -> RunLog:
+    r = log.records
+    return RunLog(log.header, _BrokenOffRecords(r.eval_count, r.f_alpha, r.f_beta))
 
 
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (lambda t: LogRecord(t - 1, ObjectiveVector(0.0, 2.0)), "increase strictly"),
-        (lambda t: LogRecord(t, ObjectiveVector(0.0, float("nan"))), "non-finite"),
+        (lambda t: (t - 1, 0.0, 2.0), "increase strictly"),
+        (lambda t: (t, 0.0, float("nan")), "non-finite"),
     ],
 )
 def test_write_log_failure_past_the_first_chunk_keeps_old_file(tmp_path, bad, message) -> None:
-    # Whole chunks of lines are already written when the bad record is met.
-    path = write_log(RunLog(_header(), ()), tmp_path / "out" / "run.tsv")
+    # A bad record past the first chunk is refused when the log is made, so
+    # only a failing write can stop write_log there, with whole chunks of
+    # lines already written.
+    path = write_log(RunLog(_header(), record_columns()), tmp_path / "out" / "run.tsv")
     old = path.read_bytes()
-    log = _long_log(3 * datalog._WRITE_CHUNK)
-    records = log.records + (bad(len(log.records) + 1),)
+    n = 3 * datalog._WRITE_CHUNK
     with pytest.raises(ValueError, match=message):
-        write_log(RunLog(log.header, records), path)
+        RunLog(_header(budget=n + 1), record_columns([*_long_rows(n), bad(n + 1)]))
+    with pytest.raises(OSError, match="no space left"):
+        write_log(_broken_off(_long_log(n)), path)
     assert path.read_bytes() == old
     assert [p.name for p in path.parent.iterdir()] == ["run.tsv"]
 
@@ -712,16 +726,15 @@ def test_read_log_holds_no_text_or_list_of_lines(tmp_path) -> None:
 
 @pytest.mark.parametrize("good", [1, 5_000])
 def test_failed_write_log_removes_the_directories_it_made(tmp_path, good) -> None:
-    # The bad record follows one good record, or more than one chunk of lines.
-    log = _long_log(good)
-    records = log.records + (LogRecord(good, ObjectiveVector(0.0, 2.0)),)
-    with pytest.raises(ValueError, match="increase strictly"):
-        write_log(RunLog(log.header, records), tmp_path / "new" / "sub" / "run.tsv")
+    # The write fails after one record, or after more than one chunk of lines.
+    log = _broken_off(_long_log(good))
+    with pytest.raises(OSError, match="no space left"):
+        write_log(log, tmp_path / "new" / "sub" / "run.tsv")
     assert list(tmp_path.iterdir()) == []
     # A directory that was already there stays.
     (tmp_path / "new").mkdir()
-    with pytest.raises(ValueError, match="increase strictly"):
-        write_log(RunLog(log.header, records), tmp_path / "new" / "sub" / "run.tsv")
+    with pytest.raises(OSError, match="no space left"):
+        write_log(log, tmp_path / "new" / "sub" / "run.tsv")
     assert list(tmp_path.rglob("*")) == [tmp_path / "new"]
 
 
@@ -735,45 +748,44 @@ def test_read_log_holds_three_columns_not_an_object_per_record(tmp_path) -> None
 # -- records as columns ---------------------------------------------------------
 
 
-_RECORDS = (
-    LogRecord(1, ObjectiveVector(1.5, 0.25)),
-    LogRecord(4, ObjectiveVector(0.75, -0.0)),
-    LogRecord(9, ObjectiveVector(0.5, -1e-300)),
+_RECORDS = record_columns([(1, 1.5, 0.25), (4, 0.75, -0.0), (9, 0.5, -1e-300)])
+
+
+def test_records_iterate_as_the_log_records_perfbench_reads(tmp_path) -> None:
+    # LogRecord, iteration and == between two RecordColumns stay because
+    # perfbench/checks.py normalizes each record's objectives and compares a
+    # recalculated log's records with the input's.
+    log = RunLog(_header(), _RECORDS)
+    records = read_log(write_log(log, tmp_path / "run.tsv")).records
+    assert isinstance(records, RecordColumns) and len(records) == 3 and records
+    assert records.eval_count.tolist() == [1, 4, 9]
+    assert list(records) == [
+        LogRecord(1, ObjectiveVector(1.5, 0.25)),
+        LogRecord(4, ObjectiveVector(0.75, -0.0)),
+        LogRecord(9, ObjectiveVector(0.5, -1e-300)),
+    ]
+    assert [normalize(r.objectives, _spec()) for r in records] == [
+        NormalizedObjectives(0.75, 0.125), NormalizedObjectives(0.375, 0.0),
+        NormalizedObjectives(0.25, -5e-301),
+    ]
+    assert LogRecord(4, ObjectiveVector(0.75, 0.0)) in records
+    assert repr(records) == f"RecordColumns({tuple(records)!r})"
+    assert records == _RECORDS and not records != _RECORDS
+    for other in (record_columns([(1, 1.5, 0.25), (4, 0.75, -0.0)]),
+                  record_columns([(1, 1.5, 0.25), (4, 0.75, -0.0), (9, 0.5, -2e-300)]),
+                  tuple(records)):
+        assert records != other and not records == other
+    assert not record_columns() and len(record_columns()) == 0
+
+
+@pytest.mark.parametrize(
+    "records",
+    [(), [LogRecord(1, ObjectiveVector(1.0, 1.0))], (r for r in _RECORDS)],
+    ids=["tuple", "list", "generator"],
 )
-
-
-def test_records_are_the_same_columns_from_a_tuple_a_generator_or_a_file(tmp_path) -> None:
-    from_tuple = RunLog(_header(), _RECORDS)
-    from_generator = RunLog(_header(), (r for r in _RECORDS))
-    from_file = read_log(write_log(from_tuple, tmp_path / "run.tsv"))
-    assert from_tuple == from_generator == from_file
-    for log in (from_tuple, from_generator, from_file):
-        assert isinstance(log.records, RecordColumns)
-        assert log.records == _RECORDS and tuple(log.records) == _RECORDS
-    assert from_file.records.eval_count.tolist() == [1, 4, 9]
-    assert RunLog(_header(), ()).records == () and not RunLog(_header(), ()).records
-    # An eval count that is not an integer is refused, not truncated.
-    for count in (1.5, "3"):
-        with pytest.raises(TypeError):
-            RunLog(_header(), (LogRecord(count, ObjectiveVector(1.0, 1.0)),))
-
-
-def test_records_slice_add_hash_and_repr_as_their_tuple() -> None:
-    records = RunLog(_header(), _RECORDS).records
-    assert len(records) == 3 and list(records) == list(_RECORDS)
-    assert records[0] == _RECORDS[0] and records[-1] == _RECORDS[-1]
-    with pytest.raises(IndexError):
-        records[3]
-    for index in (slice(1, None), slice(None, None, -1), slice(0, 0)):
-        assert isinstance(records[index], RecordColumns) and records[index] == _RECORDS[index]
-    assert records + _RECORDS == records + records == _RECORDS + _RECORDS
-    assert type(records + _RECORDS) is tuple
-    with pytest.raises(TypeError):
-        records + list(_RECORDS)
-    assert hash(records) == hash(_RECORDS)
-    assert repr(records) == f"RecordColumns({_RECORDS!r})"
-    assert _RECORDS[1] in records and records.index(_RECORDS[2]) == 2
-    assert records != RunLog(_header(), _RECORDS[:2]).records
+def test_run_log_takes_record_columns_only(records) -> None:
+    with pytest.raises(TypeError, match="^records must be RecordColumns, got "):
+        RunLog(_header(), records)
 
 
 def test_records_have_no_public_mutator() -> None:
@@ -883,8 +895,8 @@ def test_recalculate_matches_adding_each_record(points, i_ref, bounds) -> None:
     for f_alpha, f_beta, step in points:
         t += step
         if live.add(t, y := ObjectiveVector(f_alpha, f_beta)):
-            records.append(LogRecord(t, y))
-    log = RunLog(_header(budget=t), records)
+            records.append((t, f_alpha, f_beta))
+    log = RunLog(_header(budget=t), record_columns(records))
     ideal, nadir = (ObjectiveVector(*b) for b in bounds)
     spec = replace(_spec(i_ref), ideal=ideal, nadir=nadir)
     assert _replay(log, spec, add_each=False) == _replay(log, spec, add_each=True)

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from conftest import point_columns
 
 from bibench import refset
 from bibench.core import ObjectiveVector, ProblemSpec
@@ -252,7 +253,7 @@ def _small_experiment(tmp_path):
     fn = get_function("f1", instance_id=1, dimension=2)
     pts = [analytic_front_oracle(fn, k / 500) for k in range(501)]
     rs = refset.merge(
-        [pts], function_id="f1", instance_id=1, dimension=2,
+        [point_columns(pts)], function_id="f1", instance_id=1, dimension=2,
         ideal=fn.analytic_ideal, nadir=fn.analytic_nadir,
     )
     refdir = tmp_path / "refsets"

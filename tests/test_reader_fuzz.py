@@ -10,6 +10,7 @@ import re
 from dataclasses import replace
 
 import pytest
+from conftest import point_columns, record_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from bibench.datalog import (
     INDEX_FILENAME,
     ExperimentWriter,
     LogParseError,
-    LogRecord,
     LogVersionError,
     RunHeader,
     RunLog,
@@ -68,20 +68,19 @@ def _written_files(directory):
         nadir=ObjectiveVector(2.0, 2.0), i_ref=-0.4, refset_version="ab12cd34ef56ab78",
         algorithm="random", budget=100,
     )
-    records = tuple(
-        LogRecord(t, ObjectiveVector(2.0 - k * 0.3, 0.2 + k * 0.3))
-        for k, t in enumerate((1, 4, 9, 30))
+    records = record_columns(
+        (t, 2.0 - k * 0.3, 0.2 + k * 0.3) for k, t in enumerate((1, 4, 9, 30))
     )
     log = write_log(RunLog(header, records), directory / "log.tsv")
     rs = merge(
-        [[ObjectiveVector(k / 4, 1 - k / 4) for k in range(5)]],
+        [point_columns([ObjectiveVector(k / 4, 1 - k / 4) for k in range(5)])],
         function_id="f1", instance_id=1, dimension=2,
         ideal=ObjectiveVector(0.0, 0.0), nadir=ObjectiveVector(1.0, 1.0),
     )
     refset = write_reference_set(rs, directory / "refset.tsv")
     writer = ExperimentWriter(directory)
     for i in (1, 2, 3):
-        writer.write(RunLog(replace(header, instance_id=i), ()))
+        writer.write(RunLog(replace(header, instance_id=i), record_columns()))
     writer.close()
     index = directory / "random" / INDEX_FILENAME
     return {

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import point_columns, record_columns
 from hypothesis import example, given, reject, settings, strategies as st
 
 from bibench import datalog, refset
@@ -21,7 +22,6 @@ from bibench.datalog import (
     INDEX_FILENAME,
     ExperimentWriter,
     LogParseError,
-    LogRecord,
     RunHeader,
     RunLog,
     read_experiment_index,
@@ -32,7 +32,6 @@ from bibench.datalog import (
 from bibench.refset import (
     PointColumns,
     ReferenceSet,
-    _columns,
     front,
     merge,
     nondominated_rows,
@@ -52,7 +51,8 @@ def _ov(a: float, b: float) -> ObjectiveVector:
 
 def test_merge_keeps_mutually_nondominated_points() -> None:
     rs = merge(
-        [[_ov(0.2, 0.8)], [_ov(0.8, 0.2), _ov(0.5, 0.5)]], **KEY, **UNIT_BOUNDS
+        [point_columns([_ov(0.2, 0.8)]), point_columns([_ov(0.8, 0.2), _ov(0.5, 0.5)])],
+        **KEY, **UNIT_BOUNDS,
     )
     assert [(p.f_alpha, p.f_beta) for p in rs.points] == [
         (0.2, 0.8), (0.5, 0.5), (0.8, 0.2)
@@ -61,7 +61,8 @@ def test_merge_keeps_mutually_nondominated_points() -> None:
 
 
 def test_merge_drops_dominated_point() -> None:
-    rs = merge([[_ov(0.2, 0.8)], [_ov(0.3, 0.9)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.2, 0.8)]), point_columns([_ov(0.3, 0.9)])],
+               **KEY, **UNIT_BOUNDS)
     assert [(p.f_alpha, p.f_beta) for p in rs.points] == [(0.2, 0.8)]
 
 
@@ -72,7 +73,7 @@ def test_merge_equals_brute_force_filter(brute_force_filter) -> None:
             [_ov(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(1, 40))]
             for _ in range(rng.randint(1, 4))
         ]
-        rs = merge(groups, **KEY, **UNIT_BOUNDS)
+        rs = merge([point_columns(g) for g in groups], **KEY, **UNIT_BOUNDS)
         pool = [p for g in groups for p in g]
         want = sorted({(p.u, p.v) for p in brute_force_filter(pool)})
         assert [(p.f_alpha, p.f_beta) for p in rs.points] == want
@@ -81,8 +82,8 @@ def test_merge_equals_brute_force_filter(brute_force_filter) -> None:
 def test_merge_order_independent_and_idempotent() -> None:
     rng = random.Random(9)
     pool = [_ov(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(60)]
-    a = merge([pool[:30], pool[30:]], **KEY, **UNIT_BOUNDS)
-    b = merge([pool[30:], pool[:30]], **KEY, **UNIT_BOUNDS)
+    a = merge([point_columns(pool[:30]), point_columns(pool[30:])], **KEY, **UNIT_BOUNDS)
+    b = merge([point_columns(pool[30:]), point_columns(pool[:30])], **KEY, **UNIT_BOUNDS)
     assert a == b
     assert merge([a.points, a.points], **KEY, **UNIT_BOUNDS) == a
 
@@ -90,31 +91,32 @@ def test_merge_order_independent_and_idempotent() -> None:
 def test_merge_superset_never_raises_i_ref() -> None:
     rng = random.Random(13)
     pool = [_ov(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(50)]
-    base = merge([pool], **KEY, **UNIT_BOUNDS)
+    base = merge([point_columns(pool)], **KEY, **UNIT_BOUNDS)
     extra = [_ov(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(50)]
-    grown = merge([base.points, extra], **KEY, **UNIT_BOUNDS)
+    grown = merge([base.points, point_columns(extra)], **KEY, **UNIT_BOUNDS)
     assert grown.i_ref <= base.i_ref
 
 
 def test_merge_requires_points_and_key() -> None:
     with pytest.raises(ValueError, match="no points"):
-        merge([[], []], **KEY, **UNIT_BOUNDS)
+        merge([point_columns([]), point_columns([])], **KEY, **UNIT_BOUNDS)
     with pytest.raises(TypeError, match="function_id"):
-        merge([[_ov(0.5, 0.5)]], instance_id=1, dimension=2, **UNIT_BOUNDS)
+        merge([point_columns([_ov(0.5, 0.5)])], instance_id=1, dimension=2, **UNIT_BOUNDS)
     with pytest.raises(TypeError, match="ideal"):
-        merge([[_ov(0.5, 0.5)]], **KEY, nadir=_ov(1.0, 1.0))
+        merge([point_columns([_ov(0.5, 0.5)])], **KEY, nadir=_ov(1.0, 1.0))
 
 
 def test_merge_estimates_missing_bounds_from_front() -> None:
     ideal = _ov(2.0, 3.0)
-    rs = merge([[_ov(2.0, 10.0), _ov(4.0, 3.0)]], **KEY, ideal=ideal, nadir=None)
+    rs = merge([point_columns([_ov(2.0, 10.0), _ov(4.0, 3.0)])], **KEY, ideal=ideal, nadir=None)
     assert rs.bounds_estimated
     assert rs.ideal == ideal
     assert (rs.nadir.f_alpha, rs.nadir.f_beta) == (4.0, 10.0)
     # Both extremes sit on the bound lines, so the clipped area is 0.
     assert rs.i_ref == 0.0
     # An interior third point covers real area under the same estimation rule.
-    rs3 = merge([[_ov(2.0, 10.0), _ov(3.0, 4.0), _ov(4.0, 3.0)]], **KEY, ideal=ideal, nadir=None)
+    rs3 = merge([point_columns([_ov(2.0, 10.0), _ov(3.0, 4.0), _ov(4.0, 3.0)])],
+                **KEY, ideal=ideal, nadir=None)
     assert rs3.bounds_estimated and rs3.i_ref < 0.0
 
 
@@ -123,11 +125,12 @@ def test_merge_rejects_degenerate_estimated_bounds() -> None:
     # either of its bound lines cannot lie strictly below.
     for ideal in (_ov(1.0, 0.0), _ov(0.0, 2.0)):
         with pytest.raises(ValueError, match=r"merge f1:2:1: ideal must be strictly below nadir"):
-            merge([[_ov(1.0, 2.0)]], **KEY, ideal=ideal, nadir=None)
+            merge([point_columns([_ov(1.0, 2.0)])], **KEY, ideal=ideal, nadir=None)
 
 
 def test_merge_collapses_duplicates() -> None:
-    rs = merge([[_ov(0.5, 0.5), _ov(0.5, 0.5), _ov(0.2, 0.9)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.5, 0.5), _ov(0.5, 0.5), _ov(0.2, 0.9)])],
+               **KEY, **UNIT_BOUNDS)
     assert [(p.f_alpha, p.f_beta) for p in rs.points] == [(0.2, 0.9), (0.5, 0.5)]
 
 
@@ -182,8 +185,8 @@ def test_nondominated_rows_equals_set_sort_loop(points) -> None:
 def test_front_of_one_set_or_of_its_parts_is_one_filter(points, cut) -> None:
     # One path for every call: a lone PointColumns set is copied and
     # filtered like a union, so the front never shares memory with a set.
-    whole = _columns(points)
-    fronts = [front([whole]), front([points[:cut], _columns(points[cut:])])]
+    whole = point_columns(points)
+    fronts = [front([whole]), front([point_columns(points[:cut]), point_columns(points[cut:])])]
     assert [_bits(f) for f in fronts] == [_bits(_set_sort_loop_filter(points))] * 2
     assert not any(np.shares_memory(f.f_alpha, whole.f_alpha) for f in fronts)
     assert len(front([])) == 0
@@ -194,7 +197,8 @@ def test_merge_rejects_non_finite_points_naming_the_problem() -> None:
     # an error, and (0.2, nan) vanished without a word.
     for bad in (_ov(math.inf, 0.5), _ov(0.2, math.nan), _ov(-math.inf, 0.1)):
         with pytest.raises(ValueError, match="merge f1:2:1: non-finite objective value"):
-            merge([[_ov(0.1, 0.9)], [bad, _ov(0.9, 0.1)]], **KEY, **UNIT_BOUNDS)
+            merge([point_columns([_ov(0.1, 0.9)]), point_columns([bad, _ov(0.9, 0.1)])],
+                  **KEY, **UNIT_BOUNDS)
 
 
 @pytest.mark.parametrize("function_id", ["f 1", "f\t1"], ids=["space", "tab"])
@@ -205,14 +209,14 @@ def test_merge_refuses_a_function_id_holding_whitespace(function_id) -> None:
     with pytest.raises(
         ValueError, match=f"^merge {function_id}:2:1: function_id must hold no whitespace, got "
     ):
-        merge([[_ov(0.5, 0.5)]], **key, **UNIT_BOUNDS)
+        merge([point_columns([_ov(0.5, 0.5)])], **key, **UNIT_BOUNDS)
 
 
 def test_compute_i_ref_anchors() -> None:
-    nadir_only = merge([[_ov(1.0, 1.0)]], **KEY, **UNIT_BOUNDS)
+    nadir_only = merge([point_columns([_ov(1.0, 1.0)])], **KEY, **UNIT_BOUNDS)
     assert nadir_only.i_ref == 0.0
 
-    ideal_only = merge([[_ov(0.0, 0.0)]], **KEY, **UNIT_BOUNDS)
+    ideal_only = merge([point_columns([_ov(0.0, 0.0)])], **KEY, **UNIT_BOUNDS)
     assert ideal_only.i_ref == -1.0
 
 
@@ -221,13 +225,13 @@ def test_i_ref_of_dense_double_sphere_front() -> None:
     # integral of (1 - sqrt(u))^2 du = 1/6 uncovered, so i_ref -> -5/6.
     n = 10_000
     pts = [_ov((k / n) ** 2, (1 - k / n) ** 2) for k in range(n + 1)]
-    rs = merge([pts], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns(pts)], **KEY, **UNIT_BOUNDS)
     assert rs.i_ref == pytest.approx(-5.0 / 6.0, abs=1e-3)
 
 
 def test_version_canonical_and_sensitive() -> None:
     def front(pts):
-        return merge([pts], **KEY, **UNIT_BOUNDS).points
+        return merge([point_columns(pts)], **KEY, **UNIT_BOUNDS).points
 
     pts = [_ov(0.2, 0.8), _ov(0.8, 0.2)]
     v1 = version_of(front(pts))
@@ -245,21 +249,21 @@ def test_version_of_equals_hash_of_joined_text() -> None:
     pts = [_ov(rng.uniform(-1e3, 1e3), rng.random()) for _ in range(3000)]
     pts += [_ov(-0.0, 5e-324), _ov(1e300, -2.5e-8)]
     joined = "\n".join(f"{p.f_alpha:.17g}\t{p.f_beta:.17g}" for p in pts)
-    assert version_of(pts) == hashlib.sha256(joined.encode("ascii")).hexdigest()[:16]
-    assert version_of(iter(pts)) == version_of(pts)
-    assert version_of([]) == hashlib.sha256(b"").hexdigest()[:16]
+    digest = hashlib.sha256(joined.encode("ascii")).hexdigest()[:16]
+    assert version_of(point_columns(pts)) == digest
+    assert version_of(point_columns()) == hashlib.sha256(b"").hexdigest()[:16]
 
 
 def test_reference_set_validation() -> None:
     with pytest.raises(ValueError, match="at least one point"):
         ReferenceSet(
-            function_id="f1", instance_id=1, dimension=2, points=(),
+            function_id="f1", instance_id=1, dimension=2, points=point_columns(),
             ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
         )
     with pytest.raises(ValueError, match="non-dominated"):
         ReferenceSet(
             function_id="f1", instance_id=1, dimension=2,
-            points=(_ov(0.2, 0.8), _ov(0.3, 0.9)),
+            points=point_columns([_ov(0.2, 0.8), _ov(0.3, 0.9)]),
             ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
         )
 
@@ -267,7 +271,7 @@ def test_reference_set_validation() -> None:
 def test_file_round_trip(tmp_path) -> None:
     rng = random.Random(21)
     pool = [_ov(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(40)]
-    rs = merge([pool], function_id="f2", instance_id=3, dimension=5,
+    rs = merge([point_columns(pool)], function_id="f2", instance_id=3, dimension=5,
                ideal=_ov(0.0, 0.0), nadir=_ov(3.0, 3.0))
     path = refset_path(tmp_path, "f2", 5, 3)
     assert path.name == "f2_d5_i3.tsv"
@@ -277,7 +281,7 @@ def test_file_round_trip(tmp_path) -> None:
 
 
 def test_read_rejects_tampered_point(tmp_path) -> None:
-    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
     path = write_reference_set(rs, tmp_path / "rs.tsv")
     text = path.read_text()
     path.write_text(text.replace("0.75\t0.25", "0.75\t0.24"))
@@ -286,7 +290,7 @@ def test_read_rejects_tampered_point(tmp_path) -> None:
 
 
 def test_read_rejects_tampered_i_ref(tmp_path) -> None:
-    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
     path = write_reference_set(rs, tmp_path / "rs.tsv")
     text = path.read_text()
     assert "i_ref=-0.3125" in text
@@ -315,7 +319,7 @@ def test_read_rejects_missing_header(tmp_path) -> None:
     ids=["instance", "bounds", "non-finite", "dimension", "order", "instance-zero"],
 )
 def test_read_reports_bad_value_with_line(tmp_path, old, new, message) -> None:
-    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
     path = write_reference_set(rs, tmp_path / "rs.tsv")
     path.write_text(path.read_text().replace(old, new))
     with pytest.raises(LogParseError, match=message):
@@ -323,7 +327,7 @@ def test_read_reports_bad_value_with_line(tmp_path, old, new, message) -> None:
 
 
 def test_problem_spec_bridges_to_core() -> None:
-    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
     spec = rs.problem_spec()
     assert spec.i_ref == rs.i_ref == -0.3125
     assert spec.refset_version == rs.version
@@ -336,29 +340,36 @@ def test_reference_set_rejects_non_finite_point() -> None:
     for bad in (_ov(math.nan, 0.5), _ov(0.5, math.inf), _ov(-math.inf, -math.inf)):
         with pytest.raises(ValueError, match="non-finite"):
             ReferenceSet(
-                function_id="f1", instance_id=1, dimension=2, points=(bad,),
+                function_id="f1", instance_id=1, dimension=2, points=point_columns([bad]),
                 ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
             )
 
 
 def test_points_are_a_read_only_sequence_view() -> None:
     pts = (_ov(0.2, 0.8), _ov(0.5, 0.5), _ov(0.8, 0.2))
-    rs = merge([pts], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns(pts)], **KEY, **UNIT_BOUNDS)
     assert isinstance(rs.points, PointColumns)
     assert len(rs.points) == 3
-    assert rs.points[0] == pts[0] and rs.points[-1] == pts[-1]
-    assert tuple(rs.points) == pts and rs.points == pts
-    assert rs.points[1:] == pts[1:]
-    assert hash(rs.points) == hash(pts)
-    with pytest.raises(IndexError):
-        rs.points[3]
+    assert tuple(rs.points) == pts and rs.points == point_columns(pts)
     with pytest.raises(ValueError):
         rs.points.f_alpha[0] = 0.0
-    # A tuple of objects and its columns make equal sets; -0.0 equals 0.0.
-    made = replace(rs, points=pts)
+    # Equal columns make equal sets; -0.0 equals 0.0.
+    made = replace(rs, points=point_columns(pts))
     assert made == rs and isinstance(made.points, PointColumns)
     assert PointColumns([0.0], [1.0]) == PointColumns([-0.0], [1.0])
     assert PointColumns([0.0], [1.0]) != PointColumns([0.0, 1.0], [1.0, 0.0])
+
+
+def test_sets_of_points_are_point_columns_only() -> None:
+    points = [_ov(0.25, 0.75), _ov(0.75, 0.25)]
+    with pytest.raises(TypeError, match="^points must be PointColumns, got tuple$"):
+        ReferenceSet(**KEY, points=tuple(points), **UNIT_BOUNDS, bounds_estimated=False)
+    with pytest.raises(TypeError, match="^each set must be PointColumns, got list$"):
+        merge([points], **KEY, **UNIT_BOUNDS)
+    with pytest.raises(TypeError, match="^each set must be PointColumns, got RecordColumns$"):
+        front([point_columns(points), record_columns([(1, 0.5, 0.5)])])
+    with pytest.raises(TypeError, match="^points must be PointColumns, got generator$"):
+        version_of(p for p in points)
 
 
 # -- the object path this module replaced, kept as the columns' oracle --------
@@ -483,26 +494,25 @@ def _merge_inputs(draw):
 def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
     sets, ideal, nadir = inputs
     bounds = dict(function_id="f2", instance_id=3, dimension=5, ideal=ideal, nadir=nadir)
+    columns = [point_columns(s) for s in sets]
     try:
         old = _old_merge(sets, **bounds)
     except ValueError as exc:
-        for given_sets in (sets, [_columns(s) for s in sets]):
-            with pytest.raises(ValueError) as new_exc:
-                merge(given_sets, **bounds)
-            assert str(new_exc.value) == str(exc)
+        with pytest.raises(ValueError) as new_exc:
+            merge(columns, **bounds)
+        assert str(new_exc.value) == str(exc)
         return
     directory = tmp_path_factory.mktemp("oracle")
     _old_write_reference_set(old, directory / "old.tsv")
-    for given_sets in (sets, [_columns(s) for s in sets]):
-        rs = merge(given_sets, **bounds)
-        assert _bits(rs.points) == _bits(old["points"])
-        assert {k: v for k, v in vars(rs).items() if k != "points"} == {
-            k: v for k, v in old.items() if k != "points"
-        }
-        assert rs.i_ref.hex() == old["i_ref"].hex()
-        path = write_reference_set(rs, directory / "new.tsv")
-        assert path.read_bytes() == (directory / "old.tsv").read_bytes()
-        assert read_reference_set(path) == rs
+    rs = merge(columns, **bounds)
+    assert _bits(rs.points) == _bits(old["points"])
+    assert {k: v for k, v in vars(rs).items() if k != "points"} == {
+        k: v for k, v in old.items() if k != "points"
+    }
+    assert rs.i_ref.hex() == old["i_ref"].hex()
+    path = write_reference_set(rs, directory / "new.tsv")
+    assert path.read_bytes() == (directory / "old.tsv").read_bytes()
+    assert read_reference_set(path) == rs
 
 
 @settings(max_examples=300, deadline=None)
@@ -510,7 +520,7 @@ def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
 def test_every_merged_set_reads_back_equal(tmp_path_factory, inputs) -> None:
     sets, ideal, nadir = inputs
     try:
-        rs = merge(sets, **KEY, ideal=ideal, nadir=nadir)
+        rs = merge([point_columns(s) for s in sets], **KEY, ideal=ideal, nadir=nadir)
     except ValueError:
         reject()
     back = read_reference_set(write_reference_set(rs, tmp_path_factory.mktemp("back") / "rs.tsv"))
@@ -520,9 +530,9 @@ def test_every_merged_set_reads_back_equal(tmp_path_factory, inputs) -> None:
 
 def test_reference_set_derives_i_ref_and_version(tmp_path) -> None:
     pts = (_ov(0.25, 0.75), _ov(0.75, 0.25))
-    made = dict(**KEY, points=pts, **UNIT_BOUNDS, bounds_estimated=False)
+    made = dict(**KEY, points=point_columns(pts), **UNIT_BOUNDS, bounds_estimated=False)
     rs = ReferenceSet(**made)
-    assert (rs.i_ref, rs.version) == (-0.3125, version_of(pts))
+    assert (rs.i_ref, rs.version) == (-0.3125, version_of(point_columns(pts)))
     for name, value in (("i_ref", -0.9), ("version", "x" * 16)):
         with pytest.raises(TypeError, match=name):
             ReferenceSet(**made, **{name: value})
@@ -545,7 +555,7 @@ def test_reference_set_derives_i_ref_and_version(tmp_path) -> None:
     ids=["version", "i_ref", "i_ref-out-of-range"],
 )
 def test_stored_version_and_i_ref_fail_at_their_own_lines(tmp_path, old, new, message) -> None:
-    rs = merge([[_ov(0.25, 0.75), _ov(0.75, 0.25)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
     lines = write_reference_set(rs, tmp_path / "rs.tsv").read_text().replace(old, new).splitlines()
     # Version and i_ref move to header lines of their own, 2 and 3.
     key, version, i_ref = lines[0].rsplit(" ", 2)
@@ -574,7 +584,7 @@ def _whole_text_numbered_lines(path) -> list[tuple[int, str]]:
 def _old_read_reference_set(path) -> ReferenceSet:
     """The whole-text reader the line-by-line one replaced, kept as its
     oracle."""
-    from bibench.datalog import build_header, convert_at
+    from bibench.datalog import add_header_key, build_header, convert_at
     from bibench.refset import _HEADER, _point
 
     header: dict[str, tuple[str, int]] = {}
@@ -585,14 +595,14 @@ def _old_read_reference_set(path) -> ReferenceSet:
             for token in line[1:].split():
                 key, sep, value = token.partition("=")
                 if sep:
-                    header[key] = (value, number)
+                    add_header_key(path, header, key, value, number)
         else:
             points.append(ObjectiveVector(*convert_at(path, number, "point", _point, line)))
     stored, rs = build_header(
         path, header, _HEADER,
         lambda v: (v, ReferenceSet(
             function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
-            points=tuple(points),
+            points=point_columns(points),
             ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
             nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
             bounds_estimated=v["bounds"],
@@ -631,7 +641,7 @@ _SPLICES = st.sampled_from(
 @given(data=st.data())
 def test_reader_equals_whole_text_reader(tmp_path_factory, data) -> None:
     rs = merge(
-        [[_ov(k / 8, 1 - k / 8) for k in range(9)]], **KEY, **UNIT_BOUNDS
+        [point_columns([_ov(k / 8, 1 - k / 8) for k in range(9)])], **KEY, **UNIT_BOUNDS
     )
     directory = tmp_path_factory.mktemp("parity")
     text = write_reference_set(rs, directory / "rs.tsv").read_bytes()
@@ -654,14 +664,14 @@ def _written_by_each_writer(directory) -> dict:
         nadir=ObjectiveVector(2.0, 2.0), i_ref=-0.4, refset_version="ab12cd34ef56ab78",
         algorithm="random", budget=100,
     )
-    records = tuple(
-        LogRecord(t, ObjectiveVector(2.0 - k * 0.3, 0.2 + k * 0.3))
-        for k, t in enumerate((1, 4, 9, 30, 31))
+    records = record_columns(
+        (t, 2.0 - k * 0.3, 0.2 + k * 0.3) for k, t in enumerate((1, 4, 9, 30, 31))
     )
     with ExperimentWriter(directory / "exp") as writer:
         for i in (1, 2, 3):
             writer.write(RunLog(replace(header, instance_id=i), records))
-    rs = merge([[_ov(k / 8, 1 - k / 8) for k in range(9)]], **KEY, **UNIT_BOUNDS)
+    rs = merge([point_columns([_ov(k / 8, 1 - k / 8) for k in range(9)])],
+               **KEY, **UNIT_BOUNDS)
     return {
         read_log: directory / "exp" / "random" / "f1_d2_i1.tsv",
         read_experiment_index: directory / "exp" / "random" / INDEX_FILENAME,
@@ -693,6 +703,25 @@ def test_every_reader_equals_its_whole_text_twin(tmp_path_factory, reader, chunk
         for module in (datalog, refset):
             patch.setattr(module, "numbered_lines", lambda p: iter(_whole_text_numbered_lines(p)))
         assert streamed == _outcome(reader, path)
+
+
+@pytest.mark.parametrize(
+    ("reader", "after", "line", "message"),
+    [
+        (read_log, 12, "% budget=5", "header key budget repeats line 12"),
+        (read_log, 12, "% function=f2", "header key function repeats line 2"),
+        (read_reference_set, 3, "# dimension=3", "header key dimension repeats line 1"),
+    ],
+    ids=["log-budget", "log-function", "refset-dimension"],
+)
+def test_a_header_key_given_twice_is_refused(tmp_path, reader, after, line, message) -> None:
+    # Before, the last value won: the log read as budget 5 or function f2,
+    # and the set as dimension 3.
+    path = _written_by_each_writer(tmp_path)[reader]
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:after], line, *lines[after:]]) + "\n")
+    with pytest.raises(LogParseError, match=rf"{path.name}:{after + 1}: {message}$"):
+        reader(path)
 
 
 def _numbered_file(tmp_path, n: int) -> tuple[ReferenceSet, "Path"]:

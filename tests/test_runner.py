@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import point_columns
 
 from bibench import datalog, postprocess, refset, runner, suite
 from bibench.core import ObjectiveVector
@@ -34,7 +35,7 @@ def _analytic_f1_refset_dir(base: Path, instance_id: int = 1, n: int = 2000) -> 
     fn = get_function("f1", instance_id=instance_id, dimension=2)
     pts = [analytic_front_oracle(fn, k / n) for k in range(n + 1)]
     rs = refset.merge(
-        [pts],
+        [point_columns(pts)],
         function_id="f1",
         instance_id=instance_id,
         dimension=2,
@@ -76,6 +77,30 @@ def test_config_validation() -> None:
     ).budget_for(5) == 7
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("budget", True, "budget must be an integer, got True"),
+        ("budget", 2.5, "budget must be an integer, got 2.5"),
+        ("budget", 2**63, "budget must be below 2**63, got 9223372036854775808"),
+        ("bootstrap_budget", True, "bootstrap budget must be an integer, got True"),
+        ("bootstrap_budget", 0, "bootstrap budget must be at least 1, got 0"),
+    ],
+    ids=["budget-bool", "budget-float", "budget-beyond-int64", "bootstrap-bool", "bootstrap-zero"],
+)
+def test_config_refuses_a_bad_budget_before_anything_runs(tmp_path, field, value, message) -> None:
+    # Before, the run died with a bare TypeError naming neither field ("an
+    # integer is required", "'float' object cannot be interpreted as an
+    # integer"), a bad budget after bootstrapping reference sets into the tree.
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentConfig(
+            algorithm="random", output_dir=out, seed=1, functions=("f1",), dimensions=(2,),
+            instances=(1,), **{field: value},
+        ))
+    assert not out.exists()
+
+
 def test_registered_algorithms() -> None:
     assert set(ALGORITHMS) == {"random", "hillclimber"}
     assert len(BOOTSTRAP_WEIGHTS) == 101
@@ -90,7 +115,7 @@ def test_budget_one_run(tmp_path) -> None:
     assert res.runtimes.evaluations == 1
     log = read_log(res.log_path)
     assert len(log.records) == 1
-    assert log.records[0].eval_count == 1
+    assert log.records.eval_count.tolist() == [1]
     assert log.header.budget == 1
     # One random point hits at most the very easy targets.
     grid = precision_grid()
@@ -363,6 +388,11 @@ def test_bootstrap_rejects_budget_below_one_before_any_work(tmp_path) -> None:
     with pytest.raises(ValueError, match="bootstrap budget must be at least 1, got 0"):
         bootstrap_refsets(tmp_path / "refsets", seed=1, budget=0, functions=("f1",))
     assert not (tmp_path / "refsets").exists()
+    # Before, each died in the first baseline with a bare TypeError.
+    for budget in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^bootstrap budget must be an integer, got {budget}$"):
+            bootstrap_refsets(tmp_path / "refsets", seed=1, budget=budget, functions=("f1",))
+    assert not (tmp_path / "refsets").exists()
 
 
 def test_streamed_bootstrap_equals_merge_of_full_point_lists(tmp_path, monkeypatch) -> None:
@@ -404,7 +434,7 @@ def test_streamed_bootstrap_equals_merge_of_full_point_lists(tmp_path, monkeypat
         streamed = refset.read_reference_set(path)
         fn = get_function(streamed.function_id, streamed.instance_id, streamed.dimension)
         whole = refset.merge(
-            collected[2 * k : 2 * k + 2],
+            [point_columns(points) for points in collected[2 * k : 2 * k + 2]],
             function_id=fn.function_id, instance_id=fn.instance_id, dimension=fn.dimension,
             ideal=fn.analytic_ideal, nadir=fn.analytic_nadir,
         )
