@@ -26,6 +26,8 @@ __all__ = [
     "NormalizedObjectives",
     "ObjectiveVector",
     "ProblemSpec",
+    "RowError",
+    "check_budget",
     "normalize",
     "normalize_columns",
     "ulp_distance",
@@ -124,6 +126,16 @@ class ProblemSpec:
             raise ValueError(f"i_ref must lie in [-1, 0], got {self.i_ref}")
 
 
+def check_budget(name: str, value) -> None:
+    """Refuse a budget that is a ``bool``, not an integer, or outside [1, 2**63)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    if value >= 1 << 63:
+        raise ValueError(f"{name} must be below 2**63, got {value}")
+
+
 def normalize(y: ObjectiveVector, p: ProblemSpec) -> NormalizedObjectives:
     """Map a raw objective vector into ROI coordinates.
 
@@ -169,6 +181,14 @@ def ulp_distance(a: float, b: float) -> int:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"ulp_distance requires finite arguments, got {a!r}, {b!r}")
     return abs(_float_ordinal(a) - _float_ordinal(b))
+
+
+class RowError(ValueError):
+    """A value rule broken first by the 0-based row ``row`` of a :class:`Columns`."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class Columns:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import os
 import shutil
 from array import array
@@ -54,7 +53,7 @@ import numpy as np
 
 from bibench.archive import Archive
 from bibench.core import (Columns, NormalizedObjectives, ObjectiveVector, ProblemSpec,
-                          normalize, normalize_columns)
+                          RowError, check_budget, normalize, normalize_columns)
 from bibench.indicator import EMPTY_ARCHIVE_VALUE, IndicatorValue, evaluate_incremental
 from bibench.suite import problem_id
 from bibench.targets import RuntimeRecord, absolute_targets
@@ -97,8 +96,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(f"must be at least 1, got {value}")
-    if value >= 1 << 63:  # eval counts are held as int64
-        raise ValueError(f"must be below 2**63, got {value}")
     return value
 
 
@@ -106,7 +103,7 @@ def _positive_int(text: str) -> int:
 _HEADER = {
     "function": str, "instance": int, "dimension": int, "algorithm": str,
     "refset_version": str, "i_ref": float, "ideal_alpha": float, "ideal_beta": float,
-    "nadir_alpha": float, "nadir_beta": float, "budget": _positive_int,
+    "nadir_alpha": float, "nadir_beta": float, "budget": int,
 }
 
 
@@ -209,8 +206,21 @@ def build_header(
     values = {k: convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in keys.items()}
     try:
         return build(values)
+    except RowError:
+        raise  # rows_at_lines names the line of its row
     except ValueError as exc:
         raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
+
+
+@contextlib.contextmanager
+def rows_at_lines(path: Path, header_mark: str) -> Iterator[None]:
+    """Re-raise a :class:`RowError` as :class:`LogParseError` at the line of its
+    row, found by reading ``path`` again and skipping ``header_mark`` lines."""
+    try:
+        yield
+    except RowError as exc:
+        rows = (number for number, line in numbered_lines(path) if not line.startswith(header_mark))
+        raise LogParseError(path, next(itertools.islice(rows, exc.row, None)), str(exc)) from None
 
 
 class LogVersionError(ValueError):
@@ -236,16 +246,16 @@ class LogReplayError(ValueError):
 
 @dataclass(frozen=True)
 class RunHeader(ProblemSpec):
+    """A run's :class:`ProblemSpec` plus ``algorithm`` and a ``budget`` ``check_budget`` accepts."""
+
     algorithm: str
     budget: int  # int64, as the eval counts it bounds
-    _INTEGERS = ProblemSpec._INTEGERS + ("budget",)
     _NAMES = ("function_id", "algorithm", "refset_version")  # file names and text fields
     _PATH_PARTS = ProblemSpec._PATH_PARTS + ("algorithm",)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 1 <= self.budget < 1 << 63:
-            raise ValueError(f"budget must lie in [1, 2**63), got {self.budget}")
+        check_budget("budget", self.budget)
 
     @classmethod
     def for_run(cls, spec: ProblemSpec, algorithm: str, budget: int) -> RunHeader:
@@ -282,8 +292,8 @@ class RecordColumns(Columns):
 @dataclass(frozen=True)
 class RunLog:
     """A run's header and archive-entering records, checked once when made:
-    :class:`RecordColumns` (else ``TypeError``) whose counts rise strictly from
-    1 to at most the budget, with finite objectives (else ``ValueError``)."""
+    :class:`RecordColumns` (else ``TypeError``) whose counts rise strictly from 1
+    to at most the budget, with finite objectives (else :class:`RowError`)."""
 
     header: RunHeader
     records: RecordColumns
@@ -297,11 +307,10 @@ class RunLog:
         if bad.any():
             row = int(bad.argmax())
             t, last = int(counts[row]), int(before[row])
-            if t <= last:
-                raise ValueError(f"record eval_counts must increase strictly: {t} after {last}")
-            if not finite[row]:
-                raise ValueError(f"record at eval {t} has non-finite objectives")
-            raise ValueError(f"record at eval {t} exceeds budget {budget}")
+            raise RowError(row, (
+                f"eval counts must increase strictly from 1: got {t} after {last}" if t <= last
+                else f"record at eval {t} has non-finite objectives" if not finite[row]
+                else f"record at eval {t} exceeds budget {budget}"))
 
 
 def _fmt(x: float) -> str:
@@ -335,16 +344,16 @@ def _run_header(v: dict) -> RunHeader:
 
 def read_log(path: Path | str) -> RunLog:
     """Parse a ``runlog-v2`` run log.  A missing or other format raises
-    :class:`LogVersionError`; malformed headers or records, including eval
-    counts that are not strictly increasing within ``[1, budget]``, a
-    ``budget`` below 1, a header key given twice and a header that
-    ``ProblemSpec`` rejects, raise :class:`LogParseError` naming
-    ``path:line``."""
+    :class:`LogVersionError`, anything else :class:`LogParseError` naming
+    ``path:line``.  Lines are parsed first: a repeated header key, a header
+    line after a record, or a record without 3 parsable columns or with a
+    count beyond int64 fails at its line.  Then :class:`RunHeader` checks the
+    header, at the last header line, and :class:`RunLog` the records, at the
+    line of the first bad row."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
     evals, alpha, beta = array("q"), array("d"), array("d")
-    budget = last = 0
     number = 1
     for number, line in _format_body(path, LOG_FORMAT):
         if line.startswith("%"):
@@ -358,33 +367,22 @@ def read_log(path: Path | str) -> RunLog:
             run_header = build_header(
                 path, header, _HEADER, _run_header, number, "records start before header keys"
             )
-            budget = run_header.budget
         parts = line.split("\t")
         if len(parts) != 3:
             raise LogParseError(
                 path, number, f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}"
             )
         try:
-            eval_count, f_alpha, f_beta = int(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError as exc:
+            evals.append(int(parts[0]))
+            alpha.append(float(parts[1]))
+            beta.append(float(parts[2]))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
             raise LogParseError(path, number, str(exc)) from None
-        if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
-            raise LogParseError(path, number, "non-finite value in record")
-        if eval_count <= last:
-            raise LogParseError(
-                path, number,
-                f"eval counts must increase strictly from 1: got {eval_count} after {last}",
-            )
-        if eval_count > budget:
-            raise LogParseError(path, number, f"eval count {eval_count} exceeds budget {budget}")
-        last = eval_count
-        evals.append(eval_count)
-        alpha.append(f_alpha)
-        beta.append(f_beta)
 
     if run_header is None:
         run_header = build_header(path, header, _HEADER, _run_header, number)
-    return RunLog(run_header, RecordColumns(evals, alpha, beta))
+    with rows_at_lines(path, "%"):
+        return RunLog(run_header, RecordColumns(evals, alpha, beta))
 
 
 class Assessment:
@@ -476,7 +474,7 @@ class ExperimentWriter:
     def __init__(self, root: Path | str) -> None:
         self._root = Path(root)
         self._staging = self._root / ".staging"
-        self._rows: dict[str, list[tuple[str, str]]] = {}  # algorithm -> (file, row)
+        self._rows: dict[str, dict[str, str]] = {}  # algorithm -> file -> index row
         self._root_created = not self._root.exists()
 
     def __enter__(self) -> ExperimentWriter:
@@ -492,13 +490,15 @@ class ExperimentWriter:
                     self._root.rmdir()
 
     def write(self, log: RunLog) -> Path:
-        """Stage ``log``; returns the path ``close`` publishes it at."""
+        """Stage ``log``; returns the path ``close`` publishes it at.  A second
+        log of one algorithm and problem raises ``ValueError`` and stages nothing."""
         h = log.header
         name = problem_file(h.function_id, h.dimension, h.instance_id)
+        if name in self._rows.get(h.algorithm, {}):
+            raise ValueError(f"a log of {h.algorithm} for {name} is already written")
         write_log(log, self._staging / h.algorithm / name)
-        self._rows.setdefault(h.algorithm, []).append((
-            name, f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
-        ))
+        row = f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
+        self._rows.setdefault(h.algorithm, {})[name] = row
         return self._root / h.algorithm / name
 
     def close(self) -> None:
@@ -511,12 +511,12 @@ class ExperimentWriter:
             for algorithm, rows in self._rows.items():
                 (self._root / algorithm).mkdir(parents=True, exist_ok=True)
                 (self._root / algorithm / INDEX_FILENAME).unlink(missing_ok=True)
-                for name, _ in rows:
+                for name in rows:
                     os.replace(self._staging / algorithm / name, self._root / algorithm / name)
                 write_lines(self._root / algorithm / INDEX_FILENAME, [
                     f"% format={INDEX_FORMAT}",
                     "% columns=file function instance dimension refset_version",
-                    *(row for _, row in rows),
+                    *rows.values(),
                 ])
         finally:
             shutil.rmtree(self._staging, ignore_errors=True)

@@ -146,10 +146,7 @@ def runtime_table(
     rows = [header]
     for (fid, dim), group in sorted(groups.items()):
         for k in indices:
-            n_hit = 0
-            for _, runtimes in group:
-                if runtimes.first_hit[k] is not None:
-                    n_hit += 1
+            n_hit = sum(runtimes.first_hit[k] is not None for _, runtimes in group)
             cells = [_cell(shown[fid, dim].get(i), k) for i in instance_ids]
             rows.append([fid, str(dim), repr(grid[k]), *cells, str(n_hit), str(len(group))])
     return rows

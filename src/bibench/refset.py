@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -32,10 +31,10 @@ import numpy as np
 
 from bibench import suite
 from bibench.archive import sweep_hypervolume
-from bibench.core import Columns, ObjectiveVector, ProblemSpec
+from bibench.core import Columns, ObjectiveVector, ProblemSpec, RowError
 from bibench.datalog import (
     LogParseError, add_header_key, build_header, convert_at, numbered_lines, problem_file,
-    write_lines,
+    rows_at_lines, write_lines,
 )
 
 __all__ = [
@@ -69,7 +68,8 @@ class ReferenceSet:
 
     ``points`` are raw objective vectors in canonical order (ascending
     ``f_alpha``, hence strictly descending ``f_beta``), held as
-    :class:`PointColumns`; any other value raises ``TypeError``.  ``ideal`` and
+    :class:`PointColumns` (else ``TypeError``); the first point not finite or
+    not in that order raises :class:`RowError`.  ``ideal`` and
     ``nadir`` are the normalization bounds; ``bounds_estimated`` marks a
     nadir read off the merged front's extreme points rather than known
     analytically.  ``i_ref`` and ``version`` are not arguments: they are
@@ -92,13 +92,14 @@ class ReferenceSet:
         alpha, beta = points.f_alpha, points.f_beta
         if not len(points):
             raise ValueError("a reference set needs at least one point")
-        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-            raise ValueError("non-finite reference point")
-        if not ((alpha[:-1] < alpha[1:]).all() and (beta[:-1] > beta[1:]).all()):
-            raise ValueError(
-                "reference points must be mutually non-dominated and "
-                "canonically sorted by f_alpha"
-            )
+        finite = np.isfinite(alpha) & np.isfinite(beta)
+        bad = ~finite
+        bad[1:] |= ~((alpha[:-1] < alpha[1:]) & (beta[:-1] > beta[1:]))  # against the point before
+        if bad.any():
+            row = int(bad.argmax())
+            raise RowError(row, "non-finite reference point" if not finite[row] else
+                           "reference points must be mutually non-dominated and "
+                           "canonically sorted by f_alpha")
         # ProblemSpec checks the key and bounds before i_ref is computed under them.
         ProblemSpec(self.function_id, self.instance_id, self.dimension, self.ideal, self.nadir,
                     i_ref=0.0, refset_version="")
@@ -107,15 +108,8 @@ class ReferenceSet:
 
     def problem_spec(self) -> ProblemSpec:
         """The :class:`ProblemSpec` a run against this reference set uses."""
-        return ProblemSpec(
-            function_id=self.function_id,
-            instance_id=self.instance_id,
-            dimension=self.dimension,
-            ideal=self.ideal,
-            nadir=self.nadir,
-            i_ref=self.i_ref,
-            refset_version=self.version,
-        )
+        return ProblemSpec(self.function_id, self.instance_id, self.dimension, self.ideal,
+                           self.nadir, self.i_ref, self.version)
 
 
 def nondominated_rows(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -251,10 +245,7 @@ def _point(line: str) -> tuple[float, float]:
     parts = line.split("\t")
     if len(parts) != 2:
         raise ValueError(f"expected 2 columns, got {len(parts)}")
-    f_alpha, f_beta = float(parts[0]), float(parts[1])
-    if not (math.isfinite(f_alpha) and math.isfinite(f_beta)):
-        raise ValueError("non-finite value")
-    return f_alpha, f_beta
+    return float(parts[0]), float(parts[1])
 
 
 # Header keys, each with the conversion of its value.
@@ -269,17 +260,17 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     """Parse a reference-set file; every failure raises :class:`LogParseError`
     naming ``path:line``.
 
-    All header keys must parse, each given once, with ``bounds`` either
-    ``analytic`` or ``estimated``; each point is two finite numbers.  The
-    header must pass ``ProblemSpec``'s checks and the points
-    ``ReferenceSet``'s.  The stored version and ``i_ref`` must equal, bit
-    for bit, those the set derives from its points, each checked at its
-    own header line; a mismatch means the file was edited or corrupted.
+    Lines are parsed first: header keys parse, each given once, ``bounds``
+    is ``analytic`` or ``estimated``, and a point is two numbers.  Then
+    :class:`ReferenceSet` names its first non-finite or out-of-order point's
+    line, and a header ``ProblemSpec`` refuses at the last header line.  The
+    stored version and ``i_ref`` must equal, bit for bit, those the set
+    derives from its points, each at its own header line; a mismatch means
+    the file was edited or corrupted.
 
     Lines come from ``numbered_lines``, which reports a non-ASCII byte
-    anywhere in the file before any other failure; a bad point raises where
-    it is met.  Each point is appended to two ``array("d")`` columns, which
-    become the set's points without a copy.
+    anywhere in the file before any other failure.  Each point is appended
+    to two ``array("d")`` columns, which become the set's points without a copy.
     """
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
@@ -296,17 +287,18 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             alpha.append(f_alpha)
             beta.append(f_beta)
 
-    stored, rs = build_header(
-        path, header, _HEADER,
-        lambda v: (v, ReferenceSet(
-            function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
-            points=PointColumns(alpha, beta),
-            ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
-            nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
-            bounds_estimated=v["bounds"],
-        )),
-        number,
-    )
+    with rows_at_lines(path, "#"):
+        stored, rs = build_header(
+            path, header, _HEADER,
+            lambda v: (v, ReferenceSet(
+                function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
+                points=PointColumns(alpha, beta),
+                ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
+                nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
+                bounds_estimated=v["bounds"],
+            )),
+            number,
+        )
     for key, derived in (("version", "point content"), ("i_ref", "recomputation")):
         if stored[key] != getattr(rs, key):
             raise LogParseError(

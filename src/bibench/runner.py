@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from bibench import baselines, datalog, refset, suite
-from bibench.core import ObjectiveVector
+from bibench.core import ObjectiveVector, check_budget
 from bibench.targets import RuntimeRecord
 
 __all__ = [
@@ -57,16 +56,6 @@ def default_budget(dimension: int) -> int:
     return 10_000 * dimension
 
 
-def _check_budget(name: str, value) -> None:
-    """Refuse a budget that is a ``bool``, not an integer, or outside [1, 2**63)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    if value >= 1 << 63:
-        raise ValueError(f"{name} must be below 2**63, got {value}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; immutable and reusable."""
@@ -88,8 +77,8 @@ class ExperimentConfig:
                 f"{sorted(ALGORITHMS)}"
             )
         if self.budget is not None:
-            _check_budget("budget", self.budget)
-        _check_budget("bootstrap budget", self.bootstrap_budget)
+            check_budget("budget", self.budget)
+        check_budget("bootstrap budget", self.bootstrap_budget)
 
     def budget_for(self, dimension: int) -> int:
         return self.budget if self.budget is not None else default_budget(dimension)
@@ -184,7 +173,7 @@ def bootstrap_refsets(
     Bootstrapping twice with the same seed yields identical files, hence
     identical versions.
     """
-    _check_budget("bootstrap budget", budget)
+    check_budget("bootstrap budget", budget)
     output_dir = Path(output_dir)
     hill_climber = functools.partial(
         baselines.scalarized_hill_climber, weights=BOOTSTRAP_WEIGHTS

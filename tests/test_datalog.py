@@ -408,6 +408,20 @@ def test_interrupted_close_leaves_logs_without_old_index(tmp_path, monkeypatch) 
         next(iter_experiment(tmp_path))
 
 
+def test_a_second_log_of_one_problem_is_refused_and_the_tree_kept(tmp_path) -> None:
+    # Before, both logs were staged, and close() deleted the old index,
+    # published the first log and died with a FileNotFoundError moving the
+    # second, leaving the problem's log without an index.
+    _write_experiment(tmp_path)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    log = RunLog(replace(_header(), refset_version="ffff0000ffff0000"), record_columns())
+    with pytest.raises(ValueError, match=r"^a log of random for f1_d2_i1\.tsv is already written$"):
+        with ExperimentWriter(tmp_path) as writer:
+            writer.write(log)
+            writer.write(log)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
 def test_experiment_index_round_trip(tmp_path) -> None:
     path = _write_experiment(tmp_path)
     assert read_experiment_index(path) == (
@@ -434,14 +448,31 @@ def _log_text(tmp_path, rows, budget: int = 100):
     return path
 
 
+# Over 64 KiB of good records, so the bad one after them lies past 4096 rows
+# and past the first chunk of bytes that numbered_lines reads.
+_MANY_ROWS = [f"{t}\t0.25\t0.75" for t in range(1, 6001)]
+
+
 @pytest.mark.parametrize(
     ("rows", "budget", "message"),
     [
         (["0\t0.5\t0.5"], 100, r":13: eval counts must increase strictly from 1"),
         (["3\t0.5\t0.5", "2\t0.4\t0.4"], 100, r":14: .*got 2 after 3"),
-        (["50\t0.5\t0.5"], 10, r":13: eval count 50 exceeds budget 10"),
+        (["50\t0.5\t0.5"], 10, r":13: record at eval 50 exceeds budget 10"),
+        # A count beyond int64 fails where it is parsed, never as an OverflowError.
+        ([f"{2**63}\t0.5\t0.5"], 100, r":13: "),
+        ([f"{10**30}\t0.5\t0.5"], 100, r":13: "),
+        ([f"{-(2**63) - 1}\t0.5\t0.5"], 100, r":13: "),
+        # Blank lines count towards the line of the row a value rule names.
+        (["1\t0.5\t0.5", "", "", "2\tnan\t0.5"], 100,
+         r":16: record at eval 2 has non-finite objectives$"),
+        ([*_MANY_ROWS, "6000\t0.5\t0.5"], 10_000, r":6013: .*got 6000 after 6000$"),
+        # Lines are parsed before the RunLog checks values, so a malformed
+        # record is named before a bad count on an earlier line.
+        (["0\t0.5\t0.5", "1\t0.5"], 100, r":14: expected 3 columns"),
     ],
-    ids=["below-one", "not-increasing", "beyond-budget"],
+    ids=["below-one", "not-increasing", "beyond-budget", "int64-max-plus-one", "ten-to-the-30",
+         "int64-min-minus-one", "after-blank-lines", "past-a-chunk", "malformed-line-first"],
 )
 def test_read_rejects_bad_eval_counts(tmp_path, rows, budget, message) -> None:
     path = _log_text(tmp_path, rows, budget=budget)
@@ -524,14 +555,15 @@ def test_experiment_index_reports_bad_number_with_line(tmp_path) -> None:
 def test_read_rejects_budget_below_one(tmp_path, budget) -> None:
     path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace("% budget=100", f"% budget={budget}"))
-    with pytest.raises(LogParseError, match=rf"run\.tsv:12: budget: must be at least 1, got {budget}"):
+    with pytest.raises(LogParseError, match=rf"run\.tsv:12: budget must be at least 1, got {budget}"):
         read_log(path)
 
 
 @pytest.mark.parametrize("budget", [0, -5, 2**63])
 def test_run_header_refuses_a_budget_read_log_refuses(budget) -> None:
     # Before, RunHeader(budget=0) was made and write_log wrote "% budget=0".
-    with pytest.raises(ValueError, match=rf"budget must lie in \[1, 2\*\*63\), got {budget}"):
+    bound = "below 2**63" if budget > 0 else "at least 1"
+    with pytest.raises(ValueError, match=re.escape(f"budget must be {bound}, got {budget}")):
         _header(budget=budget)
 
 
@@ -551,7 +583,7 @@ def test_read_rejects_budget_beyond_int64(tmp_path) -> None:
     # Eval counts are held as int64, so no budget may admit one beyond it.
     path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
     path.write_text(path.read_text().replace("% budget=100", f"% budget={2**63}"))
-    with pytest.raises(LogParseError, match=r"run\.tsv:12: budget: must be below 2\*\*63"):
+    with pytest.raises(LogParseError, match=r"run\.tsv:12: budget must be below 2\*\*63"):
         read_log(path)
 
 

@@ -311,12 +311,17 @@ def test_read_rejects_missing_header(tmp_path) -> None:
     [
         ("instance=1 ", "instance=one ", r"rs\.tsv:1: instance: invalid literal"),
         ("bounds=analytic", "bounds=guessed", r"rs\.tsv:2: bounds: expected analytic or estimated"),
-        ("0.75\t0.25", "0.75\tinf", r"rs\.tsv:5: point: non-finite"),
+        ("0.75\t0.25", "0.75\tinf", r"rs\.tsv:5: non-finite reference point$"),
         ("dimension=2", "dimension=0", r"rs\.tsv:2: dimension must be positive"),
-        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n0.25\t0.75", r"rs\.tsv:2: reference points must"),
+        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n0.25\t0.75", r"rs\.tsv:5: reference points must"),
         ("instance=1 ", "instance=0 ", r"rs\.tsv:2: instance must be positive"),
+        # A "#" line among the points is no point: the row after it is on line 6.
+        ("0.75\t0.25", "# note\n0.75\tinf", r"rs\.tsv:6: non-finite reference point$"),
+        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n# note\n0.25\t0.75",
+         r"rs\.tsv:6: reference points must"),
     ],
-    ids=["instance", "bounds", "non-finite", "dimension", "order", "instance-zero"],
+    ids=["instance", "bounds", "non-finite", "dimension", "order", "instance-zero",
+         "non-finite-after-a-note", "order-after-a-note"],
 )
 def test_read_reports_bad_value_with_line(tmp_path, old, new, message) -> None:
     rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
@@ -583,12 +588,14 @@ def _whole_text_numbered_lines(path) -> list[tuple[int, str]]:
 
 def _old_read_reference_set(path) -> ReferenceSet:
     """The whole-text reader the line-by-line one replaced, kept as its
-    oracle."""
+    oracle.  Like that reader, it parses every line first, then names the
+    line of the first point ``ReferenceSet`` refuses."""
+    from bibench.core import RowError
     from bibench.datalog import add_header_key, build_header, convert_at
     from bibench.refset import _HEADER, _point
 
     header: dict[str, tuple[str, int]] = {}
-    points = []
+    points, point_lines = [], []
     lines = _whole_text_numbered_lines(path)
     for number, line in lines:
         if line.startswith("#"):
@@ -598,17 +605,21 @@ def _old_read_reference_set(path) -> ReferenceSet:
                     add_header_key(path, header, key, value, number)
         else:
             points.append(ObjectiveVector(*convert_at(path, number, "point", _point, line)))
-    stored, rs = build_header(
-        path, header, _HEADER,
-        lambda v: (v, ReferenceSet(
-            function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
-            points=point_columns(points),
-            ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
-            nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
-            bounds_estimated=v["bounds"],
-        )),
-        lines[-1][0] if lines else 1,
-    )
+            point_lines.append(number)
+    try:
+        stored, rs = build_header(
+            path, header, _HEADER,
+            lambda v: (v, ReferenceSet(
+                function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
+                points=point_columns(points),
+                ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
+                nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
+                bounds_estimated=v["bounds"],
+            )),
+            lines[-1][0] if lines else 1,
+        )
+    except RowError as exc:
+        raise LogParseError(path, point_lines[exc.row], str(exc)) from None
     if stored["version"] != rs.version:
         raise LogParseError(
             path, header["version"][1],
