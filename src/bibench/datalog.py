@@ -12,10 +12,10 @@ rewriting a parsed file is byte-identical.  Records are held as columns,
 24 bytes each, and written, read and replayed without record objects.
 
 Every bibench file is a text file of lines, so their shared line handling
-lives here: ``write_lines`` writes every file atomically, ``numbered_lines``
-streams the lines of every run log, index and reference set, ``convert_at``
-turns a bad value into a :class:`LogParseError` naming ``path:line``, and
-``add_header_key`` and ``build_header`` do so for a ``key=value`` header.
+lives here: ``write_lines`` writes every file atomically, ``numbered_batches``
+reads every file a batch of lines at a time, ``read_rows`` converts a batch of
+records or points at once, and ``convert_at`` and ``build_header`` turn a bad
+value or header into a :class:`LogParseError` naming ``path:line``.
 
 ``ExperimentWriter`` owns the experiment tree: one directory per
 algorithm holding its run logs and their index.  Logs are staged under
@@ -81,10 +81,10 @@ LOG_FORMAT = "runlog-v2"
 INDEX_FORMAT = "experiment-index-v1"
 INDEX_FILENAME = "experiment_index.tsv"
 
-# Lines ``write_lines`` joins per write, bytes ``numbered_lines`` reads per
-# call: few enough to bound memory, many enough that call overhead stays small.
+# Lines ``write_lines`` joins per write, bytes ``numbered_batches`` reads per
+# batch: few enough to bound memory, many enough that call overhead stays small.
 _WRITE_CHUNK = 4096
-_READ_CHUNK = 1 << 16
+_READ_CHUNK = 1 << 14
 
 
 def problem_file(function_id: str, dimension: int, instance_id: int) -> str:
@@ -146,34 +146,72 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
     return path
 
 
-def numbered_lines(path: Path | str) -> Iterator[tuple[int, str]]:
-    """Yield the 1-based number and stripped text of every non-blank line
-    of an ASCII file, numbered as ``str.splitlines`` numbers them.  The
-    file's bytes are first scanned for a non-ASCII byte, which raises
-    :class:`LogParseError` at its line (counted by ``\\n``) before any line
-    is yielded.  A file shorter than ``_READ_CHUNK`` is split from the bytes
-    scanned; a longer one is read again about ``_READ_CHUNK`` bytes at a
-    time, so neither its text nor its list of lines is ever held whole."""
+def numbered_batches(path: Path | str) -> Iterator[tuple[int, list[str]]]:
+    """Yield the 1-based number of the first line and the lines of each batch
+    of whole lines of an ASCII file, numbered as ``str.splitlines`` numbers the
+    whole text.  The bytes are first scanned for a non-ASCII byte, which raises
+    :class:`LogParseError` at its line (counted by ``\\n``) before any batch.
+    Then ``_READ_CHUNK`` bytes at a time are read again, each batch cut after its
+    last ``\\n`` or ``\\r``: the text is never held whole, whatever its line ends."""
     path = Path(path)
     with open(path, "rb") as f:
-        first = f.read(_READ_CHUNK)
         ends = 0  # "\n" bytes before the chunk
-        for chunk in itertools.chain([first], iter(partial(f.read, _READ_CHUNK), b"")):
+        for chunk in iter(partial(f.read, _READ_CHUNK), b""):
             if not chunk.isascii():
                 at = next(i for i, byte in enumerate(chunk) if byte > 127)
                 raise LogParseError(path, ends + chunk.count(b"\n", 0, at) + 1, "non-ASCII byte")
             ends += chunk.count(b"\n")
-        batches = [first]
-        if len(first) == _READ_CHUNK:
-            f.seek(0)
-            batches = map(b"".join, iter(partial(f.readlines, _READ_CHUNK), []))
-        number = 0
-        # A batch ends at a "\n" or at the file's end, and "\n" always ends a
-        # text line, so each batch splits into lines as the whole text would.
-        for batch in batches:
-            for number, raw in enumerate(batch.decode("ascii").splitlines(), number + 1):
-                if line := raw.strip():
-                    yield number, line
+        f.seek(0)
+        number, held = 1, []
+        # A chunk's last "\r" waits for the next byte, which may make it a "\r\n".
+        for chunk in itertools.chain(iter(partial(f.read, _READ_CHUNK), b""), [b""]):
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+            if chunk and not cut:  # no line end yet: joined once one comes
+                held.append(chunk)
+                continue
+            text, held = b"".join([*held, chunk[:cut]]), [chunk[cut:]]
+            if text:  # the empty chunk after the last flushes what is held
+                lines = text.decode("ascii").splitlines()
+                yield number, lines
+                number += len(lines)
+
+
+def numbered_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """The number and stripped text of each non-blank line of ``numbered_batches(path)``."""
+    return _non_blank(numbered_batches(path))
+
+
+def _non_blank(batches: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[int, str]]:
+    return ((number, line) for first, lines in batches
+            for number, raw in enumerate(lines, first) if (line := raw.strip()))
+
+
+def read_rows(batches: Iterable[tuple[int, list[str]]], header_mark: str,
+              columns: tuple[array, ...]) -> Iterator[tuple[int, str]]:
+    """Yield the number and stripped text of each non-blank line of ``batches``
+    up to the first row, the first not starting with ``header_mark``.  Later
+    batches are split on tabs and converted at once, by ``int`` into a ``"q"``
+    column and ``float`` into a ``"d"`` one, or else yielded line by line to the
+    caller's parse, which would take every batch taken here, with its values."""
+    width, rows = len(columns) + 1, False  # a line's cells, then the "\n" joined after it
+    for first, lines in batches:
+        k = 0
+        while not rows and k < len(lines):
+            if line := lines[k].strip():
+                yield first + k, line
+                rows = not line.startswith(header_mark)
+            k += 1
+        # Each "\n" between lines is a cell no conversion takes, so a line with a
+        # cell too many or too few converts one; the count checks the last line.
+        n, cells = len(lines) - k, "\t\n\t".join(lines[k:]).split("\t")
+        if n and len(cells) == width * n - 1:
+            with contextlib.suppress(ValueError, OverflowError):  # OverflowError: beyond int64
+                new = [array(c.typecode, map(int if c.typecode == "q" else float, cells[j::width]))
+                       for j, c in enumerate(columns)]
+                for column, values in zip(columns, new):
+                    column.extend(values)
+                continue
+        yield from _non_blank([(first + k, lines[k:])])
 
 
 def convert_at(path: Path | str, line: int, what: str, fn, text: str):
@@ -227,17 +265,18 @@ class LogVersionError(ValueError):
     """The file declares no format, or one its reader does not read."""
 
 
-def _format_body(path: Path, expected: str) -> Iterator[tuple[int, str]]:
-    """``numbered_lines(path)`` after line 1, which must be
+def _format_body(path: Path, expected: str) -> Iterator[tuple[int, list[str]]]:
+    """``numbered_batches(path)`` after line 1, which must be
     ``% format=<expected>`` (otherwise :class:`LogVersionError`)."""
-    lines = numbered_lines(path)
-    number, first = next(lines, (0, ""))
-    if number != 1 or not first.startswith("% format="):
+    batches = numbered_batches(path)
+    _, lines = next(batches, (1, [""]))
+    first = lines[0].strip()
+    if not first.startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
     declared = first.partition("=")[2].strip()
     if declared != expected:
         raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected}")
-    return lines
+    return itertools.chain([(2, lines[1:])], batches)
 
 
 class LogReplayError(ValueError):
@@ -349,13 +388,13 @@ def read_log(path: Path | str) -> RunLog:
     line after a record, or a record without 3 parsable columns or with a
     count beyond int64 fails at its line.  Then :class:`RunHeader` checks the
     header, at the last header line, and :class:`RunLog` the records, at the
-    line of the first bad row."""
+    line of the first bad row.  ``read_rows`` parses records a batch at a time."""
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
-    evals, alpha, beta = array("q"), array("d"), array("d")
+    evals, alpha, beta = columns = array("q"), array("d"), array("d")
     number = 1
-    for number, line in _format_body(path, LOG_FORMAT):
+    for number, line in read_rows(_format_body(path, LOG_FORMAT), "%", columns):
         if line.startswith("%"):
             if run_header is not None:
                 raise LogParseError(path, number, "header line after the first record")
@@ -532,7 +571,7 @@ def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     path = Path(path)
     entries: list[IndexEntry] = []
     rows: dict[tuple[str, str], int] = {}  # ("file", name) or ("problem", key) -> line
-    for number, line in _format_body(path, INDEX_FORMAT):
+    for number, line in _non_blank(_format_body(path, INDEX_FORMAT)):
         if line.startswith("%"):
             continue
         parts = line.split("\t")

@@ -14,8 +14,8 @@ by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 A set's points live in two read-only float64 columns (:class:`PointColumns`)
 from the merge to the file and back: the filter, ``i_ref``, the version
 and the writer work on the columns, the writer and the hash format them
-a chunk of rows at a time, and the reader appends each line ``numbered_lines``
-yields to them, so no stage holds one object or one line of text per point.
+a chunk of rows at a time, and the reader converts a batch of lines into
+them at once, so no stage holds one object or one line of text per point.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from bibench import suite
 from bibench.archive import sweep_hypervolume
 from bibench.core import Columns, ObjectiveVector, ProblemSpec, RowError
 from bibench.datalog import (
-    LogParseError, add_header_key, build_header, convert_at, numbered_lines, problem_file,
-    rows_at_lines, write_lines,
+    LogParseError, add_header_key, build_header, convert_at, numbered_batches, numbered_lines,
+    problem_file, read_rows, rows_at_lines, write_lines,
 )
 
 __all__ = [
@@ -268,15 +268,14 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     derives from its points, each at its own header line; a mismatch means
     the file was edited or corrupted.
 
-    Lines come from ``numbered_lines``, which reports a non-ASCII byte
-    anywhere in the file before any other failure.  Each point is appended
-    to two ``array("d")`` columns, which become the set's points without a copy.
+    ``read_rows`` converts a batch of points at once into two ``array("d")``
+    columns, the set's points without a copy; ``_point`` parses the rest.
     """
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     alpha, beta = array("d"), array("d")
     number = 1
-    for number, line in numbered_lines(path):
+    for number, line in read_rows(numbered_batches(path), "#", (alpha, beta)):
         if line.startswith("#"):
             for token in line[1:].split():
                 key, sep, value = token.partition("=")
@@ -286,6 +285,8 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             f_alpha, f_beta = convert_at(path, number, "point", _point, line)
             alpha.append(f_alpha)
             beta.append(f_beta)
+    if _HEADER.keys() - header.keys():  # named at the last line, which a batch may hide
+        number = max((n for n, _ in numbered_lines(path)), default=number)
 
     with rows_at_lines(path, "#"):
         stored, rs = build_header(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 import re
 import tracemalloc
+from array import array
 from dataclasses import replace
 from unittest import mock
 
@@ -750,10 +752,10 @@ def test_write_log_holds_no_list_of_lines(tmp_path) -> None:
 
 def test_read_log_holds_no_text_or_list_of_lines(tmp_path) -> None:
     # Reading the whole text and its list of lines peaked at 20.1 MB.  The
-    # records themselves, a LogRecord and an ObjectiveVector each, take
-    # about 11 MB.
+    # records are three columns of 24 bytes a record, 1.2 MB here; one batch
+    # of lines and its cells and the RunLog's checks bring the peak to 1.9 MB.
     path = write_log(_long_log(50_000), tmp_path / "run.tsv")
-    assert _traced_peak(lambda: read_log(path)) < 14_000_000
+    assert _traced_peak(lambda: read_log(path)) < 4_000_000
 
 
 @pytest.mark.parametrize("good", [1, 5_000])
@@ -775,6 +777,146 @@ def test_read_log_holds_three_columns_not_an_object_per_record(tmp_path) -> None
     # 14 MB allowed above; the columns and one batch of lines take about 1.5 MB.
     path = write_log(_long_log(50_000), tmp_path / "run.tsv")
     assert _traced_peak(lambda: read_log(path)) < 4_000_000
+
+
+@pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+def test_read_log_of_any_line_ends_holds_one_batch(tmp_path, end) -> None:
+    # Batches were cut at "\n" only, so a log with "\r" line ends was read as
+    # one batch of the whole file, peaking at 7.1 MB.
+    log = _long_log(50_000)
+    path = write_log(log, tmp_path / "run.tsv")
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    assert _traced_peak(lambda: read_log(path)) < 4_000_000
+    assert read_log(path) == log
+
+
+def test_a_clean_log_is_never_parsed_line_by_line(tmp_path, monkeypatch) -> None:
+    # Every batch of records must take the batch path; only the header goes
+    # line by line.  _non_blank feeds read_rows' per-line fallback.
+    log = _long_log(5_000)
+    path = write_log(log, tmp_path / "run.tsv")
+
+    def refuse(batches):
+        for first, lines in batches:
+            assert not lines, f"the batch from line {first} was parsed line by line"
+        return iter(())
+
+    monkeypatch.setattr(datalog, "_READ_CHUNK", 256)
+    monkeypatch.setattr(datalog, "_non_blank", refuse)
+    assert read_log(path) == log
+
+
+def _per_line_read_log(path) -> RunLog:
+    """The per-line reader that batch parsing replaced, kept as its oracle:
+    the whole text split into lines, each record parsed on its own, and a
+    row the RunLog refuses named at the line it came from."""
+    from bibench.core import RowError
+    from bibench.datalog import _HEADER, _run_header, add_header_key, build_header
+
+    lines = [(n, line) for n, raw in enumerate(path.read_bytes().decode("ascii").splitlines(), 1)
+             if (line := raw.strip())]
+    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
+        raise LogVersionError(f"{path}: missing format declaration on line 1")
+    declared = lines[0][1].partition("=")[2].strip()
+    if declared != datalog.LOG_FORMAT:
+        raise LogVersionError(
+            f"{path}: unsupported format {declared!r}, expected {datalog.LOG_FORMAT}"
+        )
+    header: dict[str, tuple[str, int]] = {}
+    run_header = None
+    evals, alpha, beta, record_lines = array("q"), array("d"), array("d"), []
+    number = 1
+    for number, line in lines[1:]:
+        if line.startswith("%"):
+            if run_header is not None:
+                raise LogParseError(path, number, "header line after the first record")
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                add_header_key(path, header, key.strip(), value.strip(), number)
+            continue
+        if run_header is None:
+            run_header = build_header(
+                path, header, _HEADER, _run_header, number, "records start before header keys"
+            )
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise LogParseError(
+                path, number, f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}"
+            )
+        try:
+            evals.append(int(parts[0]))
+            alpha.append(float(parts[1]))
+            beta.append(float(parts[2]))
+        except (ValueError, OverflowError) as exc:
+            raise LogParseError(path, number, str(exc)) from None
+        record_lines.append(number)
+    if run_header is None:
+        run_header = build_header(path, header, _HEADER, _run_header, number)
+    try:
+        return RunLog(run_header, RecordColumns(evals, alpha, beta))
+    except RowError as exc:
+        raise LogParseError(path, record_lines[exc.row], str(exc)) from None
+
+
+def _log_outcome(reader, path):
+    """A read log as its header and the bytes of its columns, or the error's type and text."""
+    try:
+        log = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    r = log.records
+    return log.header, r.eval_count.tobytes(), r.f_alpha.tobytes(), r.f_beta.tobytes()
+
+
+# Cells that parse differently, or not at all, in a record: non-finite and
+# out-of-range values, underscores, signs, inner spaces, header marks.
+_BAD_CELLS = ("nan", "inf", "-inf", "1e999", "1_0", "+5", "0 5", " 7 ", "", "0x10", "%", "#",
+              str(2**63), str(-(2**63) - 1), "repeat", "fall", "past")
+# Whole lines spliced between records.
+_ODD_LINES = ("", "   ", "\t", "\t\t", "% budget=5", "%", "# note", "1\t0.5", "1\t0.5\t0.5\t0.5")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batch_read_log_equals_the_per_line_reader(tmp_path_factory, data) -> None:
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    counts = list(itertools.accumulate(rng.choices((1, 2, 3), k=data.draw(st.integers(20, 60)))))
+    special = (0.0, -0.0, 5e-324, 1e308, 0.1)
+    rows = [(t, rng.choice(special), rng.uniform(-1e6, 1e6)) for t in counts]
+    budget = counts[-1] + data.draw(st.integers(0, 3))
+    directory = tmp_path_factory.mktemp("batches")
+    lines = write_log(RunLog(_header(budget=budget), record_columns(rows)),
+                      directory / "run.tsv").read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(12, len(lines) - 1))  # a record line, after the header
+        edit = data.draw(st.sampled_from(["cell", "tab", "line", "shift"]))
+        if edit == "line":
+            lines.insert(i, data.draw(st.sampled_from(_ODD_LINES)))
+        elif edit == "shift" and i + 1 < len(lines):
+            # The last cell moves to the next line: the batch keeps its cells
+            # in order, but two lines have the wrong number of columns.
+            head, _, last = lines[i].rpartition("\t")
+            lines[i : i + 2] = [head, f"{last}\t{lines[i + 1]}"]
+        elif edit == "tab":
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + "\t" + lines[i][at:]
+        else:
+            cells = lines[i].split("\t")
+            j = data.draw(st.integers(0, len(cells) - 1))
+            cell = data.draw(st.sampled_from(_BAD_CELLS))
+            t = counts[min(i - 12, len(counts) - 1)]
+            cells[j] = {"repeat": str(t - 1), "fall": str(t - 2), "past": str(budget + 1)}.get(
+                cell, cell)
+            lines[i] = "\t".join(cells)
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+    end = data.draw(ends)
+    text = "".join(line + (data.draw(ends) if data.draw(st.booleans()) else end)
+                   for line in lines)
+    path = directory / "mangled.tsv"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datalog, "_READ_CHUNK", data.draw(st.integers(64, 256)))
+        assert _log_outcome(read_log, path) == _log_outcome(_per_line_read_log, path)
 
 
 # -- records as columns ---------------------------------------------------------
