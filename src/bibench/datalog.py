@@ -47,7 +47,7 @@ from array import array
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -147,31 +147,30 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
 
 
 def numbered_batches(path: Path | str) -> Iterator[tuple[int, list[str]]]:
-    """Yield the 1-based number of the first line and the lines of each batch
-    of whole lines of an ASCII file, numbered as ``str.splitlines`` numbers the
-    whole text.  The bytes are first scanned for a non-ASCII byte, which raises
-    :class:`LogParseError` at its line (counted by ``\\n``) before any batch.
-    Then ``_READ_CHUNK`` bytes at a time are read again, each batch cut after its
-    last ``\\n`` or ``\\r``: the text is never held whole, whatever its line ends."""
+    """Yield the 1-based number of the first line and the lines of each batch of
+    whole lines of an ASCII file, numbered as ``str.splitlines`` numbers the whole
+    text, once a scan of its bytes finds no non-ASCII byte (else :class:`LogParseError`
+    at its line, counted by ``\\n``).  A file shorter than ``_READ_CHUNK`` is cut
+    from the bytes scanned; a longer one is read again, cut after each chunk's last
+    ``\\n`` or ``\\r``, so a file of ``\\n``, ``\\r\\n`` or ``\\r`` lines is never held whole."""
     path = Path(path)
     with open(path, "rb") as f:
-        ends = 0  # "\n" bytes before the chunk
-        for chunk in iter(partial(f.read, _READ_CHUNK), b""):
+        first, ends = f.read(_READ_CHUNK), 0  # ends: "\n" bytes before the chunk
+        for chunk in itertools.chain([first], iter(partial(f.read, _READ_CHUNK), b"")):
             if not chunk.isascii():
                 at = next(i for i, byte in enumerate(chunk) if byte > 127)
                 raise LogParseError(path, ends + chunk.count(b"\n", 0, at) + 1, "non-ASCII byte")
             ends += chunk.count(b"\n")
         f.seek(0)
+        chunks = [first] if len(first) < _READ_CHUNK else iter(partial(f.read, _READ_CHUNK), b"")
         number, held = 1, []
         # A chunk's last "\r" waits for the next byte, which may make it a "\r\n".
-        for chunk in itertools.chain(iter(partial(f.read, _READ_CHUNK), b""), [b""]):
+        for chunk in itertools.chain(chunks, [b""]):  # b"" flushes what is held
             cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
             if chunk and not cut:  # no line end yet: joined once one comes
                 held.append(chunk)
-                continue
-            text, held = b"".join([*held, chunk[:cut]]), [chunk[cut:]]
-            if text:  # the empty chunk after the last flushes what is held
-                lines = text.decode("ascii").splitlines()
+            elif lines := b"".join([*held, chunk[:cut]]).decode("ascii").splitlines():
+                held = [chunk[cut:]]
                 yield number, lines
                 number += len(lines)
 
@@ -187,19 +186,19 @@ def _non_blank(batches: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[int, 
 
 
 def read_rows(batches: Iterable[tuple[int, list[str]]], header_mark: str,
-              columns: tuple[array, ...]) -> Iterator[tuple[int, str]]:
-    """Yield the number and stripped text of each non-blank line of ``batches``
-    up to the first row, the first not starting with ``header_mark``.  Later
-    batches are split on tabs and converted at once, by ``int`` into a ``"q"``
-    column and ``float`` into a ``"d"`` one, or else yielded line by line to the
-    caller's parse, which would take every batch taken here, with its values."""
-    width, rows = len(columns) + 1, False  # a line's cells, then the "\n" joined after it
+              columns: tuple[array, ...], parse: Callable[[int, str], None]) -> int:
+    """Pass ``parse`` the number and stripped text of each non-blank line of ``batches``
+    up to the first row, the first not starting with ``header_mark``.  Convert later
+    batches at once, split on tabs, by ``int`` into a ``"q"`` column and ``float`` into
+    a ``"d"`` one, else pass them to ``parse`` line by line, which would take every
+    batch taken here with its values.  Return the number of the last non-blank line, or 1."""
+    width, rows, last = len(columns) + 1, False, 1  # a line's cells, then the "\n" joined after it
     for first, lines in batches:
         k = 0
         while not rows and k < len(lines):
             if line := lines[k].strip():
-                yield first + k, line
-                rows = not line.startswith(header_mark)
+                parse(first + k, line)
+                rows, last = not line.startswith(header_mark), first + k
             k += 1
         # Each "\n" between lines is a cell no conversion takes, so a line with a
         # cell too many or too few converts one; the count checks the last line.
@@ -210,8 +209,11 @@ def read_rows(batches: Iterable[tuple[int, list[str]]], header_mark: str,
                        for j, c in enumerate(columns)]
                 for column, values in zip(columns, new):
                     column.extend(values)
+                last = first + len(lines) - 1  # a converted line is never blank
                 continue
-        yield from _non_blank([(first + k, lines[k:])])
+        for last, line in _non_blank([(first + k, lines[k:])]):
+            parse(last, line)
+    return last
 
 
 def convert_at(path: Path | str, line: int, what: str, fn, text: str):
@@ -393,24 +395,23 @@ def read_log(path: Path | str) -> RunLog:
     header: dict[str, tuple[str, int]] = {}
     run_header: RunHeader | None = None
     evals, alpha, beta = columns = array("q"), array("d"), array("d")
-    number = 1
-    for number, line in read_rows(_format_body(path, LOG_FORMAT), "%", columns):
+
+    def parse(number: int, line: str) -> None:
+        nonlocal run_header
         if line.startswith("%"):
             if run_header is not None:
                 raise LogParseError(path, number, "header line after the first record")
             key, sep, value = line[1:].strip().partition("=")
             if sep:
                 add_header_key(path, header, key.strip(), value.strip(), number)
-            continue
+            return
         if run_header is None:
-            run_header = build_header(
-                path, header, _HEADER, _run_header, number, "records start before header keys"
-            )
+            run_header = build_header(path, header, _HEADER, _run_header, number,
+                                      "records start before header keys")
         parts = line.split("\t")
         if len(parts) != 3:
-            raise LogParseError(
-                path, number, f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}"
-            )
+            raise LogParseError(path, number,
+                                f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}")
         try:
             evals.append(int(parts[0]))
             alpha.append(float(parts[1]))
@@ -418,6 +419,7 @@ def read_log(path: Path | str) -> RunLog:
         except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
             raise LogParseError(path, number, str(exc)) from None
 
+    number = read_rows(_format_body(path, LOG_FORMAT), "%", columns, parse)
     if run_header is None:
         run_header = build_header(path, header, _HEADER, _run_header, number)
     with rows_at_lines(path, "%"):

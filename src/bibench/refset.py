@@ -266,16 +266,14 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
     line, and a header ``ProblemSpec`` refuses at the last header line.  The
     stored version and ``i_ref`` must equal, bit for bit, those the set
     derives from its points, each at its own header line; a mismatch means
-    the file was edited or corrupted.
-
-    ``read_rows`` converts a batch of points at once into two ``array("d")``
-    columns, the set's points without a copy; ``_point`` parses the rest.
+    the file was edited or corrupted.  ``read_rows`` converts points a batch at
+    a time (``_point`` the rest) into the set's columns.
     """
     path = Path(path)
     header: dict[str, tuple[str, int]] = {}
     alpha, beta = array("d"), array("d")
-    number = 1
-    for number, line in read_rows(numbered_batches(path), "#", (alpha, beta)):
+
+    def parse(number: int, line: str) -> None:
         if line.startswith("#"):
             for token in line[1:].split():
                 key, sep, value = token.partition("=")
@@ -285,8 +283,8 @@ def read_reference_set(path: Path | str) -> ReferenceSet:
             f_alpha, f_beta = convert_at(path, number, "point", _point, line)
             alpha.append(f_alpha)
             beta.append(f_beta)
-    if _HEADER.keys() - header.keys():  # named at the last line, which a batch may hide
-        number = max((n for n, _ in numbered_lines(path)), default=number)
+
+    number = read_rows(numbered_batches(path), "#", (alpha, beta), parse)
 
     with rows_at_lines(path, "#"):
         stored, rs = build_header(

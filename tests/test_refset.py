@@ -716,6 +716,45 @@ def test_every_reader_equals_its_whole_text_twin(tmp_path_factory, reader, chunk
         assert streamed == _outcome(reader, path)
 
 
+def _whole_text_numbered_batches(path):
+    """``datalog.numbered_batches`` as the whole text's lines in one batch from
+    line 1, after the same non-ASCII check, kept as its oracle."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise LogParseError(path, data[: exc.start].count(b"\n") + 1, "non-ASCII byte") from None
+    yield from [(1, lines)] if lines else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reader=st.sampled_from([read_log, read_experiment_index, read_reference_set]),
+    chunk=st.sampled_from([1, 2, 3, 5, 16, 1 << 16]),
+    data=st.data(),
+)
+def test_every_reader_equals_its_one_batch_twin(tmp_path_factory, reader, chunk, data) -> None:
+    # The readers take their lines from numbered_batches, so its twin here is
+    # one batch of the whole text: small read chunks then put batch edges,
+    # "\r\n" pairs and non-ASCII bytes where a streamed reader could go wrong.
+    directory = tmp_path_factory.mktemp("batches")
+    text = _written_by_each_writer(directory)[reader].read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(_SPLICES).encode("latin-1") + text[at:]
+    if data.draw(st.booleans()):
+        text = text.replace(b"\n", b"\r\n")
+    path = directory / "exp" / "random" / "mangled.tsv"
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datalog, "_READ_CHUNK", chunk)
+        streamed = _outcome(reader, path)
+        for module in (datalog, refset):
+            patch.setattr(module, "numbered_batches", _whole_text_numbered_batches)
+        assert streamed == _outcome(reader, path)
+
+
 @pytest.mark.parametrize(
     ("reader", "after", "line", "message"),
     [
@@ -783,6 +822,34 @@ def test_blank_and_header_lines_keep_their_meaning(tmp_path) -> None:
     bare.write_text("\n".join(points) + "\n\n")
     with pytest.raises(LogParseError, match=r"bare\.tsv:5: missing header keys"):
         read_reference_set(bare)
+
+
+@pytest.mark.parametrize(
+    ("reader", "drop", "key"),
+    [(read_log, "% budget=100\n", "budget"), (read_reference_set, " dimension=2", "dimension")],
+    ids=["log", "refset"],
+)
+def test_a_header_only_file_names_a_missing_key_at_its_last_line(tmp_path, reader, drop, key):
+    # No row is read, so the last line is the last header line read_rows passed on.
+    path = _written_by_each_writer(tmp_path)[reader]
+    lines = [line for line in path.read_text().replace(drop, "").splitlines()
+             if line.startswith(("%", "#"))]
+    path.write_text("\n".join([*lines, "", "  "]) + "\n")
+    with pytest.raises(LogParseError, match=rf"{path.name}:{len(lines)}: missing header keys: {key}$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("tail", ["", "\n  \n"], ids=["no-tail", "blank-tail"])
+@pytest.mark.parametrize("n", [9, 3_000])
+def test_a_missing_reference_set_key_is_named_at_the_last_point(tmp_path, n, tail) -> None:
+    # Points converted a batch at a time reach no per-line parse, so the last
+    # line of the last batch is what read_rows reports; blank lines after it
+    # do not count.
+    _, path = _numbered_file(tmp_path, n)
+    lines = path.read_text().replace(" dimension=2", "").splitlines()
+    path.write_text("\n".join(lines) + "\n" + tail)
+    with pytest.raises(LogParseError, match=rf"rs\.tsv:{len(lines)}: missing header keys: dimension$"):
+        read_reference_set(path)
 
 
 def _traced_peak(fn) -> int:
