@@ -83,8 +83,7 @@ class Archive:
         self._u: list[float] = []
         self._v: list[float] = []
         self._hv_sum = self._hv_error = 0.0  # Neumaier-compensated sum of the gains
-        self._dist = math.inf
-        self._roi_reached = False
+        self._dist = math.inf  # 0.0 exactly once an entry is in the ROI
         self._last_index = 0
         self.clamp_warnings = 0
 
@@ -101,9 +100,10 @@ class Archive:
         """True once any entry is at or inside the ROI (u <= 1 and v <= 1).
 
         This is the quality-indicator branch test; it deliberately counts a
-        point exactly on the nadir, unlike strict set dominance.
+        point exactly on the nadir, unlike strict set dominance.  The cached
+        distance is 0.0 only then: outside, ``u - 1`` or ``v - 1`` is >= 2**-52.
         """
-        return self._roi_reached
+        return self._dist == 0.0
 
     def hypervolume(self) -> float:
         """Cached ROI hypervolume dominated by the archive."""
@@ -162,7 +162,6 @@ class Archive:
             elif right_x > prev_x and bound > v:  # nothing removed: one rectangle
                 hv_gain = (right_x - prev_x) * (bound - v)
         if yu <= 1.0 and yv <= 1.0:  # in the ROI, at distance 0
-            self._roi_reached = True
             self._dist = 0.0
         elif (d := roi_distance(yu, yv)) < self._dist:
             self._dist = d

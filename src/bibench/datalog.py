@@ -149,35 +149,33 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
 def numbered_batches(path: Path | str) -> Iterator[tuple[int, list[str]]]:
     """Yield the 1-based number of the first line and the lines of each batch of
     whole lines of an ASCII file, numbered as ``str.splitlines`` numbers the whole
-    text, once a scan of its bytes finds no non-ASCII byte (else :class:`LogParseError`
-    at its line, counted by ``\\n``).  A file shorter than ``_READ_CHUNK`` is cut
-    from the bytes scanned; a longer one is read again, cut after each chunk's last
-    ``\\n`` or ``\\r``, so a file of ``\\n``, ``\\r\\n`` or ``\\r`` lines is never held whole."""
+    text, once a scan finds every byte ASCII (else the same cut, yielding nothing,
+    raises :class:`LogParseError` at the first other byte's line).  A file shorter
+    than ``_READ_CHUNK`` is cut from the bytes scanned; a longer one is read again,
+    cut after each chunk's last ``\\n`` or ``\\r``, so a file of ``\\n``, ``\\r\\n``
+    or ``\\r`` lines is never held whole."""
     path = Path(path)
     with open(path, "rb") as f:
-        first, ends = f.read(_READ_CHUNK), 0  # ends: "\n" bytes before the chunk
-        for chunk in itertools.chain([first], iter(partial(f.read, _READ_CHUNK), b"")):
-            if not chunk.isascii():
-                at = next(i for i, byte in enumerate(chunk) if byte > 127)
-                raise LogParseError(path, ends + chunk.count(b"\n", 0, at) + 1, "non-ASCII byte")
-            ends += chunk.count(b"\n")
+        read = partial(f.read, _READ_CHUNK)
+        first = read()
+        clean = first.isascii() and all(map(bytes.isascii, iter(read, b"")))
         f.seek(0)
-        chunks = [first] if len(first) < _READ_CHUNK else iter(partial(f.read, _READ_CHUNK), b"")
+        chunks = [first] if len(first) < _READ_CHUNK else iter(read, b"")
         number, held = 1, []
         # A chunk's last "\r" waits for the next byte, which may make it a "\r\n".
         for chunk in itertools.chain(chunks, [b""]):  # b"" flushes what is held
+            if not clean and not chunk.isascii():  # an ASCII stand-in takes the byte's line
+                at = next(i for i, byte in enumerate(chunk) if byte > 127)
+                before = b"".join([*held, chunk[:at], b"x"]).decode("ascii").splitlines()
+                raise LogParseError(path, number + len(before) - 1, "non-ASCII byte")
             cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
             if chunk and not cut:  # no line end yet: joined once one comes
                 held.append(chunk)
             elif lines := b"".join([*held, chunk[:cut]]).decode("ascii").splitlines():
                 held = [chunk[cut:]]
-                yield number, lines
+                if clean:
+                    yield number, lines
                 number += len(lines)
-
-
-def numbered_lines(path: Path | str) -> Iterator[tuple[int, str]]:
-    """The number and stripped text of each non-blank line of ``numbered_batches(path)``."""
-    return _non_blank(numbered_batches(path))
 
 
 def _non_blank(batches: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[int, str]]:
@@ -259,7 +257,8 @@ def rows_at_lines(path: Path, header_mark: str) -> Iterator[None]:
     try:
         yield
     except RowError as exc:
-        rows = (number for number, line in numbered_lines(path) if not line.startswith(header_mark))
+        rows = (number for number, line in _non_blank(numbered_batches(path))
+                if not line.startswith(header_mark))
         raise LogParseError(path, next(itertools.islice(rows, exc.row, None)), str(exc)) from None
 
 

@@ -61,7 +61,7 @@ EMPTY_ARCHIVE_VALUE = IndicatorValue(math.inf)
 def _current(arch: Archive) -> IndicatorValue:
     """A non-empty archive's value, on the branch ``reaches_roi`` selects.  It
     runs per accepted point, so it reads the archive's caches directly."""
-    if not arch._roi_reached:
+    if arch._dist > 0.0:
         return IndicatorValue(arch._dist)
     # The exact clipped hypervolume is <= 1; summation may overshoot by a
     # fraction of an ULP, which must not breach the [-1, 0] invariant.
@@ -84,6 +84,6 @@ def evaluate_incremental(
     keeps the trajectory bit-identical to re-running :func:`evaluate` (a
     chain of floating subtractions of the outcome gains would drift).  The
     Distance -> Hypervolume transition happens at most once because the
-    archive's ``reaches_roi`` flag is monotone.
+    archive's distance to the ROI only falls, and stays 0.0 once reached.
     """
     return _current(arch) if outcome.accepted else prev

@@ -33,7 +33,7 @@ from bibench import suite
 from bibench.archive import sweep_hypervolume
 from bibench.core import Columns, ObjectiveVector, ProblemSpec, RowError
 from bibench.datalog import (
-    LogParseError, add_header_key, build_header, convert_at, numbered_batches, numbered_lines,
+    LogParseError, add_header_key, build_header, convert_at, numbered_batches,
     problem_file, read_rows, rows_at_lines, write_lines,
 )
 
@@ -156,6 +156,7 @@ def version_of(points: PointColumns) -> str:
 def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVector) -> float:
     span_alpha = nadir.f_alpha - ideal.f_alpha
     span_beta = nadir.f_beta - ideal.f_beta
+    # Not core.normalize_columns: its tuple would keep both quotients alive through the sweep.
     # A huge point's quotient may overflow to inf, as a Python float's does.
     with np.errstate(over="ignore"):
         hv = sweep_hypervolume(

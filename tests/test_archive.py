@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bibench.archive import Archive, recompute_from_scratch, roi_distance, staircase_hypervolume
 from bibench.core import NormalizedObjectives, ulp_distance
+from bibench.indicator import Branch, evaluate
 
 
 def _nz(u: float, v: float) -> NormalizedObjectives:
@@ -337,3 +338,32 @@ def _sweep_inputs(draw) -> list[NormalizedObjectives]:
 @example([_nz(0.3, 0.43), _nz(0.3, 0.76)])  # equal u: the larger v's strip comes first
 def test_staircase_hypervolume_equals_loop_sweep(points) -> None:
     assert staircase_hypervolume(points).hex() == _loop_sweep(points).hex()
+
+
+# The ROI's edge and one ULP past it, the nadir's coordinate, negatives and
+# values far beyond the nadir.
+_ROI_EDGE = st.sampled_from([1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), -0.5, 0.0])
+_ROI_COORD = st.one_of(_ROI_EDGE, st.floats(-1.0, 2.0), st.floats(1.0, 1e300))
+
+
+@st.composite
+def _roi_stream(draw) -> list[NormalizedObjectives]:
+    """Points whose coordinates repeat a few drawn values, so equal-``u`` ties
+    are common, with the nadir and exact duplicates of earlier points."""
+    pool = draw(st.lists(_ROI_COORD, min_size=1, max_size=5))
+    coord = st.one_of(st.sampled_from(pool), _ROI_COORD)
+    points = draw(st.lists(st.builds(_nz, coord, coord), min_size=1, max_size=30))
+    points += draw(st.lists(st.sampled_from([*points, _nz(1.0, 1.0)]), max_size=8))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roi_stream())
+@example([_nz(math.nextafter(1.0, 2.0), 0.5), _nz(1.0, 1.0), _nz(1.0, 1.0)])
+def test_reaches_roi_iff_an_entry_is_in_the_roi(points) -> None:
+    arch = Archive()
+    for t, y in enumerate(points, 1):
+        arch.insert(y, t)
+        inside = any(e.u <= 1.0 and e.v <= 1.0 for e in arch.entries)
+        assert arch.reaches_roi is inside
+        assert (evaluate(arch).branch is Branch.HYPERVOLUME) is inside

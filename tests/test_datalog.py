@@ -451,7 +451,7 @@ def _log_text(tmp_path, rows, budget: int = 100):
 
 
 # Over 64 KiB of good records, so the bad one after them lies past 4096 rows
-# and past the first chunk of bytes that numbered_lines reads.
+# and past the first chunk of bytes that numbered_batches reads.
 _MANY_ROWS = [f"{t}\t0.25\t0.75" for t in range(1, 6001)]
 
 

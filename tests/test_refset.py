@@ -572,14 +572,14 @@ def test_stored_version_and_i_ref_fail_at_their_own_lines(tmp_path, old, new, me
 # -- the reader: columns, line numbers and memory ------------------------------
 
 
-def _whole_text_numbered_lines(path) -> list[tuple[int, str]]:
-    """The whole-text line reader the streaming ``datalog.numbered_lines``
-    replaced, kept as its oracle."""
+def _whole_text_lines(path) -> list[tuple[int, str]]:
+    """The whole-text line reader the streaming readers replaced, kept as
+    their oracle."""
     path = Path(path)
     try:
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
+        line = len((exc.object[: exc.start] + b"x").decode("ascii").splitlines())
         raise LogParseError(path, line, "non-ASCII byte") from None
     return [
         (number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())
@@ -596,7 +596,7 @@ def _old_read_reference_set(path) -> ReferenceSet:
 
     header: dict[str, tuple[str, int]] = {}
     points, point_lines = [], []
-    lines = _whole_text_numbered_lines(path)
+    lines = _whole_text_lines(path)
     for number, line in lines:
         if line.startswith("#"):
             for token in line[1:].split():
@@ -690,32 +690,6 @@ def _written_by_each_writer(directory) -> dict:
     }
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    reader=st.sampled_from([read_log, read_experiment_index, read_reference_set]),
-    chunk=st.sampled_from([1, 2, 3, 5, 16, 1 << 16]),
-    data=st.data(),
-)
-def test_every_reader_equals_its_whole_text_twin(tmp_path_factory, reader, chunk, data) -> None:
-    # Small read chunks put line ends, "\r\n" pairs and non-ASCII bytes
-    # across chunk boundaries.
-    directory = tmp_path_factory.mktemp("readers")
-    text = _written_by_each_writer(directory)[reader].read_bytes()
-    for _ in range(data.draw(st.integers(1, 3))):
-        at = data.draw(st.integers(0, len(text)))
-        text = text[:at] + data.draw(_SPLICES).encode("latin-1") + text[at:]
-    if data.draw(st.booleans()):
-        text = text.replace(b"\n", b"\r\n")
-    path = directory / "exp" / "random" / "mangled.tsv"
-    path.write_bytes(text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datalog, "_READ_CHUNK", chunk)
-        streamed = _outcome(reader, path)
-        for module in (datalog, refset):
-            patch.setattr(module, "numbered_lines", lambda p: iter(_whole_text_numbered_lines(p)))
-        assert streamed == _outcome(reader, path)
-
-
 def _whole_text_numbered_batches(path):
     """``datalog.numbered_batches`` as the whole text's lines in one batch from
     line 1, after the same non-ASCII check, kept as its oracle."""
@@ -724,7 +698,8 @@ def _whole_text_numbered_batches(path):
     try:
         lines = data.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
-        raise LogParseError(path, data[: exc.start].count(b"\n") + 1, "non-ASCII byte") from None
+        line = len((data[: exc.start] + b"x").decode("ascii").splitlines())
+        raise LogParseError(path, line, "non-ASCII byte") from None
     yield from [(1, lines)] if lines else []
 
 
@@ -792,6 +767,41 @@ def test_non_ascii_byte_on_a_deep_line_names_that_line(tmp_path) -> None:
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(LogParseError, match=r"rs\.tsv:9000: non-ASCII byte"):
         read_reference_set(path)
+
+
+def _long_files(directory) -> dict:
+    """``_written_by_each_writer``'s files, with the run log rewritten to 2 000
+    records and the reference set to 3 000 points, each longer than ``_READ_CHUNK``."""
+    files = _written_by_each_writer(directory)
+    header = replace(read_log(files[read_log]).header, budget=2000)
+    records = record_columns((t, 2.0 - t / 1000, t / 1000) for t in range(1, 2001))
+    write_log(RunLog(header, records), files[read_log])
+    points = PointColumns(np.linspace(0.0, 1.0, 3000), np.linspace(1.0, 0.0, 3000))
+    write_reference_set(merge([points], **KEY, **UNIT_BOUNDS), files[read_reference_set])
+    return files
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r", b"\x0c"], ids=["lf", "crlf", "cr", "ff"])
+@pytest.mark.parametrize("reader", [read_log, read_reference_set, read_experiment_index])
+def test_non_ascii_byte_is_named_at_its_line_for_every_line_end(
+    tmp_path, monkeypatch, reader, end
+) -> None:
+    # The non-ASCII scan once counted "\n" bytes, so with "\r" or "\f" ends
+    # a byte on any line was named at line 1.
+    if reader is read_experiment_index:  # a few lines: a small chunk puts some past it
+        monkeypatch.setattr(datalog, "_READ_CHUNK", 64)
+    path = _long_files(tmp_path)[reader]
+    lines = path.read_bytes().split(b"\n")[:-1]
+    deep = len(lines) - 1  # line 2 starts in the first chunk, the last line past it
+    starts = list(itertools.accumulate((len(line) + len(end) for line in lines), initial=0))
+    assert starts[1] < datalog._READ_CHUNK < starts[deep]
+    row = next(k for k, line in enumerate(lines) if not line.startswith((b"%", b"#")))
+    for k, bad in [(0, None), (1, None), (deep, None), (deep, row)]:
+        mangled = [b"\xe9" + line if j == k else b"bad" if j == bad else line
+                   for j, line in enumerate(lines)]
+        path.write_bytes(end.join(mangled) + end)
+        with pytest.raises(LogParseError, match=rf"{path.name}:{k + 1}: non-ASCII byte$"):
+            reader(path)
 
 
 def test_crlf_file_reads_equal_to_its_lf_twin(tmp_path) -> None:
