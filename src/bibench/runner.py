@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bibench import baselines, datalog, refset, suite
-from bibench.core import ObjectiveVector, check_budget
+from bibench.core import ObjectiveVector, ProblemSpec, check_budget
 from bibench.targets import RuntimeRecord
 
 __all__ = [
@@ -269,11 +269,14 @@ def recalc_experiment(
     log has been re-assessed; a failure publishes none of them, so an
     existing output tree is left as it was.  Returns the log paths."""
     written: list[Path] = []
+    specs: dict[tuple[str, int, int], ProblemSpec] = {}  # read each reference set once
     with datalog.ExperimentWriter(output_dir) as writer:
         for log in datalog.iter_experiment(logs_dir):
             h = log.header
-            rs = refset.load_reference_set(refset_dir, h.function_id, h.dimension, h.instance_id)
-            spec = rs.problem_spec()
+            key = (h.function_id, h.dimension, h.instance_id)
+            if key not in specs:
+                specs[key] = refset.load_reference_set(refset_dir, *key).problem_spec()
+            spec = specs[key]
             datalog.recalculate(log, spec)  # raises LogReplayError on a corrupt log
             header = datalog.RunHeader.for_run(spec, h.algorithm, h.budget)
             written.append(writer.write(datalog.RunLog(header, log.records)))

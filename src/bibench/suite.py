@@ -25,8 +25,9 @@ every platform.  The per-instance stream draws, in order: the shift ``a``
 n - 1 plane-rotation angles.  Doubles take the top 53 bits of each output
 word.
 
-Objectives, unlike parameters, come from BLAS ``ddot``/``dgemv``, so they
-are byte-reproducible on one machine and BLAS build, not across CPUs.
+Objectives add Python-float terms in a fixed order, so ``f1``'s bits are the
+same on every IEEE binary64 platform; ``f2`` and ``f3`` also depend on libm
+``pow``, ``cos`` and ``sin`` through their weights and rotation.
 """
 
 from __future__ import annotations
@@ -118,18 +119,19 @@ def _check_selection(functions, dimensions, instances) -> None:
                 raise ValueError(f"unknown {axis} {value!r}, expected one of {known}")
 
 
-def _conditioning(dimension: int) -> np.ndarray:
-    exponents = np.arange(dimension) / (dimension - 1)
-    return ELLIPSOID_CONDITION**exponents
+def _conditioning(dimension: int) -> tuple[float, ...]:
+    return tuple(ELLIPSOID_CONDITION ** (k / (dimension - 1)) for k in range(dimension))
 
 
 class SuiteFunction:
     """One problem instance: a pair of component objectives sharing a key.
 
     ``evaluate`` is pure and does not count evaluations; callers own the
-    evaluation counter.  It calls BLAS through ``ndarray.dot``, which runs
-    the same kernels as the 1-D ``@`` (so the same bits) without the matmul
-    ufunc's dispatch cost on every evaluation.
+    evaluation counter.  An objective adds ``w_i * (z_i * z_i)`` (``z_i * z_i``
+    for a sphere) for ``i = 0, 1, ...`` in turn, one rounding per operation.
+    ``f3``'s rotation applies plane rotations ``P_0`` to ``P_{n-2}`` of
+    coordinates ``(j, j + 1)``; after ``P_j`` coordinate ``j`` is final and
+    is added at once, so the rotation is O(n) with no dense matrix.
     """
 
     def __init__(self, function_id: str, instance_id: int, dimension: int) -> None:
@@ -146,25 +148,20 @@ class SuiteFunction:
         self.optimum_beta = np.array(
             [_SHIFT_LOWER + span * stream.next_double() for _ in range(dimension)]
         )
-        self._d2 = float(np.dot(
-            self.optimum_alpha - self.optimum_beta, self.optimum_alpha - self.optimum_beta
-        ))
+        self._alpha = tuple(self.optimum_alpha.tolist())
+        self._beta = tuple(self.optimum_beta.tolist())
+        self._d2 = 0.0
+        for a, b in zip(self._alpha, self._beta):
+            self._d2 += (a - b) * (a - b)
         if self._d2 <= 0.0:
             raise ValueError(f"degenerate instance: identical shifts for {self.key}")
 
         self._weights = _conditioning(dimension)
-        if function_id == "f3":
-            angles = [math.tau * stream.next_double() for _ in range(dimension - 1)]
-            rotation = np.eye(dimension)
-            for j, theta in enumerate(angles):
-                plane = np.eye(dimension)
-                plane[j, j] = plane[j + 1, j + 1] = math.cos(theta)
-                plane[j, j + 1] = -math.sin(theta)
-                plane[j + 1, j] = math.sin(theta)
-                rotation = plane @ rotation
-            self._rotation: np.ndarray | None = rotation
-        else:
-            self._rotation = None
+        # (cos, sin) of each plane rotation P_j; empty except for f3.
+        self._givens = tuple(
+            (math.cos(theta), math.sin(theta))
+            for theta in [math.tau * stream.next_double() for _ in range(dimension - 1)]
+        ) if function_id == "f3" else ()
 
     @property
     def key(self) -> str:
@@ -189,18 +186,33 @@ class SuiteFunction:
                 f"{self.key} expects a vector of length {self.dimension}, "
                 f"got shape {arr.shape}"
             )
-        za = arr - self.optimum_alpha
-        zb = arr - self.optimum_beta
+        xs = arr.tolist()
+        f_alpha = f_beta = 0.0
         if self.function_id == "f1":
-            f_alpha = float(za.dot(za))
-            f_beta = float(zb.dot(zb))
+            for xi, a, b in zip(xs, self._alpha, self._beta):
+                za = xi - a
+                zb = xi - b
+                f_alpha += za * za
+                f_beta += zb * zb
         elif self.function_id == "f2":
-            f_alpha = float(za.dot(za))
-            f_beta = float(self._weights.dot(zb * zb))
+            for xi, a, b, w in zip(xs, self._alpha, self._beta, self._weights):
+                za = xi - a
+                zb = xi - b
+                f_alpha += za * za
+                f_beta += w * (zb * zb)
         else:
-            f_alpha = float(self._weights.dot(za * za))
-            rotated = self._rotation.dot(zb)
-            f_beta = float(self._weights.dot(rotated * rotated))
+            w = self._weights
+            for xi, a, wi in zip(xs, self._alpha, w):
+                za = xi - a
+                f_alpha += wi * (za * za)
+            beta = self._beta
+            carry = xs[0] - beta[0]  # coordinate j of P_{j-1} ... P_0 zb
+            for j, (c, s) in enumerate(self._givens):
+                zb = xs[j + 1] - beta[j + 1]
+                r = c * carry - s * zb
+                carry = s * carry + c * zb
+                f_beta += w[j] * (r * r)
+            f_beta += w[-1] * (carry * carry)
         return ObjectiveVector(f_alpha, f_beta)
 
 

@@ -112,6 +112,20 @@ def test_points_outside_roi_contribute_nothing() -> None:
     assert arch2.reaches_roi
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_coordinate_is_not_a_clamp(zero) -> None:
+    """Only a coordinate below 0 is clamped: 0.0 and -0.0 lie on the ROI's
+    edge, and the smallest negative double beyond it is counted."""
+    arch = Archive()
+    arch.insert(_nz(zero, 0.5), 1)
+    arch.insert(_nz(0.5, zero), 2)
+    assert arch.clamp_warnings == 0
+    arch.insert(_nz(-5e-324, 0.25), 3)
+    assert arch.clamp_warnings == 1
+    arch.insert(_nz(0.25, -5e-324), 4)
+    assert arch.clamp_warnings == 2
+
+
 def test_negative_coordinates_clamped_and_counted() -> None:
     arch = Archive()
     arch.insert(_nz(-0.25, 0.5), 1)

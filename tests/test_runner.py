@@ -226,6 +226,33 @@ def test_recalc_experiment_rescores_against_new_refsets(tmp_path) -> None:
     assert rescored.first_hit == reread.first_hit
 
 
+def test_recalc_experiment_reads_each_reference_set_once(tmp_path, monkeypatch) -> None:
+    """Two algorithms' logs of two problems: each problem's reference set is
+    read once, not once per log, and the rewritten logs are unchanged."""
+    refdir = _analytic_f1_refset_dir(tmp_path)
+    _analytic_f1_refset_dir(tmp_path, instance_id=2)
+    for algorithm in ALGORITHMS:
+        run_experiment(ExperimentConfig(
+            algorithm=algorithm, output_dir=tmp_path / "out", seed=1,
+            functions=("f1",), dimensions=(2,), instances=(1, 2),
+            budget=60, refset_dir=refdir,
+        ))
+    reads: list[Path] = []
+    read_reference_set = refset.read_reference_set
+
+    def counting_read(path):
+        reads.append(Path(path))
+        return read_reference_set(path)
+
+    monkeypatch.setattr(refset, "read_reference_set", counting_read)
+    written = recalc_experiment(tmp_path / "out", refdir, tmp_path / "rescored")
+    assert len(written) == 4
+    assert sorted(p.name for p in reads) == ["f1_d2_i1.tsv", "f1_d2_i2.tsv"]
+    for path in written:
+        original = tmp_path / "out" / path.relative_to(tmp_path / "rescored")
+        assert path.read_bytes() == original.read_bytes()
+
+
 def test_recalc_experiment_rejects_mismatched_refset_file(tmp_path) -> None:
     run_experiment(_f1_config(tmp_path, budget=50))
     refdir = tmp_path / "wrong"
@@ -532,7 +559,7 @@ def test_random_search_regression_fixture(tmp_path) -> None:
     """
     cfg = _f1_config(tmp_path, budget=10_000)
     rs = refset.read_reference_set(refset.refset_path(cfg.refset_dir, "f1", 2, 1))
-    assert rs.version == "cb4d9e24b23b5845"
+    assert rs.version == "500a62d12c1cc4a3"
     assert rs.i_ref == -0.8331665833125
 
     res = run_experiment(cfg)[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bibench.suite import (
     FUNCTION_IDS,
     INSTANCE_IDS,
     SplitMix64,
+    _instance_stream,
     analytic_front_oracle,
     enumerate_problems,
     get_function,
@@ -267,30 +269,120 @@ def test_evaluate_accepts_lists() -> None:
     assert from_list == from_array
 
 
-def test_evaluate_bits_match_matmul_expressions() -> None:
-    """``evaluate`` calls BLAS through ``ndarray.dot``; its objectives must
-    equal, bit for bit, the ``@`` expressions below, on uniform points and
-    on points within 1e-3 of each optimum.  A reduction in another order
-    (``einsum``, ``sum``, ``math.fsum``) would move bits and fail here."""
+def _plain_objectives(fn, x) -> tuple[float, float]:
+    """The objectives by the suite's definition, from constants derived here:
+    shifts, then weights ``100 ** (k / (n - 1))``, then ``f3``'s rotation
+    applied in place one plane at a time (``P_0`` first), then one ``+=`` per
+    coordinate from coordinate 0 up."""
+    n, fid = fn.dimension, fn.function_id
+    stream = _instance_stream(fid, fn.instance_id, n)
+    a = [-4.0 + 8.0 * stream.next_double() for _ in range(n)]
+    b = [-4.0 + 8.0 * stream.next_double() for _ in range(n)]
+    w = [100.0 ** (k / (n - 1)) for k in range(n)]
+    za = [xi - ai for xi, ai in zip(x, a)]
+    zb = [xi - bi for xi, bi in zip(x, b)]
+    if fid == "f3":
+        for j in range(n - 1):
+            theta = math.tau * stream.next_double()
+            c, s = math.cos(theta), math.sin(theta)
+            zb[j], zb[j + 1] = c * zb[j] - s * zb[j + 1], s * zb[j] + c * zb[j + 1]
+    f_alpha = f_beta = 0.0
+    for i in range(n):
+        f_alpha += w[i] * (za[i] * za[i]) if fid == "f3" else za[i] * za[i]
+        f_beta += zb[i] * zb[i] if fid == "f1" else w[i] * (zb[i] * zb[i])
+    return f_alpha, f_beta
+
+
+def _points(fn, rng, uniform: int = 10, near: int = 5) -> list[list[float]]:
+    """Uniform points of the domain, and points within 1e-3 of each optimum."""
+    n, a, b = fn.dimension, fn.optimum_alpha, fn.optimum_beta
+    return np.concatenate([
+        rng.uniform(-5.0, 5.0, (uniform, n)),
+        a + rng.uniform(-1e-3, 1e-3, (near, n)),
+        b + rng.uniform(-1e-3, 1e-3, (near, n)),
+    ]).tolist()
+
+
+def test_evaluate_bits_match_a_left_to_right_loop() -> None:
+    """Every objective equals, bit for bit, the plain loop above, which sums
+    in coordinate order with one rounding per operation.  A sum in another
+    order or with compensation (``@``, ``dot``, ``einsum``, ``sum`` on
+    Python 3.12+, ``math.fsum``), a fused multiply-add, or numpy's vector
+    ``power`` for the weights would move bits and fail here."""
     rng = np.random.default_rng(17)
     for fn in _all_functions():
-        n = fn.dimension
-        a, b, w, rot = fn.optimum_alpha, fn.optimum_beta, fn._weights, fn._rotation
-        points = np.concatenate([
-            rng.uniform(-5.0, 5.0, (10, n)),
-            a + rng.uniform(-1e-3, 1e-3, (5, n)),
-            b + rng.uniform(-1e-3, 1e-3, (5, n)),
-        ])
-        for x in points:
-            za, zb = x - a, x - b
-            if fn.function_id == "f1":
-                expected = (za @ za, zb @ zb)
-            elif fn.function_id == "f2":
-                expected = (za @ za, w @ (zb * zb))
-            else:
-                rotated = rot @ zb
-                expected = (w @ (za * za), w @ (rotated * rotated))
+        for x in _points(fn, rng):
             got = fn.evaluate(x)
+            expected = _plain_objectives(fn, x)
             assert (got.f_alpha.hex(), got.f_beta.hex()) == (
-                float(expected[0]).hex(), float(expected[1]).hex()
+                expected[0].hex(), expected[1].hex()
             ), (fn.key, x)
+        if fn.function_id == "f1":  # the nadir's d**2 is summed in the same order
+            assert analytic_front_oracle(fn, 0.0) == fn.evaluate(fn.optimum_alpha), fn.key
+
+
+@pytest.mark.parametrize(
+    "key, pinned",
+    [
+        (("f1", 2, 1), ("0x1.cfad881b746fcp+2", "0x1.5dfe10caf917fp+4")),
+        (("f1", 10, 3), ("0x1.f4f3fa981b64dp+6", "0x1.84b276aaab61cp+6")),
+        (("f2", 2, 1), ("0x1.6aaa464229b19p+3", "0x1.9d3159d54bc31p+10")),
+        (("f2", 10, 3), ("0x1.d029f7e1cef83p+5", "0x1.50fce0f31e370p+9")),
+        (("f3", 2, 1), ("0x1.71d401ffe6110p+5", "0x1.20e8170657f9ep+9")),
+        (("f3", 10, 3), ("0x1.8ac93b2c136c2p+11", "0x1.2a5afb31873ffp+11")),
+    ],
+)
+def test_objective_bits_are_pinned(key, pinned) -> None:
+    """Objectives at a fixed point, as hex floats.  ``f1`` is exact IEEE
+    arithmetic on the shifts; ``f2`` and ``f3`` also depend on libm ``pow``,
+    ``cos`` and ``sin``."""
+    fid, dim, inst = key
+    fn = get_function(fid, instance_id=inst, dimension=dim)
+    x = [0.5 * k - 1.75 for k in range(dim)]
+    got = fn.evaluate(x)
+    assert (got.f_alpha.hex(), got.f_beta.hex()) == pinned
+
+
+def test_objectives_within_rounding_of_exact_and_of_dense_rotation() -> None:
+    """An oracle independent of the summation order: with the same float
+    constants taken as exact fractions, each unrotated objective is within
+    ``(2n + 2)`` units of 2**-53 of its exact value, relative (the sum of
+    ``n`` non-negative terms, each with at most three roundings).  ``f3``'s
+    rotated objective is within 1e-12 of the dense-matrix form
+    ``w @ (R zb)**2``, with ``R`` the product of the plane rotations."""
+    rng = np.random.default_rng(23)
+    for fn in _all_functions():
+        n, fid = fn.dimension, fn.function_id
+        a = [Fraction(v) for v in fn.optimum_alpha.tolist()]
+        b = [Fraction(v) for v in fn.optimum_beta.tolist()]
+        w = [Fraction(100.0 ** (k / (n - 1))) for k in range(n)]
+        one = [Fraction(1)] * n
+        rotation = np.eye(n)
+        if fid == "f3":
+            stream = _instance_stream(fid, fn.instance_id, n)
+            for _ in range(2 * n):
+                stream.next_double()
+            for j in range(n - 1):
+                theta = math.tau * stream.next_double()
+                plane = np.eye(n)
+                plane[j, j] = plane[j + 1, j + 1] = math.cos(theta)
+                plane[j, j + 1] = -math.sin(theta)
+                plane[j + 1, j] = math.sin(theta)
+                rotation = plane @ rotation
+        bound = Fraction(2 * n + 2, 2**53)
+        for x in _points(fn, rng, uniform=3, near=2):
+            got = fn.evaluate(x)
+            exact = [
+                sum(wi * (Fraction(xi) - si) ** 2 for wi, xi, si in zip(weights, x, shift))
+                for weights, shift in (
+                    (w if fid == "f3" else one, a),
+                    (one if fid == "f1" else w, b),
+                )
+            ]
+            assert abs(Fraction(got.f_alpha) - exact[0]) <= bound * exact[0], (fn.key, x)
+            if fid != "f3":
+                assert abs(Fraction(got.f_beta) - exact[1]) <= bound * exact[1], (fn.key, x)
+            else:
+                rotated = rotation @ (np.array(x) - fn.optimum_beta)
+                dense = float(np.array(fn._weights) @ (rotated * rotated))
+                assert got.f_beta == pytest.approx(dense, rel=1e-12, abs=0.0), (fn.key, x)
