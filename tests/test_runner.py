@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import filecmp
 import gc
+import hashlib
 import math
 import re
 import shutil
@@ -576,3 +577,31 @@ def test_random_search_regression_fixture(tmp_path) -> None:
     }
     # Every coarse positive precision (>= 1e-1) was reached.
     assert all(hit is not None for hit in observed.values())
+
+
+def _tree_digest(root: Path) -> str:
+    """SHA-256 over every file under ``root``, in sorted relative-path order,
+    of each path and the SHA-256 of its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+def test_tiny_pipeline_tree_digest_is_pinned(tmp_path) -> None:
+    """Every byte of a small pipeline: bootstrapped reference sets, both
+    baselines' logs and indexes, and the post-processed tables, for f1-f3 at
+    dimensions 2 and 10.  Any moved point, objective or format shows here;
+    pinned from the tree written before the baselines handed ``evaluate``
+    lists of floats instead of arrays."""
+    grid = dict(functions=("f1", "f2", "f3"), dimensions=(2, 10), instances=(1,))
+    refsets = tmp_path / "tree" / "refsets"
+    bootstrap_refsets(refsets, seed=1, budget=1000, **grid)
+    for algorithm in ("random", "hillclimber"):
+        run_experiment(ExperimentConfig(
+            algorithm=algorithm, output_dir=tmp_path / "tree" / "logs", seed=1,
+            budget=500, refset_dir=refsets, **grid,
+        ))
+    postprocess.process_experiment(tmp_path / "tree" / "logs", tmp_path / "tree" / "tables")
+    assert _tree_digest(tmp_path / "tree") == "e407b295690cefac102c57e79495fbf4c83f9dd7800ee37df63f786f11eccdc5"
