@@ -8,8 +8,11 @@ archive state.
 Random numbers are drawn in blocks of up to ``_BLOCK`` rows.  numpy's
 ``Generator`` fills a ``(k, n)`` array in C order from one stream, so every
 submitted point, and the generator's state afterwards, are exactly those
-of one ``n``-vector draw per evaluation.  A block is allocated afresh each
-time, because ``evaluate`` may keep the array it was given.
+of one ``n``-vector draw per evaluation, whatever the block size.  Each
+point is handed to ``evaluate`` as a new list of Python floats, which
+``evaluate`` may keep.  The hill climber's step ``x_i + sigma * s_i`` is
+one multiply and one add per coordinate, the bits numpy's elementwise
+``x + sigma * s`` gives.
 """
 
 from __future__ import annotations
@@ -23,21 +26,21 @@ from bibench.suite import DOMAIN_LOWER, DOMAIN_UPPER
 
 __all__ = ["DEFAULT_WEIGHTS", "random_search", "scalarized_hill_climber"]
 
-EvaluateFn = Callable[[np.ndarray], tuple[float, float]]
+EvaluateFn = Callable[[list[float]], tuple[float, float]]
 
 # The registered hill-climber baseline scans eleven scalarization weights.
 DEFAULT_WEIGHTS = tuple(k / 10.0 for k in range(11))
 _INITIAL_STEP = 2.0  # the hill climber's step size at each restart
-_BLOCK = 1024  # rows per random draw: bounds memory at _BLOCK * dimension doubles
+_BLOCK = 128  # rows per random draw: bounds memory at _BLOCK lists of dimension floats
 
 
-def _rows(draw: Callable[..., np.ndarray], count: int, dimension: int) -> Iterator[np.ndarray]:
-    """``count`` rows of ``dimension`` numbers from ``draw(size=...)``,
-    drawn ``_BLOCK`` rows at a time."""
+def _rows(draw: Callable[..., np.ndarray], count: int, dimension: int) -> Iterator[list[float]]:
+    """``count`` rows of ``dimension`` numbers from ``draw(size=...)``, as
+    lists of floats, drawn ``_BLOCK`` rows at a time."""
     while count > 0:
-        block = draw(size=(min(_BLOCK, count), dimension))
-        count -= len(block)
-        yield from block
+        rows = min(_BLOCK, count)
+        count -= rows
+        yield from draw(size=(rows, dimension)).tolist()
 
 
 def random_search(
@@ -71,14 +74,15 @@ def scalarized_hill_climber(
         steps = share + (1 if index < leftover else 0)
         if steps == 0:
             continue
-        x = rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, dimension)
+        x = rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, dimension).tolist()
         f_alpha, f_beta = evaluate(x)
-        score = w * f_alpha + (1.0 - w) * f_beta
+        w_beta = 1.0 - w
+        score = w * f_alpha + w_beta * f_beta
         sigma = _INITIAL_STEP
         for step in _rows(rng.standard_normal, steps - 1, dimension):
-            candidate = x + sigma * step
+            candidate = [xi + sigma * si for xi, si in zip(x, step)]
             f_alpha, f_beta = evaluate(candidate)
-            trial = w * f_alpha + (1.0 - w) * f_beta
+            trial = w * f_alpha + w_beta * f_beta
             if trial <= score:
                 x, score = candidate, trial
                 sigma *= 1.5

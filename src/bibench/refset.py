@@ -131,14 +131,15 @@ def nondominated_rows(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def _line(f_alpha: float, f_beta: float) -> str:
-    """A point's canonical text: both values at 17 significant digits."""
-    return f"{f_alpha:.17g}\t{f_beta:.17g}"
+_LINE = "%.17g\t%.17g\n"  # a point's canonical text: both values at 17 significant digits
 
 
-def _line_chunks(points: PointColumns) -> Iterator[Iterator[str]]:
-    """The points' canonical lines, formatted one chunk of rows at a time."""
-    return (map(_line, *chunk) for chunk in points.chunks())
+def _line_chunks(points: PointColumns) -> Iterator[list[str]]:
+    """The points' canonical lines, formatted one chunk of rows at a time,
+    each chunk by one ``%`` operation."""
+    for alpha, beta in points.chunks():
+        text = _LINE * len(alpha) % tuple(itertools.chain.from_iterable(zip(alpha, beta)))
+        yield text[:-1].split("\n")
 
 
 def version_of(points: PointColumns) -> str:

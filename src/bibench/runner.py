@@ -100,13 +100,14 @@ def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callab
     ``(count, objectives)`` to ``observe``.  Baselines only ever see this
     callback, which keeps them black-box by construction."""
     count = 0
+    objectives = fn.evaluate
 
-    def evaluate(x: np.ndarray) -> tuple[float, float]:
+    def evaluate(x: Sequence[float]) -> tuple[float, float]:
         nonlocal count
         if count >= budget:
             raise RuntimeError(f"evaluation budget {budget} exhausted")
         count += 1
-        y = fn.evaluate(x)
+        y = objectives(x)
         observe(count, y)
         return y.f_alpha, y.f_beta
 

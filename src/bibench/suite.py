@@ -64,6 +64,8 @@ _SHIFT_LOWER = -4.0
 _SHIFT_UPPER = 4.0
 ELLIPSOID_CONDITION = 100.0
 
+_FLOAT = frozenset((float,))  # the one item type evaluate reads a list with as it is
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_INCREMENT = 0x9E3779B97F4A7C15
 _SPLITMIX_MULT_1 = 0xBF58476D1CE4E5B9
@@ -131,7 +133,13 @@ class SuiteFunction:
     for a sphere) for ``i = 0, 1, ...`` in turn, one rounding per operation.
     ``f3``'s rotation applies plane rotations ``P_0`` to ``P_{n-2}`` of
     coordinates ``(j, j + 1)``; after ``P_j`` coordinate ``j`` is final and
-    is added at once, so the rotation is O(n) with no dense matrix.
+    is added at once, so the rotation is O(n) with no dense matrix.  ``f3``
+    takes both objectives' terms of coordinate ``j`` in one pass over the
+    planes, then the last coordinate's.
+
+    A ``list`` of exactly ``dimension`` items, each exactly a ``float``, is
+    read as it is; any other ``x`` goes through ``np.asarray(x, dtype=float)``
+    first, which gives the same floats for such a list.
     """
 
     def __init__(self, function_id: str, instance_id: int, dimension: int) -> None:
@@ -157,10 +165,13 @@ class SuiteFunction:
             raise ValueError(f"degenerate instance: identical shifts for {self.key}")
 
         self._weights = _conditioning(dimension)
-        # (cos, sin) of each plane rotation P_j; empty except for f3.
-        self._givens = tuple(
-            (math.cos(theta), math.sin(theta))
-            for theta in [math.tau * stream.next_double() for _ in range(dimension - 1)]
+        # (a_j, w_j, b_{j+1}, cos, sin) of each plane rotation P_j; empty except for f3.
+        self._planes = tuple(
+            (a, w, b, math.cos(theta), math.sin(theta))
+            for a, w, b, theta in zip(
+                self._alpha, self._weights, self._beta[1:],
+                [math.tau * stream.next_double() for _ in range(dimension - 1)],
+            )
         ) if function_id == "f3" else ()
 
     @property
@@ -180,13 +191,16 @@ class SuiteFunction:
         return None
 
     def evaluate(self, x: Sequence[float]) -> ObjectiveVector:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dimension,):
-            raise ValueError(
-                f"{self.key} expects a vector of length {self.dimension}, "
-                f"got shape {arr.shape}"
-            )
-        xs = arr.tolist()
+        if type(x) is list and len(x) == self.dimension and _FLOAT.issuperset(map(type, x)):
+            xs = x
+        else:
+            arr = np.asarray(x, dtype=float)
+            if arr.shape != (self.dimension,):
+                raise ValueError(
+                    f"{self.key} expects a vector of length {self.dimension}, "
+                    f"got shape {arr.shape}"
+                )
+            xs = arr.tolist()
         f_alpha = f_beta = 0.0
         if self.function_id == "f1":
             for xi, a, b in zip(xs, self._alpha, self._beta):
@@ -201,18 +215,18 @@ class SuiteFunction:
                 f_alpha += za * za
                 f_beta += w * (zb * zb)
         else:
-            w = self._weights
-            for xi, a, wi in zip(xs, self._alpha, w):
+            carry = xs[0] - self._beta[0]  # coordinate j of P_{j-1} ... P_0 zb
+            for xi, xn, (a, w, b, c, s) in zip(xs, xs[1:], self._planes):
                 za = xi - a
-                f_alpha += wi * (za * za)
-            beta = self._beta
-            carry = xs[0] - beta[0]  # coordinate j of P_{j-1} ... P_0 zb
-            for j, (c, s) in enumerate(self._givens):
-                zb = xs[j + 1] - beta[j + 1]
+                f_alpha += w * (za * za)
+                zb = xn - b
                 r = c * carry - s * zb
                 carry = s * carry + c * zb
-                f_beta += w[j] * (r * r)
-            f_beta += w[-1] * (carry * carry)
+                f_beta += w * (r * r)
+            za = xs[-1] - self._alpha[-1]
+            w = self._weights[-1]
+            f_alpha += w * (za * za)
+            f_beta += w * (carry * carry)
         return ObjectiveVector(f_alpha, f_beta)
 
 

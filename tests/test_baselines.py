@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bibench import baselines
 from bibench.baselines import DEFAULT_WEIGHTS, random_search, scalarized_hill_climber
+from bibench.runner import BOOTSTRAP_WEIGHTS
+from bibench.suite import get_function
 
 
 class _Recorder:
@@ -158,8 +162,8 @@ def test_random_search_block_draws_match_per_draw_loop(budget, dimension) -> Non
 
 @pytest.mark.parametrize("dimension", [2, 10])
 @pytest.mark.parametrize(("budget", "weights"), [
-    (1025, (0.5,)),  # 1024 perturbations: exactly one full block
-    (1026, (0.5,)),  # 1025 perturbations: a full block and one row
+    (1025, (0.5,)),  # 1024 perturbations: whole blocks
+    (1026, (0.5,)),  # 1025 perturbations: whole blocks and one row
     (3000, DEFAULT_WEIGHTS),
 ])
 def test_hill_climber_block_draws_match_per_draw_loop(budget, weights, dimension) -> None:
@@ -176,3 +180,93 @@ def test_random_search_memory_is_bounded_by_block() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# The numpy baselines the list path replaced, copied as its oracle: each point
+# an ndarray row of a 1024-row block, each hill-climber step numpy's
+# elementwise ``x + sigma * step``.
+
+def _numpy_rows(draw, count, dimension):
+    while count > 0:
+        block = draw(size=(min(1024, count), dimension))
+        count -= len(block)
+        yield from block
+
+
+def _numpy_random_search(evaluate, dimension, budget, rng):
+    uniform = functools.partial(rng.uniform, -5.0, 5.0)
+    for x in _numpy_rows(uniform, budget, dimension):
+        evaluate(x)
+
+
+def _numpy_hill_climber(evaluate, dimension, budget, rng, weights=DEFAULT_WEIGHTS):
+    weights = tuple(weights)
+    share, leftover = divmod(budget, len(weights))
+    for index, w in enumerate(weights):
+        steps = share + (1 if index < leftover else 0)
+        if steps == 0:
+            continue
+        x = rng.uniform(-5.0, 5.0, dimension)
+        f_alpha, f_beta = evaluate(x)
+        score = w * f_alpha + (1.0 - w) * f_beta
+        sigma = 2.0
+        for step in _numpy_rows(rng.standard_normal, steps - 1, dimension):
+            candidate = x + sigma * step
+            f_alpha, f_beta = evaluate(candidate)
+            trial = w * f_alpha + (1.0 - w) * f_beta
+            if trial <= score:
+                x, score = candidate, trial
+                sigma *= 1.5
+            else:
+                sigma *= 1.5**-0.25
+
+
+class _HexRecorder:
+    """Records every submitted point's coordinates as ``float.hex`` strings and
+    answers with a suite function's objectives."""
+
+    def __init__(self, fn):
+        self.points: list[list[str]] = []
+        self._evaluate = fn.evaluate
+
+    def __call__(self, x):
+        self.points.append([float(v).hex() for v in x])
+        y = self._evaluate(x)
+        return y.f_alpha, y.f_beta
+
+
+_ORACLE_PROBLEMS = [("f1", 2), ("f2", 3), ("f3", 10)]
+_ORACLE_BUDGETS = [1, 5, 11, 12, 211, 3000]  # 211 is prime
+
+
+def _assert_same_bits(baseline, oracle, function_id, dimension, budget, **kwargs) -> None:
+    fn = get_function(function_id, instance_id=1, dimension=dimension)
+    got, want = _HexRecorder(fn), _HexRecorder(fn)
+    rng, oracle_rng = np.random.default_rng(budget), np.random.default_rng(budget)
+    baseline(got, dimension, budget, rng, **kwargs)
+    oracle(want, dimension, budget, oracle_rng, **kwargs)
+    assert len(got.points) == budget
+    assert got.points == want.points
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("budget", _ORACLE_BUDGETS)
+@pytest.mark.parametrize(("function_id", "dimension"), _ORACLE_PROBLEMS)
+def test_random_search_lists_match_the_numpy_baseline(
+    monkeypatch, function_id, dimension, budget, block
+) -> None:
+    monkeypatch.setattr(baselines, "_BLOCK", block)
+    _assert_same_bits(random_search, _numpy_random_search, function_id, dimension, budget)
+
+
+@pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, BOOTSTRAP_WEIGHTS], ids=["default", "bootstrap"])
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("budget", _ORACLE_BUDGETS)
+@pytest.mark.parametrize(("function_id", "dimension"), _ORACLE_PROBLEMS)
+def test_hill_climber_lists_match_the_numpy_baseline(
+    monkeypatch, function_id, dimension, budget, block, weights
+) -> None:
+    monkeypatch.setattr(baselines, "_BLOCK", block)
+    _assert_same_bits(scalarized_hill_climber, _numpy_hill_climber,
+                      function_id, dimension, budget, weights=weights)

@@ -309,6 +309,18 @@ def test_run_header_is_checked_as_a_problem_spec() -> None:
         replace(_header(), dimension=0)
 
 
+def test_dimension_one_is_a_valid_spec_and_header_and_below_one_is_not(tmp_path) -> None:
+    """A spec describes a log's objective space, whatever produced the log;
+    the suite refuses dimension 1 on its own, when a problem is selected."""
+    for make in (_spec, _header):
+        assert replace(make(), dimension=1).dimension == 1
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"^dimension must be positive, got {bad}$"):
+                replace(make(), dimension=bad)
+    log = RunLog(replace(_header(), dimension=1), record_columns([(1, 0.5, 0.5)]))
+    assert read_log(write_log(log, tmp_path / "run.tsv")).header.dimension == 1
+
+
 @pytest.mark.parametrize(
     ("field", "value", "message"),
     [

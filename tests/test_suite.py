@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -386,3 +387,107 @@ def test_objectives_within_rounding_of_exact_and_of_dense_rotation() -> None:
                 rotated = rotation @ (np.array(x) - fn.optimum_beta)
                 dense = float(np.array(fn._weights) @ (rotated * rotated))
                 assert got.f_beta == pytest.approx(dense, rel=1e-12, abs=0.0), (fn.key, x)
+
+
+def _array_evaluate(fn, x) -> ObjectiveVector:
+    """``evaluate`` as it was before lists of floats skipped numpy, copied as
+    the oracle of the list path: every input through ``np.asarray``, and
+    ``f3``'s two objectives in two passes, rotation angles read afresh from
+    the instance stream."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (fn.dimension,):
+        raise ValueError(
+            f"{fn.key} expects a vector of length {fn.dimension}, got shape {arr.shape}"
+        )
+    xs = arr.tolist()
+    a, b, w = fn.optimum_alpha.tolist(), fn.optimum_beta.tolist(), fn._weights
+    f_alpha = f_beta = 0.0
+    if fn.function_id == "f1":
+        for xi, ai, bi in zip(xs, a, b):
+            za = xi - ai
+            zb = xi - bi
+            f_alpha += za * za
+            f_beta += zb * zb
+    elif fn.function_id == "f2":
+        for xi, ai, bi, wi in zip(xs, a, b, w):
+            za = xi - ai
+            zb = xi - bi
+            f_alpha += za * za
+            f_beta += wi * (zb * zb)
+    else:
+        for xi, ai, wi in zip(xs, a, w):
+            za = xi - ai
+            f_alpha += wi * (za * za)
+        stream = _instance_stream(fn.function_id, fn.instance_id, fn.dimension)
+        for _ in range(2 * fn.dimension):
+            stream.next_double()
+        carry = xs[0] - b[0]
+        for j in range(fn.dimension - 1):
+            theta = math.tau * stream.next_double()
+            c, s = math.cos(theta), math.sin(theta)
+            zb = xs[j + 1] - b[j + 1]
+            r = c * carry - s * zb
+            carry = s * carry + c * zb
+            f_beta += w[j] * (r * r)
+        f_beta += w[-1] * (carry * carry)
+    return ObjectiveVector(f_alpha, f_beta)
+
+
+def _outcome(evaluate, x):
+    """The objectives' types and ``float.hex`` bits, or the exception's type
+    and message."""
+    try:
+        y = evaluate(x)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+        return type(exc), str(exc)
+    return type(y.f_alpha), type(y.f_beta), float(y.f_alpha).hex(), float(y.f_beta).hex()
+
+
+class _Float(float):
+    pass
+
+
+def _evaluate_inputs(n: int, rng) -> list:
+    point = rng.uniform(-5.0, 5.0, n)
+    floats = point.tolist()
+    return [
+        floats,
+        [*floats[:-1], math.nan],
+        [*floats[:-1], -math.inf],
+        [*floats[:-1], -0.0],
+        [int(v) for v in floats],
+        [v > 0.0 for v in floats],
+        list(point),  # np.float64 items
+        list(point.astype(np.float32)),
+        [*floats[:-1], np.float64(floats[-1])],
+        [*floats[:-1], _Float(floats[-1])],
+        [*floats[:-1], 1],
+        tuple(floats),
+        point,
+        point.astype(np.int64),
+        point.astype(np.float32),
+        floats[:-1],
+        [*floats, 0.5],
+        [],
+        [floats],
+        [[v] for v in floats],
+        [[floats[0]], *floats[1:]],
+        [*floats[:-1], "x"],
+        [*floats[:-1], None],
+        point.reshape(1, n),
+        np.float64(0.5),
+    ]
+
+
+def test_evaluate_matches_the_array_path_for_every_input() -> None:
+    """A list of exactly ``dimension`` exact floats is read as it is; every
+    other input gives the objectives, result types or exception of
+    ``np.asarray(x, dtype=float)`` and the two-pass loops."""
+    rng = np.random.default_rng(29)
+    for fid in FUNCTION_IDS:
+        for n in (2, 3, 10):
+            for inst in (1, 7):
+                fn = get_function(fid, instance_id=inst, dimension=n)
+                for x in _evaluate_inputs(n, rng) + _points(fn, rng, uniform=20, near=5):
+                    want = _outcome(functools.partial(_array_evaluate, fn), x)
+                    assert _outcome(fn.evaluate, x) == want, (fn.key, x)
