@@ -132,24 +132,26 @@ def nondominated_rows(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 _LINE = "%.17g\t%.17g\n"  # a point's canonical text: both values at 17 significant digits
+_FORMAT_ROWS = 512  # points per % operation: each formatted string stays near 20 kB
 
 
-def _line_chunks(points: PointColumns) -> Iterator[list[str]]:
-    """The points' canonical lines, formatted one chunk of rows at a time,
-    each chunk by one ``%`` operation."""
-    for alpha, beta in points.chunks():
-        text = _LINE * len(alpha) % tuple(itertools.chain.from_iterable(zip(alpha, beta)))
-        yield text[:-1].split("\n")
+def _line_chunks(points: PointColumns) -> Iterator[str]:
+    """The points' canonical lines, joined by newlines ``_FORMAT_ROWS`` points
+    at a time, each block formatted by one ``%`` operation."""
+    for k in range(0, len(points), _FORMAT_ROWS):
+        block = slice(k, k + _FORMAT_ROWS)
+        values = np.column_stack((points.f_alpha[block], points.f_beta[block])).ravel().tolist()
+        yield (_LINE * (len(values) // 2) % tuple(values))[:-1]
 
 
 def version_of(points: PointColumns) -> str:
     """SHA-256 of the canonical lines of ``points``, a :class:`PointColumns`
-    (else ``TypeError``), joined by newlines and fed to the hash one chunk
+    (else ``TypeError``), joined by newlines and fed to the hash one block
     of lines at a time, so the joined text is never built."""
     digest = hashlib.sha256()
     separator = ""
-    for lines in _line_chunks(PointColumns.checked(points, "points")):
-        digest.update((separator + "\n".join(lines)).encode("ascii"))
+    for text in _line_chunks(PointColumns.checked(points, "points")):
+        digest.update((separator + text).encode("ascii"))
         separator = "\n"
     return digest.hexdigest()[:_VERSION_DIGITS]
 
@@ -222,7 +224,7 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
     """Write ``rs`` through ``write_lines``, its point lines formatted from
-    the columns one chunk of rows at a time."""
+    the columns one block of rows at a time."""
     bounds = "estimated" if rs.bounds_estimated else "analytic"
     header = (
         f"# function={rs.function_id} instance={rs.instance_id} "
@@ -233,7 +235,7 @@ def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
         "# clipping: hypervolume counts the ROI box only; negative normalized "
         "coordinates are clamped to 0",
     )
-    points = itertools.chain.from_iterable(_line_chunks(rs.points))
+    points = itertools.chain.from_iterable(text.split("\n") for text in _line_chunks(rs.points))
     return write_lines(path, itertools.chain(header, points))
 
 

@@ -379,10 +379,10 @@ def test_sets_of_points_are_point_columns_only() -> None:
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_line_chunks_match_one_f_string_per_value(seed) -> None:
-    """Lines formatted one chunk per ``%`` operation are those of one
-    ``f"{v:.17g}"`` per value: on random finite bit patterns, on values of a
-    reference set's usual range, and on zeros, subnormals and the largest
-    doubles.  200 000 points span many chunks of rows."""
+    """Lines formatted one block of points per ``%`` operation are those of
+    one ``f"{v:.17g}"`` per value: on random finite bit patterns, on values of
+    a reference set's usual range, and on zeros, subnormals and the largest
+    doubles.  200 000 points span many blocks and end in a partial one."""
     rng = np.random.default_rng(seed)
     patterns = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.float64)
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -390,7 +390,7 @@ def test_line_chunks_match_one_f_string_per_value(seed) -> None:
     alpha = np.concatenate([edges, rng.uniform(0.0, 1000.0, 10_000),
                             patterns[np.isfinite(patterns)]])
     beta = alpha[::-1]
-    got = list(itertools.chain.from_iterable(refset._line_chunks(PointColumns(alpha, beta))))
+    got = "\n".join(refset._line_chunks(PointColumns(alpha, beta))).split("\n")
     assert got == [f"{a:.17g}\t{b:.17g}" for a, b in zip(alpha.tolist(), beta.tolist())]
 
 
