@@ -140,8 +140,8 @@ def _line_chunks(points: PointColumns) -> Iterator[str]:
     at a time, each block formatted by one ``%`` operation."""
     for k in range(0, len(points), _FORMAT_ROWS):
         block = slice(k, k + _FORMAT_ROWS)
-        values = np.column_stack((points.f_alpha[block], points.f_beta[block])).ravel().tolist()
-        yield (_LINE * (len(values) // 2) % tuple(values))[:-1]
+        alpha, beta = points.f_alpha[block].tolist(), points.f_beta[block].tolist()
+        yield (_LINE * len(alpha) % tuple(itertools.chain.from_iterable(zip(alpha, beta))))[:-1]
 
 
 def version_of(points: PointColumns) -> str:
