@@ -12,7 +12,8 @@ rewriting a parsed file is byte-identical.  Records are held as columns,
 24 bytes each, and written, read and replayed without record objects.
 
 Every bibench file is a text file of lines, so their shared line handling
-lives here: ``write_lines`` writes every file atomically, ``numbered_batches``
+lives here: ``atomic_write`` publishes every file atomically, ``write_lines``
+writes a file of lines through it, ``numbered_batches``
 reads every file a batch of lines at a time, ``read_rows`` converts a batch of
 records or points at once, and ``convert_at`` and ``build_header`` turn a bad
 value or header into a :class:`LogParseError` naming ``path:line``.
@@ -47,7 +48,7 @@ from array import array
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -115,27 +116,24 @@ class LogParseError(ValueError):
         self.line_number = line_number
 
 
-def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii") -> Path:
-    """Write ``lines``, any iterable of strings, as the newline-terminated
-    file ``"\\n".join(lines) + "\\n"``, creating its directory.  Lines are
-    joined and written in chunks of ``_WRITE_CHUNK``, so a generator's
-    lines are never all held at once.  A temporary file in that directory
-    replaces ``path`` by ``os.replace``, so ``path`` holds the old bytes or
-    the new ones, never a part, even when ``lines`` raises part-way, unless
-    the machine itself fails (there is no ``fsync``); a failed write also
-    removes the directories it created."""
+@contextlib.contextmanager
+def atomic_write(path: Path | str, encoding: str | None = None) -> Iterator[IO]:
+    """Yield a file to write ``path``'s new content to, binary or, given an
+    ``encoding``, text with ``\\n`` line ends, and publish it when the ``with``
+    body ends.  The file is a temporary one in ``path``'s directory,
+    which is created if missing, and replaces ``path`` by ``os.replace``:
+    ``path`` holds the old bytes or the new ones, never a part, even when the
+    body raises part-way, unless the machine itself fails (there is no
+    ``fsync``).  A failed write removes the temporary file and the directories
+    the call created."""
     path = Path(path)
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.tmp")
-    lines = iter(lines)
-    chunks = iter(lambda: list(itertools.islice(lines, _WRITE_CHUNK)), [])
     try:
-        with temporary.open("w", encoding=encoding, newline="\n") as f:
-            # The first chunk is written even when empty: no lines give "\n".
-            f.write("\n".join(next(chunks, [])) + "\n")
-            for chunk in chunks:
-                f.write("\n".join(chunk) + "\n")
+        with (temporary.open("wb") if encoding is None
+              else temporary.open("w", encoding=encoding, newline="\n")) as f:
+            yield f
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -143,7 +141,21 @@ def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii")
             with contextlib.suppress(OSError):  # not empty: keep it
                 directory.rmdir()
         raise
-    return path
+
+
+def write_lines(path: Path | str, lines: Iterable[str], encoding: str = "ascii") -> Path:
+    """Write ``lines``, any iterable of strings, as the newline-terminated
+    file ``"\\n".join(lines) + "\\n"`` through ``atomic_write``.  Lines are
+    joined and written in chunks of ``_WRITE_CHUNK``, so a generator's
+    lines are never all held at once."""
+    lines = iter(lines)
+    chunks = iter(lambda: list(itertools.islice(lines, _WRITE_CHUNK)), [])
+    with atomic_write(path, encoding) as f:
+        # The first chunk is written even when empty: no lines give "\n".
+        f.write("\n".join(next(chunks, [])) + "\n")
+        for chunk in chunks:
+            f.write("\n".join(chunk) + "\n")
+    return Path(path)
 
 
 def numbered_batches(path: Path | str) -> Iterator[tuple[int, list[str]]]:

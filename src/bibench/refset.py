@@ -4,18 +4,21 @@ A reference set fixes the target difficulty for one problem instance: its
 negated normalized hypervolume is the absolute reference value ``i_ref``
 (always in [-1, 0] thanks to ROI clipping), and a content hash over the
 canonically sorted, 17-significant-digit serialization of its points is
-the version string displayed with any derived performance data.  Both are
-computed from the points and bounds when a :class:`ReferenceSet` is made,
-never passed in.
+the version string displayed with any derived performance data.  Neither
+is passed in: ``i_ref`` is computed from the points and bounds when a
+:class:`ReferenceSet` is made, and ``version`` from the points the first
+time it is read.  The writer derives the version it stores from the lines
+it writes, so writing a set formats and hashes each point once.
 
 Files are plain text: ``#``-prefixed ``key=value`` header lines followed
 by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 
 A set's points live in two read-only float64 columns (:class:`PointColumns`)
 from the merge to the file and back: the filter, ``i_ref``, the version
-and the writer work on the columns, the writer and the hash format them
-a chunk of rows at a time, and the reader converts a batch of lines into
-them at once, so no stage holds one object or one line of text per point.
+and the writer work on the columns, the writer and the hash share one
+formatter of ``_FORMAT_ROWS`` points per ``%`` operation, and the reader
+converts a batch of lines into them at once, so no stage holds one object
+or one line of text per point.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +37,8 @@ from bibench import suite
 from bibench.archive import sweep_hypervolume
 from bibench.core import Columns, ObjectiveVector, ProblemSpec, RowError
 from bibench.datalog import (
-    LogParseError, add_header_key, build_header, convert_at, numbered_batches,
-    problem_file, read_rows, rows_at_lines, write_lines,
+    LogParseError, add_header_key, atomic_write, build_header, convert_at, numbered_batches,
+    problem_file, read_rows, rows_at_lines,
 )
 
 __all__ = [
@@ -72,9 +76,10 @@ class ReferenceSet:
     not in that order raises :class:`RowError`.  ``ideal`` and
     ``nadir`` are the normalization bounds; ``bounds_estimated`` marks a
     nadir read off the merged front's extreme points rather than known
-    analytically.  ``i_ref`` and ``version`` are not arguments: they are
-    computed from the checked points and bounds when the set is made, so
-    no set can carry values that disagree with its points.
+    analytically.  ``i_ref`` and ``version`` are not arguments, so no set
+    can carry values that disagree with its points: ``i_ref`` is computed
+    from the checked points and bounds when the set is made, and
+    ``version`` is derived from the points the first time it is read.
     """
 
     function_id: str
@@ -84,7 +89,6 @@ class ReferenceSet:
     ideal: ObjectiveVector
     nadir: ObjectiveVector
     i_ref: float = field(init=False)
-    version: str = field(init=False)
     bounds_estimated: bool
 
     def __post_init__(self) -> None:
@@ -104,7 +108,11 @@ class ReferenceSet:
         ProblemSpec(self.function_id, self.instance_id, self.dimension, self.ideal, self.nadir,
                     i_ref=0.0, refset_version="")
         object.__setattr__(self, "i_ref", _i_ref_from(points, self.ideal, self.nadir))
-        object.__setattr__(self, "version", version_of(points))
+
+    @cached_property
+    def version(self) -> str:
+        """``version_of(self.points)``, derived the first time it is read."""
+        return version_of(self.points)
 
     def problem_spec(self) -> ProblemSpec:
         """The :class:`ProblemSpec` a run against this reference set uses."""
@@ -144,16 +152,26 @@ def _line_chunks(points: PointColumns) -> Iterator[str]:
         yield (_LINE * len(alpha) % tuple(itertools.chain.from_iterable(zip(alpha, beta))))[:-1]
 
 
-def version_of(points: PointColumns) -> str:
-    """SHA-256 of the canonical lines of ``points``, a :class:`PointColumns`
-    (else ``TypeError``), joined by newlines and fed to the hash one block
-    of lines at a time, so the joined text is never built."""
+def _hash_lines(points: PointColumns, write: Callable[[bytes], object] | None = None) -> str:
+    """The version of the canonical lines of ``points`` joined by newlines: the
+    first ``_VERSION_DIGITS`` hex digits of their SHA-256.  Each block of
+    ``_line_chunks`` is encoded once, fed to the hash and passed to ``write``,
+    so the joined text is never built."""
     digest = hashlib.sha256()
     separator = ""
-    for text in _line_chunks(PointColumns.checked(points, "points")):
-        digest.update((separator + text).encode("ascii"))
+    for text in _line_chunks(points):
+        block = (separator + text).encode("ascii")
+        digest.update(block)
+        if write is not None:
+            write(block)
         separator = "\n"
     return digest.hexdigest()[:_VERSION_DIGITS]
+
+
+def version_of(points: PointColumns) -> str:
+    """The version of ``points``, a :class:`PointColumns` (else ``TypeError``):
+    SHA-256 of their canonical lines joined by newlines, in 16 hex digits."""
+    return _hash_lines(PointColumns.checked(points, "points"))
 
 
 def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVector) -> float:
@@ -223,20 +241,28 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 
 
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
-    """Write ``rs`` through ``write_lines``, its point lines formatted from
-    the columns one block of rows at a time."""
+    """Write ``rs`` through ``atomic_write`` in one pass over its points:
+    each block of lines goes to the file and to the version hash together.
+    The first header line reserves the version's ``_VERSION_DIGITS``, which
+    are filled in before the file is published; ``rs.version`` is not read."""
     bounds = "estimated" if rs.bounds_estimated else "analytic"
+    before_version = (f"# function={rs.function_id} instance={rs.instance_id} "
+                      f"dimension={rs.dimension} version=")
     header = (
-        f"# function={rs.function_id} instance={rs.instance_id} "
-        f"dimension={rs.dimension} version={rs.version} i_ref={rs.i_ref:.17g}",
+        f"{before_version}{'0' * _VERSION_DIGITS} i_ref={rs.i_ref:.17g}\n"
         f"# ideal_alpha={rs.ideal.f_alpha:.17g} ideal_beta={rs.ideal.f_beta:.17g} "
         f"nadir_alpha={rs.nadir.f_alpha:.17g} nadir_beta={rs.nadir.f_beta:.17g} "
-        f"bounds={bounds}",
+        f"bounds={bounds}\n"
         "# clipping: hypervolume counts the ROI box only; negative normalized "
-        "coordinates are clamped to 0",
-    )
-    points = itertools.chain.from_iterable(text.split("\n") for text in _line_chunks(rs.points))
-    return write_lines(path, itertools.chain(header, points))
+        "coordinates are clamped to 0\n"
+    ).encode("ascii")
+    with atomic_write(path) as f:
+        f.write(header)
+        version = _hash_lines(rs.points, f.write)
+        f.write(b"\n")
+        f.seek(len(before_version))  # ASCII: one byte per character
+        f.write(version.encode("ascii"))
+    return Path(path)
 
 
 def _bounds_estimated(text: str) -> bool:

@@ -89,6 +89,36 @@ def test_hill_climber_improves_scalarized_score() -> None:
     assert min(scores) < scores[0]
 
 
+@pytest.mark.parametrize(
+    ("start", "candidate", "kept"),
+    [
+        # w * f_alpha + (1 - w) * f_beta accepts; f_beta + w * (f_alpha - f_beta) would not.
+        ((1.0, 1.0), (1.0000000000000027, 0.9999999999999991), "candidate"),
+        # ... and the other way round.
+        ((2.0, 3.0), (2.0000000000000027, 2.999999999999999), "start"),
+    ],
+)
+def test_hill_climber_score_arithmetic_at_a_near_tie(start, candidate, kept) -> None:
+    """At weight 0.3 these objective pairs score a near-tie that the two ways
+    of writing the weighted sum round to opposite verdicts, so the third
+    point, taken from the kept point with the adapted step, pins the formula."""
+    w = 0.3
+    assert ((w * candidate[0] + (1.0 - w) * candidate[1] <= w * start[0] + (1.0 - w) * start[1])
+            != (candidate[1] + w * (candidate[0] - candidate[1])
+                <= start[1] + w * (start[0] - start[1])))
+    values = iter([start, candidate, (0.0, 0.0)])
+    rec = _Recorder(objective=lambda x: next(values))
+    scalarized_hill_climber(rec, dimension=3, budget=3, rng=np.random.default_rng(11),
+                            weights=(w,))
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(-5.0, 5.0, 3).tolist()
+    steps = rng.standard_normal(size=(2, 3)).tolist()
+    x1 = [xi + 2.0 * si for xi, si in zip(x0, steps[0])]
+    x, sigma = (x1, 2.0 * 1.5) if kept == "candidate" else (x0, 2.0 * 1.5**-0.25)
+    assert rec.calls[1].tolist() == x1
+    assert rec.calls[2].tolist() == [xi + sigma * si for xi, si in zip(x, steps[1])]
+
+
 def test_hill_climber_single_weight_uses_whole_budget() -> None:
     rec = _Recorder()
     scalarized_hill_climber(rec, dimension=2, budget=30,

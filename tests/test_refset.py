@@ -528,7 +528,8 @@ def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
     _old_write_reference_set(old, directory / "old.tsv")
     rs = merge(columns, **bounds)
     assert _bits(rs.points) == _bits(old["points"])
-    assert {k: v for k, v in vars(rs).items() if k != "points"} == {
+    # vars(rs) holds the version only once it is read, so it is read here.
+    assert {**{k: v for k, v in vars(rs).items() if k != "points"}, "version": rs.version} == {
         k: v for k, v in old.items() if k != "points"
     }
     assert rs.i_ref.hex() == old["i_ref"].hex()
@@ -584,6 +585,63 @@ def test_stored_version_and_i_ref_fail_at_their_own_lines(tmp_path, old, new, me
     (tmp_path / "rs.tsv").write_text("\n".join([key, f"# {version}", f"# {i_ref}", *lines[1:]]))
     with pytest.raises(LogParseError, match=message):
         read_reference_set(tmp_path / "rs.tsv")
+
+
+def _strict_set(n: int) -> ReferenceSet:
+    """A set of ``n`` points with full 17-digit values, ascending ``f_alpha``."""
+    rng = np.random.default_rng(n)
+    alpha = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    beta = np.cumsum(rng.uniform(1e-3, 1.0, n))[::-1].copy()
+    return ReferenceSet(**KEY, points=PointColumns(alpha, beta), ideal=_ov(0.0, 0.0),
+                        nadir=_ov(float(alpha[-1]) + 1.0, float(beta[0]) + 1.0),
+                        bounds_estimated=False)
+
+
+@pytest.mark.parametrize("read", ["before", "after"])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1024, 1025])
+def test_one_pass_writer_equals_the_old_writer_across_blocks(tmp_path, n, read) -> None:
+    """The writer formats and hashes each point once, 512 points a block;
+    sets ending on either side of a block boundary are written byte for byte
+    as the object path wrote them, and the version it fills in is the set's
+    whether ``rs.version`` was read before the write or only after it."""
+    rs = _strict_set(n)
+    if read == "before":
+        assert len(rs.version) == 16
+    else:
+        assert "version" not in vars(rs)
+    points = list(rs.points)
+    old = dict(**KEY, points=points, ideal=rs.ideal, nadir=rs.nadir, i_ref=rs.i_ref,
+               version=_old_version_of(points), bounds_estimated=False)
+    _old_write_reference_set(old, tmp_path / "old.tsv")
+    path = write_reference_set(rs, tmp_path / "new.tsv")
+    assert path.read_bytes() == (tmp_path / "old.tsv").read_bytes()
+    stored = path.read_text().split("\n", 1)[0].split(" version=")[1].split(" ")[0]
+    assert stored == version_of(rs.points) == rs.version == old["version"]
+    assert read_reference_set(path) == rs
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["over-old-file", "into-new-dirs"])
+def test_a_reference_set_write_failing_part_way_leaves_the_old_file(
+    tmp_path, monkeypatch, existing
+) -> None:
+    rs = _strict_set(1025)  # three blocks: the failure comes after the first is written
+    path = tmp_path / "rs.tsv" if existing else tmp_path / "new" / "deeper" / "rs.tsv"
+    if existing:
+        path.write_bytes(b"old\n")
+    blocks = refset._line_chunks
+
+    def failing(points):
+        yield next(blocks(points))
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(refset, "_line_chunks", failing)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_reference_set(rs, path)
+    if existing:
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rs.tsv"]
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- the reader: columns, line numbers and memory ------------------------------
