@@ -13,10 +13,10 @@ rewriting a parsed file is byte-identical.  Records are held as columns,
 
 Every bibench file is a text file of lines, so their shared line handling
 lives here: ``atomic_write`` publishes every file atomically, ``write_lines``
-writes a file of lines through it, ``numbered_batches``
-reads every file a batch of lines at a time, ``read_rows`` converts a batch of
-records or points at once, and ``convert_at`` and ``build_header`` turn a bad
-value or header into a :class:`LogParseError` naming ``path:line``.
+writes a file of lines through it, ``numbered_batches`` reads every file a
+batch of lines at a time, ``read_rows`` converts a batch of records or points
+at once, and ``convert_at`` and ``build_header`` turn a bad value or header
+into a :class:`LogParseError` naming ``path:line``.
 
 ``ExperimentWriter`` owns the experiment tree: one directory per
 algorithm holding its run logs and their index.  Logs are staged under
