@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from bibench.core import NormalizedObjectives
+from bibench.core import NormalizedObjectives, ObjectiveVector, normalize_columns
 
 __all__ = [
     "Archive",
@@ -203,20 +203,22 @@ class Archive:
         return math.fsum([*terms, last]) if terms else last
 
 
-def sweep_hypervolume(u: np.ndarray, v: np.ndarray) -> float:
-    """Sweep-line ROI hypervolume of the mutually non-dominated points
-    ``(u[i], v[i])``, independent of the incremental cache.
+def sweep_hypervolume(f_alpha: np.ndarray, f_beta: np.ndarray, ideal: ObjectiveVector,
+                      nadir: ObjectiveVector) -> float:
+    """Sweep-line ROI hypervolume of the mutually non-dominated raw points
+    ``(f_alpha[i], f_beta[i])`` under ``ideal`` and ``nadir``, without the cache.
 
-    Coordinates are clipped at 0, points with ``u >= 1`` or ``v >= 1``
-    dropped, and the rest sorted by ``u``, then by descending ``v``.  Each
-    point whose ``v`` lies below the running minimum of the ``v`` before it
-    (starting at 1) adds the strip ``(1 - u) * (prev - v)``; ``math.fsum``
-    sums the strip array.  The arrays are not modified.
+    The points are normalized by ``normalize_columns``, coordinates clipped
+    at 0, points with ``u >= 1`` or ``v >= 1`` dropped, and the rest sorted
+    by ``u``, then by descending ``v``.  Each point whose ``v`` lies below the
+    running minimum of the ``v`` before it (starting at 1) adds the strip
+    ``(1 - u) * (prev - v)``; ``math.fsum`` sums the strip array.
     """
     # Masking before clipping keeps the same rows: a value clipped to 0 is
     # below 1, and only a value >= 1 is not.  Each array of the input's
     # length is released as soon as the next one is made, so about four
     # are alive at once.
+    u, v = normalize_columns(f_alpha, f_beta, ideal, nadir)
     inside = ~((u >= 1.0) | (v >= 1.0))
     u, v = u[inside], v[inside]
     u[~(u > 0.0)] = 0.0
@@ -236,9 +238,11 @@ def sweep_hypervolume(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def staircase_hypervolume(points: Iterable[NormalizedObjectives]) -> float:
-    """:func:`sweep_hypervolume` of normalized points, read in one pass."""
+    """:func:`sweep_hypervolume` of normalized points, read in one pass; the
+    bounds (0, 0) and (1, 1) normalize each value to its own bits."""
     uv = np.fromiter(((p.u, p.v) for p in points), dtype=np.dtype((float, 2)))
-    return sweep_hypervolume(uv[:, 0], uv[:, 1])
+    return sweep_hypervolume(uv[:, 0], uv[:, 1],
+                             ObjectiveVector(0.0, 0.0), ObjectiveVector(1.0, 1.0))
 
 
 def recompute_from_scratch(points: Iterable[NormalizedObjectives]) -> tuple[float, float]:

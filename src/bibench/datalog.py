@@ -34,8 +34,8 @@ runs feed it every evaluation and ``recalculate`` a log's records under a
 (possibly different) problem spec, so a replay reproduces the live
 indicator trajectory and first-hit runtimes by construction; this is what
 makes reference-set updates retroactive without re-running experiments.
-A live run normalizes each point; a replay normalizes its columns a chunk
-at a time with the same IEEE operations, so every value has the same bits.
+Both normalize a block of columns at a time, the run each block of
+evaluations its budget guard hands on, the replay a chunk of records.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from bibench.archive import Archive
 from bibench.core import (Columns, NormalizedObjectives, ObjectiveVector, ProblemSpec,
-                          RowError, check_budget, normalize, normalize_columns)
+                          RowError, check_budget, normalize_columns)
 from bibench.indicator import EMPTY_ARCHIVE_VALUE, IndicatorValue, evaluate_incremental
 from bibench.suite import problem_id
 from bibench.targets import RuntimeRecord, absolute_targets
@@ -438,11 +438,11 @@ def read_log(path: Path | str) -> RunLog:
 
 
 class Assessment:
-    """One run's assessment under one problem spec.  ``add`` normalizes each
-    evaluation, in order; ``add_normalized`` inserts it, then updates the
-    indicator and first hits.  Live runs add every evaluation; a replay adds
-    records it normalized as columns, with the same IEEE operations and bits,
-    so it reproduces the live trajectory by construction."""
+    """One run's assessment under one problem spec.  ``normalized`` maps a
+    block of raw objective columns into it, and ``add_normalized`` inserts
+    each point, in order, then updates the indicator and first hits.  A live
+    run adds every evaluation and a replay every record, a block at a time,
+    so a replay reproduces the live trajectory by construction."""
 
     def __init__(self, spec: ProblemSpec) -> None:
         self.spec = spec
@@ -450,12 +450,13 @@ class Assessment:
         self.value = EMPTY_ARCHIVE_VALUE
         self.runtimes = RuntimeRecord(absolute_targets(spec))
 
-    def add(self, eval_count: int, y: ObjectiveVector) -> bool:
-        """Assess evaluation ``eval_count``; True if it entered the archive."""
-        return self.add_normalized(eval_count, normalize(y, self.spec))
+    def normalized(self, f_alpha: np.ndarray, f_beta: np.ndarray) -> Iterator[NormalizedObjectives]:
+        """The points ``(f_alpha[i], f_beta[i])`` normalized under ``spec``, in order."""
+        u, v = normalize_columns(f_alpha, f_beta, self.spec.ideal, self.spec.nadir)
+        return map(NormalizedObjectives, u.tolist(), v.tolist())
 
     def add_normalized(self, eval_count: int, z: NormalizedObjectives) -> bool:
-        """``add`` of a point normalized under ``spec``; a rejected one sets only evaluations."""
+        """Assess evaluation ``eval_count``; True if ``z`` entered the archive."""
         outcome = self.archive.insert(z, eval_count)
         if not outcome.accepted:
             self.runtimes.evaluations = eval_count
@@ -487,9 +488,7 @@ def recalculate(
     add, append = assessment.add_normalized, trajectory.append
     records, rows = log.records, Columns._ROWS
     for k in range(0, len(records), rows):
-        u, v = normalize_columns(records.f_alpha[k:k + rows], records.f_beta[k:k + rows],
-                                 new_spec.ideal, new_spec.nadir)
-        points = map(NormalizedObjectives, u.tolist(), v.tolist())
+        points = assessment.normalized(records.f_alpha[k:k + rows], records.f_beta[k:k + rows])
         for t, z in zip(records.eval_count[k:k + rows].tolist(), points):
             if not add(t, z):
                 raise LogReplayError(

@@ -175,15 +175,7 @@ def version_of(points: PointColumns) -> str:
 
 
 def _i_ref_from(points: PointColumns, ideal: ObjectiveVector, nadir: ObjectiveVector) -> float:
-    span_alpha = nadir.f_alpha - ideal.f_alpha
-    span_beta = nadir.f_beta - ideal.f_beta
-    # Not core.normalize_columns: its tuple would keep both quotients alive through the sweep.
-    # A huge point's quotient may overflow to inf, as a Python float's does.
-    with np.errstate(over="ignore"):
-        hv = sweep_hypervolume(
-            (points.f_alpha - ideal.f_alpha) / span_alpha,
-            (points.f_beta - ideal.f_beta) / span_beta,
-        )
+    hv = sweep_hypervolume(points.f_alpha, points.f_beta, ideal, nadir)
     if hv >= 1.0:
         return -1.0
     return -hv if hv > 0.0 else 0.0

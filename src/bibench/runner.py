@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bibench import baselines, datalog, refset, suite
-from bibench.core import ObjectiveVector, ProblemSpec, check_budget
+from bibench.core import ProblemSpec, check_budget
 from bibench.targets import RuntimeRecord
 
 __all__ = [
@@ -47,7 +47,7 @@ ALGORITHMS: dict[str, Callable] = {
 _PURPOSE_RUN = 1
 _PURPOSE_BOOTSTRAP = 2
 
-# Fewest points a bootstrap baseline buffers before folding them into its front.
+# Evaluations per block the budget guard hands on; the fewest a bootstrap fold takes.
 _CHUNK = 4096
 
 
@@ -94,13 +94,20 @@ class RunResult(datalog.RunHeader):
     archive_size: int
 
 
-def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callable:
-    """The evaluation callback handed to a baseline, and the one budget guard:
-    it counts evaluations, refuses any beyond ``budget`` and passes each
-    ``(count, objectives)`` to ``observe``.  Baselines only ever see this
-    callback, which keeps them black-box by construction."""
-    count = 0
-    objectives = fn.evaluate
+def _budgeted(algo: Callable, fn: suite.SuiteFunction, budget: int,
+              rng: np.random.Generator, observe: Callable) -> None:
+    """Run the baseline ``algo`` on ``fn`` through ``evaluate``, the one
+    budget guard and the one place evaluations become data: it refuses any
+    beyond ``budget`` and hands ``observe`` each ``_CHUNK`` of them as numpy
+    columns ``(counts, f_alpha, f_beta)``, the rest once ``algo`` returns,
+    none if it raises.  Baselines only ever see ``evaluate``: black-box."""
+    count, objectives, chunk = 0, fn.evaluate, _CHUNK
+    alpha, beta = array("d"), array("d")
+
+    def flush() -> None:
+        counts = np.arange(count - len(alpha) + 1, count + 1, dtype=np.int64)
+        observe(counts, np.array(alpha), np.array(beta))
+        del alpha[:], beta[:]
 
     def evaluate(x: Sequence[float]) -> tuple[float, float]:
         nonlocal count
@@ -108,43 +115,41 @@ def _budgeted(fn: suite.SuiteFunction, budget: int, observe: Callable) -> Callab
             raise RuntimeError(f"evaluation budget {budget} exhausted")
         count += 1
         y = objectives(x)
-        observe(count, y)
+        alpha.append(y.f_alpha)
+        beta.append(y.f_beta)
+        if len(alpha) == chunk:
+            flush()
         return y.f_alpha, y.f_beta
 
-    return evaluate
+    algo(evaluate, fn.dimension, budget, rng)
+    if alpha:
+        flush()
 
 
 class _FrontCollector:
-    """The evaluation observer of one problem's bootstrap baselines: folds
-    the points it is shown into their non-dominated subset through
-    ``refset.front`` whenever its buffer holds as many points as the front
-    (at least ``_CHUNK``), so it holds about one front plus one buffer of
-    points, never the whole budget.  The buffer is two ``array("d")``
-    columns and the front a ``refset.PointColumns``, raw doubles both."""
+    """Observer of one problem's bootstrap baselines: folds the blocks it is
+    shown into their non-dominated subset by ``refset.front`` once they hold
+    as many points as the front (at least ``_CHUNK``), which keeps sorting
+    O(n log n) and memory at about one front plus those blocks."""
 
     def __init__(self, key: str) -> None:
         self._key = key
         self._front = refset.PointColumns((), ())
-        self._alpha, self._beta = array("d"), array("d")
-        self._limit = _CHUNK
+        self._blocks: list[refset.PointColumns] = []
 
-    def add(self, t: int, y: ObjectiveVector) -> None:
-        self._alpha.append(y.f_alpha)
-        self._beta.append(y.f_beta)
-        if len(self._alpha) >= self._limit:
+    def __call__(self, counts: np.ndarray, f_alpha: np.ndarray, f_beta: np.ndarray) -> None:
+        self._blocks.append(refset.PointColumns(f_alpha, f_beta))
+        if sum(map(len, self._blocks)) >= max(_CHUNK, len(self._front)):
             self.front()
 
     def front(self) -> refset.PointColumns:
-        """The non-dominated subset of every point added so far, each equal
+        """The non-dominated subset of every point shown so far, each equal
         point's first-seen bits kept."""
         try:
-            self._front = refset.front((self._front, refset.PointColumns(self._alpha, self._beta)))
+            self._front = refset.front((self._front, *self._blocks))
         except ValueError as exc:
             raise ValueError(f"bootstrap {self._key}: {exc}") from None
-        self._alpha, self._beta = array("d"), array("d")
-        # Buffering as many points as the front holds before the next fold
-        # keeps the total sorting cost O(n log n).
-        self._limit = max(_CHUNK, len(self._front))
+        self._blocks = []
         return self._front
 
 
@@ -186,7 +191,7 @@ def bootstrap_refsets(
         collector = _FrontCollector(fn.key)
         for algo_index, algo in bootstrap_algos:
             rng = _problem_rng(seed, _PURPOSE_BOOTSTRAP, algo_index, fid, dim, inst)
-            algo(_budgeted(fn, budget, collector.add), dim, budget, rng)
+            _budgeted(algo, fn, budget, rng, collector)
         rs = refset.merge(
             [collector.front()],
             function_id=fid,
@@ -234,19 +239,19 @@ def run_experiment(
             spec = refset.load_reference_set(refset_dir, fid, dim, inst).problem_spec()
             budget = cfg.budget_for(dim)
             assessment = datalog.Assessment(spec)
-            evals, alpha, beta = array("q"), array("d"), array("d")
+            blocks = [(np.empty(0, np.int64), np.empty(0), np.empty(0))]
 
-            def observe(t: int, y: ObjectiveVector) -> None:
-                if assessment.add(t, y):
-                    evals.append(t)
-                    alpha.append(y.f_alpha)
-                    beta.append(y.f_beta)
+            def observe(counts: np.ndarray, f_alpha: np.ndarray, f_beta: np.ndarray) -> None:
+                add, points = assessment.add_normalized, assessment.normalized(f_alpha, f_beta)
+                accepted = [add(t, z) for t, z in zip(counts.tolist(), points)]
+                blocks.append((counts[accepted], f_alpha[accepted], f_beta[accepted]))
 
             rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
-            algo(_budgeted(fn, budget, observe), dim, budget, rng)
+            _budgeted(algo, fn, budget, rng, observe)
 
             header = datalog.RunHeader.for_run(spec, cfg.algorithm, budget)
-            path = writer.write(datalog.RunLog(header, datalog.RecordColumns(evals, alpha, beta)))
+            records = datalog.RecordColumns(*map(np.concatenate, zip(*blocks)))
+            path = writer.write(datalog.RunLog(header, records))
             results.append(RunResult(
                 **vars(header), runtimes=assessment.runtimes, log_path=path,
                 archive_size=len(assessment.archive),

@@ -989,6 +989,16 @@ def test_records_have_no_public_mutator() -> None:
 # -- the rejected-point shortcut against the loop it replaced ---------------------
 
 
+class _PointAssessment(datalog.Assessment):
+    """``Assessment`` with the per-point ``add`` that live runs called for
+    each evaluation before the budget guard handed them blocks: the
+    reference for the column paths."""
+
+    def add(self, eval_count: int, y: ObjectiveVector) -> bool:
+        """Assess evaluation ``eval_count``; True if it entered the archive."""
+        return self.add_normalized(eval_count, normalize(y, self.spec))
+
+
 class _EveryPointAssessment(datalog.Assessment):
     """``Assessment.add`` before rejected points skipped the indicator
     update and the first-hit record: the oracle for that shortcut."""
@@ -1013,7 +1023,7 @@ _VALUES = st.sampled_from((-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0)) | st.
 )
 def test_rejected_point_shortcut_matches_assessing_every_point(points, i_ref) -> None:
     spec = _spec(i_ref)
-    lean, oracle = datalog.Assessment(spec), _EveryPointAssessment(spec)
+    lean, oracle = _PointAssessment(spec), _EveryPointAssessment(spec)
     t = 0
     for f_alpha, f_beta, step in points:
         t += step
@@ -1032,11 +1042,11 @@ def test_rejected_point_shortcut_matches_assessing_every_point(points, i_ref) ->
 def _replay(log: RunLog, spec: ProblemSpec, add_each: bool):
     """The trajectory's values in hex, the first hits, evaluations and clamp
     warnings of a replay, or the error it raised: through ``recalculate``, or
-    through ``Assessment.add`` record by record, as replays did before they
-    normalized columns."""
+    through ``_PointAssessment.add`` record by record, as replays did before
+    they normalized columns."""
     made = []
 
-    class Kept(datalog.Assessment):
+    class Kept(_PointAssessment):
         def __init__(self, spec: ProblemSpec) -> None:
             super().__init__(spec)
             made.append(self)
@@ -1076,7 +1086,7 @@ def _replay(log: RunLog, spec: ProblemSpec, add_each: bool):
     )),
 )
 def test_recalculate_matches_adding_each_record(points, i_ref, bounds) -> None:
-    live = datalog.Assessment(_spec())
+    live = _PointAssessment(_spec())
     records, t = [], 0
     for f_alpha, f_beta, step in points:
         t += step

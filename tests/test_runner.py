@@ -8,15 +8,18 @@ import hashlib
 import math
 import re
 import shutil
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import point_columns
+from conftest import point_columns, record_columns
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bibench import datalog, postprocess, refset, runner, suite
-from bibench.core import ObjectiveVector
+from bibench.core import ObjectiveVector, normalize
 from bibench.datalog import read_experiment_index, read_log, recalculate
 from bibench.runner import (
     ALGORITHMS,
@@ -431,15 +434,16 @@ def test_streamed_bootstrap_equals_merge_of_full_point_lists(tmp_path, monkeypat
     collected: list[list[ObjectiveVector]] = []
     budgeted = runner._budgeted
 
-    def collecting(fn, budget, observe):
+    def collecting(algo, fn, budget, rng, observe):
         points: list[ObjectiveVector] = []
         collected.append(points)
 
-        def both(t, y):
-            points.append(y)
-            observe(t, y)
+        def both(counts, f_alpha, f_beta):
+            assert counts.tolist() == list(range(len(points) + 1, len(points) + len(counts) + 1))
+            points.extend(map(ObjectiveVector, f_alpha.tolist(), f_beta.tolist()))
+            observe(counts, f_alpha, f_beta)
 
-        return budgeted(fn, budget, both)
+        return budgeted(algo, fn, budget, rng, both)
 
     folds = 0
     rows = refset.nondominated_rows
@@ -477,15 +481,35 @@ def test_bootstrap_collector_memory_is_bounded_by_front_not_budget() -> None:
     collector = runner._FrontCollector("f1:2:1")
     tracemalloc.start()
     try:
-        for t in range(200_000):
+        for start in range(0, 200_000, runner._CHUNK):
+            t = np.arange(start, min(start + runner._CHUNK, 200_000))
             k, shift = t % 10, (t % 7) / 7
-            collector.add(t + 1, ObjectiveVector(k / 10 + shift, 1 - k / 10 + shift))
+            collector(t + 1, k / 10 + shift, 1 - k / 10 + shift)
         front = collector.front()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [(p.f_alpha, p.f_beta) for p in front] == [(k / 10, 1 - k / 10) for k in range(10)]
     assert peak < 1_000_000
+
+
+def test_bootstrap_collector_folds_once_its_blocks_hold_as_many_points_as_the_front(
+    monkeypatch,
+) -> None:
+    # Every point lies on one front, which doubles with each fold: the blocks
+    # are folded once they hold _CHUNK points, then as many as the front.
+    monkeypatch.setattr(runner, "_CHUNK", 4)
+    collector, folds, after = runner._FrontCollector("f1:2:1"), [], []
+    fold = collector.front
+    monkeypatch.setattr(collector, "front", lambda: folds.append(1) or fold())
+    start = 0
+    for size in (3, 1, 2, 2, 4, 4):
+        x = np.arange(start, start + size, dtype=float)
+        start += size
+        collector(x + 1, x, -x)
+        after.append(len(folds))
+    assert after == [0, 1, 1, 2, 2, 3]
+    assert len(fold()) == start
 
 
 def test_live_run_records_hold_no_object_per_record(tmp_path) -> None:
@@ -605,3 +629,83 @@ def test_tiny_pipeline_tree_digest_is_pinned(tmp_path) -> None:
         ))
     postprocess.process_experiment(tmp_path / "tree" / "logs", tmp_path / "tree" / "tables")
     assert _tree_digest(tmp_path / "tree") == "e407b295690cefac102c57e79495fbf4c83f9dd7800ee37df63f786f11eccdc5"
+
+
+# -- the budget guard's blocks against the per-evaluation loop they replaced ------
+
+
+def _per_point_run(spec, points):
+    """The live loop before the budget guard handed out blocks: each
+    evaluation normalized by ``core.normalize`` and assessed at once, and
+    each accepted one kept as a log row."""
+    assessment, rows = datalog.Assessment(spec), []
+    for t, (f_alpha, f_beta) in enumerate(points, start=1):
+        if assessment.add_normalized(t, normalize(ObjectiveVector(f_alpha, f_beta), spec)):
+            rows.append((t, f_alpha, f_beta))
+    return record_columns(rows), assessment
+
+
+def _raw_values(lo: float, hi: float):
+    # Below the ideal, on it, inside, on the nadir and beyond it; drawing from
+    # few values makes exact duplicates and equal-u ties.
+    span = hi - lo
+    return st.sampled_from((lo - span / 2, lo, lo + span / 4, lo + span / 2, hi, hi + span)) \
+        | st.floats(lo - span, hi + span)
+
+
+@pytest.fixture(scope="module")
+def f1_refsets(tmp_path_factory) -> Path:
+    return _analytic_f1_refset_dir(tmp_path_factory.mktemp("f1"))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_blocks_of_the_budget_guard_match_assessing_each_evaluation(
+    f1_refsets, chunk, data
+) -> None:
+    fn = get_function("f1", instance_id=1, dimension=2)
+    ideal, nadir = fn.analytic_ideal, fn.analytic_nadir
+    values = st.tuples(_raw_values(ideal.f_alpha, nadir.f_alpha),
+                       _raw_values(ideal.f_beta, nadir.f_beta))
+    points = data.draw(st.lists(values, min_size=1, max_size=4 * chunk + 3))
+    budget = len(points) + data.draw(st.integers(0, 2))
+    raise_after = data.draw(st.none() | st.integers(0, len(points) - 1))
+    made = []
+
+    class Kept(datalog.Assessment):
+        def __init__(self, spec) -> None:
+            super().__init__(spec)
+            made.append(self)
+
+    def scripted(evaluate, dimension, budget, rng):
+        for k, point in enumerate(points):
+            if k == raise_after:
+                raise RuntimeError("scripted crash")
+            evaluate(list(point))
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as m:
+        m.setattr(runner, "_CHUNK", chunk)
+        m.setattr(datalog, "Assessment", Kept)
+        m.setattr(suite.SuiteFunction, "evaluate", lambda self, x: ObjectiveVector(*x))
+        m.setitem(ALGORITHMS, "random", scripted)
+        cfg = ExperimentConfig(
+            algorithm="random", output_dir=Path(out) / "exp", seed=0, functions=("f1",),
+            dimensions=(2,), instances=(1,), budget=budget, refset_dir=f1_refsets,
+        )
+        if raise_after is not None:
+            # The evaluations of the unfinished block were never assessed.
+            with pytest.raises(RuntimeError, match="scripted crash"):
+                run_experiment(cfg)
+            assert made[0].runtimes.evaluations == raise_after // chunk * chunk
+            assert not cfg.output_dir.exists()
+            return
+        (result,) = run_experiment(cfg)
+        logged = read_log(result.log_path).records
+    records, expected = _per_point_run(made[0].spec, points)
+    for name in ("eval_count", "f_alpha", "f_beta"):
+        assert getattr(logged, name).tobytes() == getattr(records, name).tobytes()
+    assert result.runtimes.first_hit == expected.runtimes.first_hit
+    assert result.runtimes.evaluations == expected.runtimes.evaluations == len(points)
+    assert result.archive_size == len(expected.archive)
+    assert made[0].archive.clamp_warnings == expected.archive.clamp_warnings
