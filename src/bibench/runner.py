@@ -243,7 +243,7 @@ def run_experiment(
 
             def observe(counts: np.ndarray, f_alpha: np.ndarray, f_beta: np.ndarray) -> None:
                 add, points = assessment.add_normalized, assessment.normalized(f_alpha, f_beta)
-                accepted = [add(t, z) for t, z in zip(counts.tolist(), points)]
+                accepted = np.array([add(t, z) for t, z in zip(counts.tolist(), points)], bool)
                 blocks.append((counts[accepted], f_alpha[accepted], f_beta[accepted]))
 
             rng = _problem_rng(cfg.seed, _PURPOSE_RUN, 0, fid, dim, inst)
