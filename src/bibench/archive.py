@@ -208,11 +208,11 @@ def sweep_hypervolume(f_alpha: np.ndarray, f_beta: np.ndarray, ideal: ObjectiveV
     """Sweep-line ROI hypervolume of the mutually non-dominated raw points
     ``(f_alpha[i], f_beta[i])`` under ``ideal`` and ``nadir``, without the cache.
 
-    The points are normalized by ``normalize_columns``, coordinates clipped
-    at 0, points with ``u >= 1`` or ``v >= 1`` dropped, and the rest sorted
-    by ``u``, then by descending ``v``.  Each point whose ``v`` lies below the
-    running minimum of the ``v`` before it (starting at 1) adds the strip
-    ``(1 - u) * (prev - v)``; ``math.fsum`` sums the strip array.
+    The points are normalized by ``normalize_columns`` into new arrays (the
+    inputs are not modified), clipped at 0, those with ``u >= 1`` or ``v >= 1``
+    dropped and the rest sorted by ``u``, then by descending ``v``.  Each point
+    whose ``v`` lies below the running minimum of the ``v`` before it (starting
+    at 1) adds the strip ``(1 - u) * (prev - v)``, summed by ``math.fsum``.
     """
     # Masking before clipping keeps the same rows: a value clipped to 0 is
     # below 1, and only a value >= 1 is not.  Each array of the input's

@@ -31,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
+# A flip can turn a loop endless; a child run past this many seconds counts
+# the mutant as killed.
+TIMEOUT_S = 1800
 
 
 def find(tree: ast.Module, qualname: str) -> ast.AST:
@@ -71,12 +74,12 @@ def mutated_source(source: str, number: int, index: int) -> tuple[str, str]:
     return ast.unparse(tree) + "\n", f"{SYMBOLS[old]} -> {SYMBOLS[FLIPS[old]]}"
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
+def run_tests(copy: Path, tests: list[str]) -> str:
     """``passed``, ``failed`` or ``timeout`` of one child pytest run in ``copy``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if done.returncode == 0 else "failed"
@@ -84,11 +87,10 @@ def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("targets", nargs="+", help="<module>.<qualified name>, e.g. runner._budgeted")
+    parser.add_argument("targets", nargs="+",
+                        help="<module>.<qualified name>, e.g. runner._budgeted")
     parser.add_argument("--tests", nargs="+", default=["tests"],
                         help="pytest paths or node ids, relative to the repository root")
-    parser.add_argument("--timeout", type=float, default=1800.0,
-                        help="seconds per child run; a mutant that times out counts as killed")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bibench-mutants-") as tmp:
@@ -97,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        if run_tests(copy, args.tests, args.timeout) != "passed":
+        if run_tests(copy, args.tests) != "passed":
             print("mutants: the unmutated copy fails the tests", file=sys.stderr)
             return 2
         survivors = []
@@ -110,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                 text, flip = mutated_source(source, number, index)
                 path.write_text(text)
                 try:
-                    verdict = run_tests(copy, args.tests, args.timeout)
+                    verdict = run_tests(copy, args.tests)
                 finally:
                     path.write_text(source)
                 where = f"src/bibench/{module}.py:{line}"
