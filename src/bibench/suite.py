@@ -27,13 +27,19 @@ word.
 
 Objectives add Python-float terms in a fixed order, so ``f1``'s bits are the
 same on every IEEE binary64 platform; ``f2`` and ``f3`` also depend on libm
-``pow``, ``cos`` and ``sin`` through their weights and rotation.
+``pow``, ``cos`` and ``sin`` through their weights and rotation.  Each
+``SuiteFunction`` writes that order out once, on its first ``evaluate``, as
+a straight-line Python function with its constants inlined (``_kernel``):
+the same operations in the same order on the same doubles, since ``repr``
+of a finite double parses back to that double, so the bits are those of the
+loops the class docstring describes, without their per-call overhead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,6 +131,35 @@ def _conditioning(dimension: int) -> tuple[float, ...]:
     return tuple(ELLIPSOID_CONDITION ** (k / (dimension - 1)) for k in range(dimension))
 
 
+def _kernel(fn: SuiteFunction) -> Callable[[list], ObjectiveVector]:
+    """``fn``'s objectives as one straight-line function of a list of ``n``
+    floats: the operations of the loops ``SuiteFunction`` describes, in their
+    order, with every shift, weight, cosine and sine written in by ``repr``,
+    which gives back the same double."""
+    n, fid = fn.dimension, fn.function_id
+    a, b, w = ([repr(v) for v in values] for values in (fn._alpha, fn._beta, fn._weights))
+    body = [f"{', '.join(f'x{i}' for i in range(n))} = x", "fa = fb = 0.0"]
+    if fid == "f3":
+        body.append(f"carry = x0 - {b[0]}")  # coordinate j of P_{j-1} ... P_0 zb
+        for j, (c, s) in enumerate(fn._planes):
+            c, s = repr(c), repr(s)
+            body += [f"za = x{j} - {a[j]}", f"fa += {w[j]} * (za * za)",
+                     f"zb = x{j + 1} - {b[j + 1]}",
+                     f"r = {c} * carry - {s} * zb", f"carry = {s} * carry + {c} * zb",
+                     f"fb += {w[j]} * (r * r)"]
+        body += [f"za = x{n - 1} - {a[-1]}", f"fa += {w[-1]} * (za * za)",
+                 f"fb += {w[-1]} * (carry * carry)"]
+    else:
+        for i in range(n):
+            body += [f"za = x{i} - {a[i]}", f"zb = x{i} - {b[i]}", "fa += za * za",
+                     "fb += zb * zb" if fid == "f1" else f"fb += {w[i]} * (zb * zb)"]
+    source = "def objectives(x):\n" + "".join(f"    {line}\n" for line in body)
+    source += "    return ObjectiveVector(fa, fb)\n"
+    namespace = {"ObjectiveVector": ObjectiveVector}
+    exec(compile(source, f"<objectives {fn.key}>", "exec"), namespace)
+    return namespace["objectives"]
+
+
 class SuiteFunction:
     """One problem instance: a pair of component objectives sharing a key.
 
@@ -136,6 +171,11 @@ class SuiteFunction:
     is added at once, so the rotation is O(n) with no dense matrix.  ``f3``
     takes both objectives' terms of coordinate ``j`` in one pass over the
     planes, then the last coordinate's.
+
+    The first ``evaluate`` compiles those loops, unrolled for this instance,
+    into one function (``_kernel``), kept as ``_objectives``; building an
+    instance compiles nothing, and pickling drops the compiled function,
+    which the copy compiles again when it first evaluates.
 
     A ``list`` of exactly ``dimension`` items, each exactly a ``float``, is
     read as it is; any other ``x`` goes through ``np.asarray(x, dtype=float)``
@@ -165,14 +205,19 @@ class SuiteFunction:
             raise ValueError(f"degenerate instance: identical shifts for {self.key}")
 
         self._weights = _conditioning(dimension)
-        # (a_j, w_j, b_{j+1}, cos, sin) of each plane rotation P_j; empty except for f3.
+        # (cos, sin) of each plane rotation P_j; empty except for f3.
         self._planes = tuple(
-            (a, w, b, math.cos(theta), math.sin(theta))
-            for a, w, b, theta in zip(
-                self._alpha, self._weights, self._beta[1:],
-                [math.tau * stream.next_double() for _ in range(dimension - 1)],
-            )
+            (math.cos(theta), math.sin(theta))
+            for theta in (math.tau * stream.next_double() for _ in range(dimension - 1))
         ) if function_id == "f3" else ()
+
+    _objectives = cached_property(_kernel)  # compiled on the first evaluate
+
+    def __getstate__(self) -> dict:
+        """The instance without its compiled kernel, which cannot be pickled."""
+        state = self.__dict__.copy()
+        state.pop("_objectives", None)
+        return state
 
     @property
     def key(self) -> str:
@@ -201,33 +246,7 @@ class SuiteFunction:
                     f"got shape {arr.shape}"
                 )
             xs = arr.tolist()
-        f_alpha = f_beta = 0.0
-        if self.function_id == "f1":
-            for xi, a, b in zip(xs, self._alpha, self._beta):
-                za = xi - a
-                zb = xi - b
-                f_alpha += za * za
-                f_beta += zb * zb
-        elif self.function_id == "f2":
-            for xi, a, b, w in zip(xs, self._alpha, self._beta, self._weights):
-                za = xi - a
-                zb = xi - b
-                f_alpha += za * za
-                f_beta += w * (zb * zb)
-        else:
-            carry = xs[0] - self._beta[0]  # coordinate j of P_{j-1} ... P_0 zb
-            for xi, xn, (a, w, b, c, s) in zip(xs, xs[1:], self._planes):
-                za = xi - a
-                f_alpha += w * (za * za)
-                zb = xn - b
-                r = c * carry - s * zb
-                carry = s * carry + c * zb
-                f_beta += w * (r * r)
-            za = xs[-1] - self._alpha[-1]
-            w = self._weights[-1]
-            f_alpha += w * (za * za)
-            f_beta += w * (carry * carry)
-        return ObjectiveVector(f_alpha, f_beta)
+        return self._objectives(xs)
 
 
 def analytic_front_oracle(fn: SuiteFunction, t: float) -> ObjectiveVector:

@@ -17,7 +17,7 @@ from conftest import point_columns, record_columns
 from hypothesis import example, given, reject, settings, strategies as st
 
 from bibench import datalog, refset
-from bibench.core import NormalizedObjectives, ObjectiveVector
+from bibench.core import NormalizedObjectives, ObjectiveVector, RowError
 from bibench.datalog import (
     INDEX_FILENAME,
     ExperimentWriter,
@@ -266,6 +266,42 @@ def test_reference_set_validation() -> None:
             points=point_columns([_ov(0.2, 0.8), _ov(0.3, 0.9)]),
             ideal=_ov(0, 0), nadir=_ov(1, 1), bounds_estimated=False,
         )
+
+
+_POINTS = ((0.25, 0.75), (0.5, 0.5), (0.75, 0.25))
+# The row replaced, and its new point, tied with the row before it.
+_TIED = {
+    "f_alpha": (1, (0.25, 0.5)),  # the new point dominates the one before it
+    "f_beta": (2, (0.75, 0.5)),  # the point before dominates the new one
+}
+
+
+@pytest.mark.parametrize("tied", sorted(_TIED))
+def test_reference_set_refuses_neighbours_tied_in_one_objective(tied) -> None:
+    """Points tied in one objective are not mutually non-dominated: the
+    ordering check is strict on both sides."""
+    row, point = _TIED[tied]
+    points = [point if k == row else p for k, p in enumerate(_POINTS)]
+    with pytest.raises(RowError, match="mutually non-dominated") as info:
+        ReferenceSet(**KEY, points=point_columns([_ov(*p) for p in points]), **UNIT_BOUNDS,
+                     bounds_estimated=False)
+    assert info.value.row == row
+
+
+@pytest.mark.parametrize("tied", sorted(_TIED))
+def test_read_refuses_neighbours_tied_in_one_objective_at_the_second_line(
+    tmp_path, tied
+) -> None:
+    row, point = _TIED[tied]
+    rs = merge([point_columns([_ov(*p) for p in _POINTS])], **KEY, **UNIT_BOUNDS)
+    path = write_reference_set(rs, tmp_path / "rs.tsv")
+    old, new = ("%r\t%r" % p for p in (_POINTS[row], point))
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    # Points start on line 4, after three header lines.
+    with pytest.raises(LogParseError, match=rf"rs\.tsv:{4 + row}: reference points must be "
+                                            "mutually non-dominated"):
+        read_reference_set(path)
 
 
 def test_file_round_trip(tmp_path) -> None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +322,37 @@ def test_evaluate_bits_match_a_left_to_right_loop() -> None:
             ), (fn.key, x)
         if fn.function_id == "f1":  # the nadir's d**2 is summed in the same order
             assert analytic_front_oracle(fn, 0.0) == fn.evaluate(fn.optimum_alpha), fn.key
+
+
+_EDGE_VALUES = (5.0, -5.0, 0.0, -0.0, 5e-324, -5e-324, 1e160, -1.5e160, 3e159)
+
+
+def _bits(objectives) -> tuple[str, str]:
+    return tuple(float(f).hex() for f in objectives)
+
+
+def test_compiled_objectives_match_the_loop_at_edge_values() -> None:
+    """The straight-line kernel each ``SuiteFunction`` compiles on its first
+    ``evaluate`` gives the bits of the plain loop on all 120 problems, at the
+    domain's corners, at signed zeros and the smallest subnormal, and at
+    coordinates near 1e160, whose squares overflow to ``inf``; so does a copy
+    pickled before that first call, and one pickled after it."""
+    rng = np.random.default_rng(31)
+    for fn in _all_functions():
+        n = fn.dimension
+        points = [[v] * n for v in _EDGE_VALUES]
+        points += rng.choice(_EDGE_VALUES, (8, n)).tolist()
+        points += [fn.optimum_alpha.tolist(), [-0.0, *fn.optimum_beta.tolist()[1:]]]
+        assert "_objectives" not in vars(fn), fn.key  # building compiles nothing
+        before = pickle.loads(pickle.dumps(fn))
+        got = [_bits(astuple(fn.evaluate(x))) for x in points]
+        assert got == [_bits(_plain_objectives(fn, x)) for x in points], fn.key
+        assert "inf" in {f for pair in got for f in pair}, fn.key
+        assert fn._objectives.__code__.co_filename == f"<objectives {fn.key}>"
+        after = pickle.loads(pickle.dumps(fn))
+        assert "_objectives" not in vars(after), fn.key
+        for copy in (before, after):
+            assert [_bits(astuple(copy.evaluate(x))) for x in points] == got, fn.key
 
 
 @pytest.mark.parametrize(
