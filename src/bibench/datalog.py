@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 LOG_FORMAT = "runlog-v2"
-INDEX_FORMAT = "experiment-index-v1"
+INDEX_FORMAT = "experiment-index-v2"
 INDEX_FILENAME = "experiment_index.tsv"
 
 # Lines ``write_lines`` joins per write, bytes ``numbered_batches`` reads per
@@ -91,13 +91,6 @@ _READ_CHUNK = 1 << 14
 def problem_file(function_id: str, dimension: int, instance_id: int) -> str:
     """The file name of one problem's run log or reference set."""
     return f"{function_id}_d{dimension}_i{instance_id}.tsv"
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
 
 
 # Header keys in file order, each with the conversion of its value.
@@ -504,10 +497,7 @@ def recalculate(
 
 @dataclass(frozen=True)
 class IndexEntry:
-    file: str  # path relative to the index's directory
-    function_id: str
-    instance_id: int
-    dimension: int
+    file: str  # a name in the index's directory
     refset_version: str
 
 
@@ -515,12 +505,12 @@ class ExperimentWriter:
     """The experiment tree under ``root``.  ``write`` stages each run log
     under ``<root>/.staging/<algorithm>/``; ``close`` then moves every
     staged log to ``<root>/<algorithm>/<function>_d<dim>_i<inst>.tsv``,
-    writes each algorithm's index listing its logs, and removes the
-    staging directory.  Used as a context manager, it closes on success;
-    when the body raises it publishes nothing and removes the staging
-    directory, and the root too if it did not exist when the writer was
-    made and is empty, so a failed run or recalc leaves the file system as
-    it was.  Only one staged log is held in memory at a time."""
+    writes each algorithm's index, a ``file<TAB>refset_version`` row per
+    log, and removes the staging directory.  Used as a context manager, it
+    closes on success; when the body raises it publishes nothing and removes
+    the staging directory, and the root too if it did not exist when the
+    writer was made and is empty, so a failed run or recalc leaves the file
+    system as it was.  Only one staged log is held in memory at a time."""
 
     def __init__(self, root: Path | str) -> None:
         self._root = Path(root)
@@ -548,8 +538,7 @@ class ExperimentWriter:
         if name in self._rows.get(h.algorithm, {}):
             raise ValueError(f"a log of {h.algorithm} for {name} is already written")
         write_log(log, self._staging / h.algorithm / name)
-        row = f"{name}\t{h.function_id}\t{h.instance_id}\t{h.dimension}\t{h.refset_version}"
-        self._rows.setdefault(h.algorithm, {})[name] = row
+        self._rows.setdefault(h.algorithm, {})[name] = f"{name}\t{h.refset_version}"
         return self._root / h.algorithm / name
 
     def close(self) -> None:
@@ -566,7 +555,7 @@ class ExperimentWriter:
                     os.replace(self._staging / algorithm / name, self._root / algorithm / name)
                 write_lines(self._root / algorithm / INDEX_FILENAME, [
                     f"% format={INDEX_FORMAT}",
-                    "% columns=file function instance dimension refset_version",
+                    "% columns=file refset_version",
                     *rows.values(),
                 ])
         finally:
@@ -574,33 +563,27 @@ class ExperimentWriter:
 
 
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
-    """Parse an experiment index.  A missing or unknown format raises
-    :class:`LogVersionError`; a malformed row, a file that is not a plain
-    name in the index's directory (empty, ``.``, ``..`` or holding a
-    ``/``), an instance or dimension below 1, and a row that repeats an
-    earlier row's file or problem raise :class:`LogParseError` naming
-    ``path:line``."""
+    """Parse an ``experiment-index-v2`` index, one ``file<TAB>refset_version``
+    row per listed log.  A missing or other format raises
+    :class:`LogVersionError`; a row without 2 columns, a file that is not a
+    plain name in the index's directory (empty, ``.``, ``..`` or holding a
+    ``/``) and a row that repeats an earlier row's file raise
+    :class:`LogParseError` naming ``path:line``."""
     path = Path(path)
-    entries: list[IndexEntry] = []
-    rows: dict[tuple[str, str], int] = {}  # ("file", name) or ("problem", key) -> line
+    rows: dict[str, tuple[int, IndexEntry]] = {}  # file -> (line, entry)
     for number, line in _non_blank(_format_body(path, INDEX_FORMAT)):
         if line.startswith("%"):
             continue
         parts = line.split("\t")
-        if len(parts) != 5:
-            raise LogParseError(path, number, f"expected 5 columns, got {len(parts)}")
-        name, function_id = parts[0], parts[1]
+        if len(parts) != 2:
+            raise LogParseError(path, number, f"expected 2 columns, got {len(parts)}")
+        name = parts[0]
         if name in ("", ".", "..") or "/" in name:
             raise LogParseError(path, number, f"file {name!r} is not a name in this directory")
-        instance_id = convert_at(path, number, "instance", _positive_int, parts[2])
-        dimension = convert_at(path, number, "dimension", _positive_int, parts[3])
-        problem = problem_id(function_id, dimension, instance_id)
-        for key, what in ((("file", name), name), (("problem", problem), "problem " + problem)):
-            if key in rows:
-                raise LogParseError(path, number, f"{what} is already listed on line {rows[key]}")
-            rows[key] = number
-        entries.append(IndexEntry(name, function_id, instance_id, dimension, parts[4]))
-    return tuple(entries)
+        if name in rows:
+            raise LogParseError(path, number, f"{name} is already listed on line {rows[name][0]}")
+        rows[name] = number, IndexEntry(*parts)
+    return tuple(entry for _, entry in rows.values())
 
 
 def _is_run_log(path: Path) -> bool:
@@ -621,14 +604,15 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[RunLog]:
     """Read every run log listed by the experiment indexes under ``logs_dir``
     (one subdirectory per algorithm, named after it), in sorted index order.
     An algorithm directory, index or listed log that is a symbolic link,
-    which could lead out of the tree, raises ``ValueError`` naming it.  A
-    log whose header disagrees
-    with its index row on the function, instance, dimension or
-    reference-set version, or with the directory name on the algorithm,
-    raises ``ValueError`` naming the log.  A subdirectory holding a run log
-    but no index raises ``FileNotFoundError`` naming it before any log is
-    read; other subdirectories without an index, such as reference sets,
-    are skipped."""
+    which could lead out of the tree, raises ``ValueError`` naming it.  Only
+    the log header names the problem: a log listed under another name than
+    its header's ``problem_file``, or whose header disagrees with the directory
+    name on the algorithm or with its row on the reference-set version,
+    raises ``ValueError`` naming the log.  An index names each file once and
+    ``problem_file`` is injective, so no problem is read twice.  A
+    subdirectory holding a run log but no index raises ``FileNotFoundError``
+    naming it before any log is read; other subdirectories without an index,
+    such as reference sets, are skipped."""
     logs_dir = Path(logs_dir)
     unindexed = [
         d.name for d in sorted(logs_dir.glob("*"))
@@ -653,11 +637,12 @@ def iter_experiment(logs_dir: Path | str) -> Iterator[RunLog]:
             _reject_link(path, "run log")
             log = read_log(path)
             h = log.header
+            name = problem_file(h.function_id, h.dimension, h.instance_id)
+            if entry.file != name:
+                key = problem_id(h.function_id, h.dimension, h.instance_id)
+                raise ValueError(f"{path}: the log header's problem {key} must be listed as {name}")
             for what, listed, logged in (
                 ("algorithm", algorithm_dir.name, h.algorithm),
-                ("function", entry.function_id, h.function_id),
-                ("instance", entry.instance_id, h.instance_id),
-                ("dimension", entry.dimension, h.dimension),
                 ("refset version", entry.refset_version, h.refset_version),
             ):
                 if listed != logged:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +16,7 @@ from conftest import point_columns
 
 from bibench import refset, runner
 from bibench.cli import main
-from bibench.datalog import read_log
+from bibench.datalog import iter_experiment, read_log
 from bibench.suite import analytic_front_oracle, get_function
 
 
@@ -266,22 +271,25 @@ def test_recalc_rejects_index_version_mismatch(tmp_path, capsys) -> None:
 
 @pytest.mark.parametrize("command", ["recalc", "postprocess"])
 def test_bad_index_number_names_file_and_line(tmp_path, capsys, command) -> None:
-    refdir, logs = _tamper_index(tmp_path, lambda text, _: text.replace("\tf1\t1\t", "\tf1\tone\t"))
+    # A row still holding v1's function, instance and dimension columns.
+    refdir, logs = _tamper_index(tmp_path, lambda text, _: text.replace("\t", "\tf1\t1\t2\t"))
     argv = [command, "--logs", str(logs), "--out", str(tmp_path / "r")]
     if command == "recalc":
         argv += ["--refsets", str(refdir)]
     assert main(argv) == 1
-    assert "experiment_index.tsv:3: instance: invalid literal" in capsys.readouterr().err
+    assert "experiment_index.tsv:3: expected 2 columns, got 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["recalc", "postprocess"])
 def test_index_row_must_match_log_problem(tmp_path, capsys, command) -> None:
-    refdir, logs = _tamper_index(tmp_path, lambda text, _: text.replace("\tf1\t1\t2\t", "\tf3\t1\t5\t"))
+    refdir, logs = _tamper_index(tmp_path, lambda text, _: text.replace("f1_d2_i1", "f3_d5_i1"))
+    (logs / "random" / "f1_d2_i1.tsv").rename(logs / "random" / "f3_d5_i1.tsv")
     argv = [command, "--logs", str(logs), "--out", str(tmp_path / "r")]
     if command == "recalc":
         argv += ["--refsets", str(refdir)]
     assert main(argv) == 1
-    assert "f1_d2_i1.tsv: index lists function f3 but the log header says f1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "f3_d5_i1.tsv: the log header's problem f1:2:1 must be listed as f1_d2_i1.tsv" in err
 
 
 @pytest.mark.parametrize("command", ["recalc", "postprocess"])
@@ -308,7 +316,7 @@ def test_index_row_listing_copied_log_is_rejected(tmp_path, capsys, command) -> 
         argv += ["--refsets", str(refdir)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "experiment_index.tsv:4: problem f1:2:1 is already listed on line 3" in err
+    assert "copy.tsv: the log header's problem f1:2:1 must be listed as f1_d2_i1.tsv" in err
     assert not (tmp_path / "r").exists()
 
 
@@ -353,3 +361,77 @@ def test_usage_error_exits_two(tmp_path) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- a publish killed at every step -------------------------------------------
+
+# Run as ``python -c _KILL_AT k <bibench argv>``: the child SIGKILLs itself
+# just before its k-th call of os.replace, os.unlink, os.rmdir or
+# shutil.rmtree (pathlib's replace, unlink and rmdir call the first three).
+_KILL_AT = """
+import os, shutil, signal, sys
+from bibench.cli import main
+
+k, calls = int(sys.argv[1]), 0
+
+def killed_before(call):
+    def counted(*args, **kwargs):
+        global calls
+        calls += 1
+        if calls == k:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return call(*args, **kwargs)
+    return counted
+
+for module, name in ((os, "replace"), (os, "unlink"), (os, "rmdir"), (shutil, "rmtree")):
+    setattr(module, name, killed_before(getattr(module, name)))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _read_tree(root):
+    """The logs ``iter_experiment`` accepts under ``root``, or its error's type."""
+    try:
+        return list(iter_experiment(root))
+    except (OSError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("command", ["run", "recalc"])
+def test_a_publish_killed_at_any_step_never_yields_a_mixed_tree(tmp_path, command) -> None:
+    # One child at a time runs into a copy of a published tree, another run
+    # with a new seed or a recalc in place against other reference sets, and
+    # is killed at its k-th step, for k = 1, 2, ... until it exits cleanly.
+    # Each killed tree must read as the old tree or the new one, compared by
+    # header and records, or fail with a named error.  A kill inside
+    # ExperimentWriter.close deletes the old index before the new one is
+    # written, so some kills lose both trees (FileNotFoundError).
+    grid = ["--functions", "f1", "--dims", "2", "--instances", "1-2"]
+    for seed in ("1", "2"):
+        assert main(["bootstrap-refsets", *grid, "--budget", "200", "--seed", seed,
+                     "--out", str(tmp_path / f"refsets{seed}")]) == 0
+    run = ["run", *grid, "--budget", "100", "--refsets", str(tmp_path / "refsets1")]
+    old = tmp_path / "old"
+    assert main([*run, "--seed", "1", "--out", str(old)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(runner.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    killed = []
+    for k in itertools.count(1):
+        assert k <= 100, "the child was still killed at its 100th step"
+        work = tmp_path / f"kill{k}"
+        shutil.copytree(old, work)
+        argv = ([*run, "--seed", "2", "--out", str(work)] if command == "run" else
+                ["recalc", "--logs", str(work), "--refsets", str(tmp_path / "refsets2"),
+                 "--out", str(work)])
+        child = subprocess.run([sys.executable, "-c", _KILL_AT, str(k), *argv],
+                               env=env, capture_output=True, text=True, timeout=120)
+        if child.returncode == 0:
+            break
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        killed.append(_read_tree(work))
+    old_logs, new_logs = _read_tree(old), _read_tree(work)
+    assert isinstance(new_logs, list) and len(new_logs) == len(old_logs) == 2
+    assert all(a != b for a, b in zip(old_logs, new_logs))
+    assert all(tree in (old_logs, new_logs, FileNotFoundError) for tree in killed), killed
+    assert old_logs in killed and new_logs in killed

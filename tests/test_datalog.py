@@ -31,6 +31,7 @@ from bibench.datalog import (
     RunHeader,
     RunLog,
     iter_experiment,
+    problem_file,
     read_experiment_index,
     read_log,
     recalculate,
@@ -352,7 +353,7 @@ def test_dimension_one_is_a_valid_spec_and_header_and_below_one_is_not(tmp_path)
 def test_run_header_refuses_a_value_the_readers_refuse(field, value, message) -> None:
     # Each value, once written, is one the readers refuse or alter: the bool
     # and float numbers fail read_log at their line ("invalid literal for
-    # int()"), a tab, newline or empty name the index ("expected 5 columns"),
+    # int()"), a tab, newline or empty name the index ("expected 2 columns"),
     # " f1" the log's lookup (FileNotFoundError), and "ab " reads as "ab".
     # ExperimentWriter makes paths of the algorithm and function: ".." would
     # publish above the root, ".staging" inside the staging directory, "x/y"
@@ -439,8 +440,12 @@ def test_a_second_log_of_one_problem_is_refused_and_the_tree_kept(tmp_path) -> N
 def test_experiment_index_round_trip(tmp_path) -> None:
     path = _write_experiment(tmp_path)
     assert read_experiment_index(path) == (
-        IndexEntry("f1_d2_i1.tsv", "f1", 1, 2, "ab12cd34ef56ab78"),
-        IndexEntry("f1_d2_i2.tsv", "f1", 2, 2, "ab12cd34ef56ab78"),
+        IndexEntry("f1_d2_i1.tsv", "ab12cd34ef56ab78"),
+        IndexEntry("f1_d2_i2.tsv", "ab12cd34ef56ab78"),
+    )
+    assert path.read_text() == (
+        "% format=experiment-index-v2\n% columns=file refset_version\n"
+        "f1_d2_i1.tsv\tab12cd34ef56ab78\nf1_d2_i2.tsv\tab12cd34ef56ab78\n"
     )
     assert sorted(p.name for p in path.parent.iterdir()) == [
         INDEX_FILENAME, "f1_d2_i1.tsv", "f1_d2_i2.tsv",
@@ -449,9 +454,10 @@ def test_experiment_index_round_trip(tmp_path) -> None:
 
 def test_experiment_index_rejects_bad_rows(tmp_path) -> None:
     path = tmp_path / INDEX_FILENAME
-    path.write_text("% format=experiment-index-v1\nonly\ttwo\n")
-    with pytest.raises(LogParseError, match="expected 5 columns"):
-        read_experiment_index(path)
+    for row, got in (("only\ttwo\tthree", 3), ("one", 1)):
+        path.write_text(f"% format=experiment-index-v2\n{row}\n")
+        with pytest.raises(LogParseError, match=rf"index\.tsv:2: expected 2 columns, got {got}$"):
+            read_experiment_index(path)
 
 
 def _log_text(tmp_path, rows, budget: int = 100):
@@ -558,13 +564,6 @@ def test_read_reports_bad_header_number_with_line(tmp_path) -> None:
         read_log(path)
 
 
-def test_experiment_index_reports_bad_number_with_line(tmp_path) -> None:
-    path = tmp_path / INDEX_FILENAME
-    path.write_text("% format=experiment-index-v1\nf1_d2_i1.tsv\tf1\tone\t2\tab12\n")
-    with pytest.raises(LogParseError, match=r"experiment_index\.tsv:2: instance: invalid literal"):
-        read_experiment_index(path)
-
-
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_read_rejects_budget_below_one(tmp_path, budget) -> None:
     path = write_log(RunLog(_header(), record_columns()), tmp_path / "run.tsv")
@@ -603,27 +602,18 @@ def test_read_rejects_budget_beyond_int64(tmp_path) -> None:
 
 def test_experiment_index_requires_format_line(tmp_path) -> None:
     path = tmp_path / INDEX_FILENAME
-    row = "f1_d2_i1.tsv\tf1\t1\t2\tab12\n"
+    row = "f1_d2_i1.tsv\tab12\n"
     path.write_text(row)
     with pytest.raises(LogVersionError, match="line 1"):
         read_experiment_index(path)
     path.write_text("% format=experiment-index-v9\n" + row)
     with pytest.raises(LogVersionError, match="experiment-index-v9"):
         read_experiment_index(path)
-
-
-@pytest.mark.parametrize(
-    ("row", "message"),
-    [
-        ("f1_d2_i1.tsv\tf1\t0\t2\tab12", r":2: instance: must be at least 1, got 0"),
-        ("f1_d2_i1.tsv\tf1\t1\t-3\tab12", r":2: dimension: must be at least 1, got -3"),
-    ],
-    ids=["instance", "dimension"],
-)
-def test_experiment_index_rejects_numbers_below_one(tmp_path, row, message) -> None:
-    path = tmp_path / INDEX_FILENAME
-    path.write_text(f"% format=experiment-index-v1\n{row}\n")
-    with pytest.raises(LogParseError, match=r"experiment_index\.tsv" + message):
+    # A v1 row also repeated the log header's function, instance and dimension.
+    path.write_text("% format=experiment-index-v1\nf1_d2_i1.tsv\tf1\t1\t2\tab12\n")
+    with pytest.raises(LogVersionError, match=(
+        r"index\.tsv: unsupported format 'experiment-index-v1', expected experiment-index-v2$"
+    )):
         read_experiment_index(path)
 
 
@@ -643,27 +633,50 @@ def test_experiment_index_rejects_repeated_file(tmp_path) -> None:
 
 
 def test_experiment_index_rejects_repeated_problem(tmp_path) -> None:
+    # The index knows no problems; a copy of a log listed under another
+    # name fails the naming rule when the tree is read.
     path = _write_experiment(tmp_path)
+    (path.parent / "copy.tsv").write_bytes((path.parent / "f1_d2_i1.tsv").read_bytes())
     _append_row(path, lambda row: row.replace("f1_d2_i1", "copy"))
+    assert [e.file for e in read_experiment_index(path)][-1] == "copy.tsv"
     with pytest.raises(
-        LogParseError, match=r"experiment_index\.tsv:5: problem f1:2:1 is already listed on line 3"
+        ValueError, match=r"copy\.tsv: the log header's problem f1:2:1 must be listed as f1_d2_i1\.tsv$"
     ):
-        read_experiment_index(path)
+        list(iter_experiment(tmp_path))
 
 
-def test_experiment_index_file_named_like_a_problem_is_not_that_problem(tmp_path) -> None:
-    # File names and problem keys are separate keyspaces: a file named
-    # "f1:2:1" listed for f2 does not repeat problem f1:2:1, nor the reverse.
-    path = tmp_path / INDEX_FILENAME
-    path.write_text(
-        "% format=experiment-index-v1\n"
-        "f1:2:1\tf2\t1\t2\tab12\n"
-        "f1_d2_i1.tsv\tf1\t1\t2\tab12\n"
-        "f2:2:1\tf3\t1\t2\tab12\n"
-    )
-    assert [(e.file, e.function_id) for e in read_experiment_index(path)] == [
-        ("f1:2:1", "f2"), ("f1_d2_i1.tsv", "f1"), ("f2:2:1", "f3"),
-    ]
+@pytest.mark.parametrize("renamed", ["f1_d2_i9.tsv", "f1_d2_i1.TSV", "f1_d02_i1.tsv"])
+def test_a_renamed_log_is_refused_by_the_naming_rule(tmp_path, renamed) -> None:
+    path = _write_experiment(tmp_path)
+    (path.parent / "f1_d2_i1.tsv").rename(path.parent / renamed)
+    path.write_text(path.read_text().replace("f1_d2_i1.tsv", renamed))
+    with pytest.raises(
+        ValueError, match=rf"{re.escape(renamed)}: the log header's problem f1:2:1 must be listed as"
+    ):
+        list(iter_experiment(tmp_path))
+
+
+_FUNCTION_IDS = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1).filter(
+    lambda f: "/" not in f and not f.startswith(".")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    function_id=st.one_of(_FUNCTION_IDS, st.builds("{}_d3_i4{}".format, _FUNCTION_IDS, st.text(
+        st.sampled_from("_di0123456789.tsv"), max_size=8))),
+    dimension=st.integers(1, 10**6), instance_id=st.integers(1, 10**6),
+)
+def test_problem_file_reads_back_from_the_right(function_id, dimension, instance_id) -> None:
+    # Dimension and instance are positive integers, written without sign or
+    # leading zero, so "_d<dim>_i<inst>.tsv" is read back from the right even
+    # when the function id holds "_d3_i4": problem_file is injective.
+    spec = replace(_spec(), function_id=function_id, dimension=dimension, instance_id=instance_id)
+    rest, _, instance = problem_file(
+        spec.function_id, spec.dimension, spec.instance_id
+    ).removesuffix(".tsv").rpartition("_i")
+    function, _, dimension_text = rest.rpartition("_d")
+    assert (function, int(dimension_text), int(instance)) == (function_id, dimension, instance_id)
 
 
 def test_iter_experiment_skips_a_subdirectory_of_an_unindexed_directory(tmp_path) -> None:
@@ -681,7 +694,7 @@ def test_iter_experiment_skips_a_subdirectory_of_an_unindexed_directory(tmp_path
 )
 def test_experiment_index_rejects_a_file_outside_its_directory(tmp_path, name) -> None:
     path = tmp_path / INDEX_FILENAME
-    path.write_text(f"% format=experiment-index-v1\n% columns=x\n{name}\tf1\t1\t2\tab12\n")
+    path.write_text(f"% format=experiment-index-v2\n% columns=x\n{name}\tab12\n")
     with pytest.raises(
         LogParseError, match=rf"experiment_index\.tsv:3: file '{re.escape(name)}' is not a name"
     ):

@@ -1,8 +1,9 @@
 """Comparison-flip mutation probe for named bibench functions and classes.
 
 Each mutant flips one comparison operator (``<``/``<=``, ``>``/``>=``,
-``==``/``!=``) inside one target, in a temporary copy of ``src/``, ``tests/``
-and ``pyproject.toml``; the working tree is never written.  The named tests
+``==``/``!=``, ``in``/``not in``, ``is``/``is not``) inside one target, in a
+temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``; the working
+tree is never written.  The named tests
 then run against the mutant in one child ``pytest -x`` process at a time.
 A mutant whose tests all pass survives, and is printed with its line.
 
@@ -29,8 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
-SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
+         ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+           ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not"}
 # A flip can turn a loop endless; a child run past this many seconds counts
 # the mutant as killed.
 TIMEOUT_S = 1800
