@@ -11,12 +11,13 @@ checked when made.  Floats are written as shortest round-trip decimals, so
 rewriting a parsed file is byte-identical.  Records are held as columns,
 24 bytes each, and written, read and replayed without record objects.
 
-Every bibench file is a text file of lines, so their shared line handling
+Every bibench file is a table of lines, so their shared line handling
 lives here: ``atomic_write`` publishes every file atomically, ``write_lines``
 writes a file of lines through it, ``numbered_batches`` reads every file a
-batch of lines at a time, ``read_rows`` converts a batch of records or points
-at once, and ``convert_at`` and ``build_header`` turn a bad value or header
-into a :class:`LogParseError` naming ``path:line``.
+batch of lines at a time, and ``read_table``, the one reader of run logs,
+indexes and reference sets, checks a file's format line and ``% key=value``
+header and converts its rows a batch at a time, naming a bad line, value or
+header in a :class:`LogParseError` at ``path:line``.
 
 ``ExperimentWriter`` owns the experiment tree: one directory per
 algorithm holding its run logs and their index.  Logs are staged under
@@ -86,6 +87,8 @@ INDEX_FILENAME = "experiment_index.tsv"
 # batch: few enough to bound memory, many enough that call overhead stays small.
 _WRITE_CHUNK = 4096
 _READ_CHUNK = 1 << 14
+# The ASCII bytes besides "\r" that end a line for ``str.splitlines``.
+_LINE_ENDS = (b"\n", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 
 
 def problem_file(function_id: str, dimension: int, instance_id: int) -> str:
@@ -157,8 +160,8 @@ def numbered_batches(path: Path | str) -> Iterator[tuple[int, list[str]]]:
     text, once a scan finds every byte ASCII (else the same cut, yielding nothing,
     raises :class:`LogParseError` at the first other byte's line).  A file shorter
     than ``_READ_CHUNK`` is cut from the bytes scanned; a longer one is read again,
-    cut after each chunk's last ``\\n`` or ``\\r``, so a file of ``\\n``, ``\\r\\n``
-    or ``\\r`` lines is never held whole."""
+    cut after each chunk's last line end (``_LINE_ENDS`` or ``\\r``), so a file is
+    never held whole, whichever line ends it uses."""
     path = Path(path)
     with open(path, "rb") as f:
         read = partial(f.read, _READ_CHUNK)
@@ -173,7 +176,7 @@ def numbered_batches(path: Path | str) -> Iterator[tuple[int, list[str]]]:
                 at = next(i for i, byte in enumerate(chunk) if byte > 127)
                 before = b"".join([*held, chunk[:at], b"x"]).decode("ascii").splitlines()
                 raise LogParseError(path, number + len(before) - 1, "non-ASCII byte")
-            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+            cut = max(chunk.rfind(b"\r", 0, -1), *map(chunk.rfind, _LINE_ENDS)) + 1
             if chunk and not cut:  # no line end yet: joined once one comes
                 held.append(chunk)
             elif lines := b"".join([*held, chunk[:cut]]).decode("ascii").splitlines():
@@ -188,101 +191,126 @@ def _non_blank(batches: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[int, 
             for number, raw in enumerate(lines, first) if (line := raw.strip()))
 
 
-def read_rows(batches: Iterable[tuple[int, list[str]]], header_mark: str,
-              columns: tuple[array, ...], parse: Callable[[int, str], None]) -> int:
-    """Pass ``parse`` the number and stripped text of each non-blank line of ``batches``
-    up to the first row, the first not starting with ``header_mark``.  Convert later
-    batches at once, split on tabs, by ``int`` into a ``"q"`` column and ``float`` into
-    a ``"d"`` one, else pass them to ``parse`` line by line, which would take every
-    batch taken here with its values.  Return the number of the last non-blank line, or 1."""
-    width, rows, last = len(columns) + 1, False, 1  # a line's cells, then the "\n" joined after it
-    for first, lines in batches:
-        k = 0
-        while not rows and k < len(lines):
-            if line := lines[k].strip():
-                parse(first + k, line)
-                rows, last = not line.startswith(header_mark), first + k
-            k += 1
-        # Each "\n" between lines is a cell no conversion takes, so a line with a
-        # cell too many or too few converts one; the count checks the last line.
-        n, cells = len(lines) - k, "\t\n\t".join(lines[k:]).split("\t")
-        if n and len(cells) == width * n - 1:
-            with contextlib.suppress(ValueError, OverflowError):  # OverflowError: beyond int64
-                new = [array(c.typecode, map(int if c.typecode == "q" else float, cells[j::width]))
-                       for j, c in enumerate(columns)]
-                for column, values in zip(columns, new):
-                    column.extend(values)
-                last = first + len(lines) - 1  # a converted line is never blank
-                continue
-        for last, line in _non_blank([(first + k, lines[k:])]):
-            parse(last, line)
-    return last
-
-
-def convert_at(path: Path | str, line: int, what: str, fn, text: str):
-    """``fn(text)``, with a ``ValueError`` re-raised as :class:`LogParseError`
-    naming ``path:line`` and ``what``."""
-    try:
-        return fn(text)
-    except ValueError as exc:
-        raise LogParseError(path, line, f"{what}: {exc}") from None
-
-
-def add_header_key(path: Path, header: dict, key: str, value: str, line: int) -> None:
-    """``header[key] = (value, line)``; a key given twice raises :class:`LogParseError`."""
-    if key in header:
-        raise LogParseError(path, line, f"header key {key} repeats line {header[key][1]}")
-    header[key] = (value, line)
-
-
-def build_header(
-    path: Path, header: dict[str, tuple[str, int]], keys: dict, build, line: int,
-    missing: str = "missing header keys",
-):
-    """``build(values)`` from a file's ``key -> (text, line)`` header, each of
-    ``keys`` converted by ``convert_at`` with its conversion.  Missing keys
-    are reported at ``line``, a ``ValueError`` from ``build`` at the last
-    header line."""
-    absent = [k for k in keys if k not in header]
-    if absent:
-        raise LogParseError(path, line, f"{missing}: {', '.join(absent)}")
-    values = {k: convert_at(path, header[k][1], k, fn, header[k][0]) for k, fn in keys.items()}
-    try:
-        return build(values)
-    except RowError:
-        raise  # rows_at_lines names the line of its row
-    except ValueError as exc:
-        raise LogParseError(path, max(line for _, line in header.values()), str(exc)) from None
-
-
-@contextlib.contextmanager
-def rows_at_lines(path: Path, header_mark: str) -> Iterator[None]:
-    """Re-raise a :class:`RowError` as :class:`LogParseError` at the line of its
-    row, found by reading ``path`` again and skipping ``header_mark`` lines."""
-    try:
-        yield
-    except RowError as exc:
-        rows = (number for number, line in _non_blank(numbered_batches(path))
-                if not line.startswith(header_mark))
-        raise LogParseError(path, next(itertools.islice(rows, exc.row, None)), str(exc)) from None
-
-
 class LogVersionError(ValueError):
     """The file declares no format, or one its reader does not read."""
 
 
-def _format_body(path: Path, expected: str) -> Iterator[tuple[int, list[str]]]:
-    """``numbered_batches(path)`` after line 1, which must be
-    ``% format=<expected>`` (otherwise :class:`LogVersionError`)."""
+class HeaderError(ValueError):
+    """A header value its rows contradict; :func:`read_table` names the line of ``key``."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(message)
+        self.key = key
+
+
+def _text(cell: str) -> str:
+    """A text cell, stripped; a blank one or one starting with ``%`` is refused."""
+    if not (text := cell.strip()) or text.startswith("%"):
+        raise ValueError(f"expected a text cell, got {cell!r}")
+    return text
+
+
+# A typecode's cell conversion, and the column that holds the converted cells.
+_CELLS = {"q": (int, partial(array, "q")), "d": (float, partial(array, "d")), "s": (_text, list)}
+
+
+def read_table(path: Path | str, format: str, typecodes: str, keys: dict, build: Callable):
+    """``build(values, *columns)`` of a table file, the one reader of every
+    bibench file: line 1 is ``% format=<format>`` (else :class:`LogVersionError`),
+    then ``% key=value`` header lines, then rows of tab-separated cells, one per
+    typecode: ``q`` into an int64 ``array``, ``d`` a float64 one, ``s`` a list of
+    stripped text.  ``values`` maps each of ``keys`` to its conversion of its text.
+    Every other failure raises :class:`LogParseError` naming ``path:line``, at:
+
+    - a ``%`` line after the first row, or a header key given twice;
+    - the first row, for a missing key (or the last non-blank line, if no row);
+    - a key whose text does not convert, or a row without one cell per
+      typecode or with a cell that does not convert or, for ``q``, fit int64;
+    - then, from ``build``: the line of a :class:`RowError`'s row, of a
+      :class:`HeaderError`'s key, and the last header line for another ``ValueError``.
+
+    Rows after the first convert a batch of lines at a time, else line by line."""
+    path = Path(path)
     batches = numbered_batches(path)
     _, lines = next(batches, (1, [""]))
-    first = lines[0].strip()
-    if not first.startswith("% format="):
+    if not (declared := lines[0].strip()).startswith("% format="):
         raise LogVersionError(f"{path}: missing format declaration on line 1")
-    declared = first.partition("=")[2].strip()
-    if declared != expected:
-        raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {expected}")
-    return itertools.chain([(2, lines[1:])], batches)
+    if (declared := declared.partition("=")[2].strip()) != format:
+        raise LogVersionError(f"{path}: unsupported format {declared!r}, expected {format}")
+    header = {"format": (format, 1)}  # key -> (text, line)
+    kinds = [_CELLS[code] for code in typecodes]
+    columns = [column() for _, column in kinds]
+    values, last, width = None, 1, len(typecodes) + 1  # a row's cells, then the "\n" after it
+
+    def converted_keys(number: int) -> dict:
+        if absent := [k for k in keys if k not in header]:
+            raise LogParseError(path, number, f"missing header keys: {', '.join(absent)}")
+        converted = {}
+        for key, convert in keys.items():
+            text, at = header[key]
+            try:
+                converted[key] = convert(text)
+            except ValueError as exc:
+                raise LogParseError(path, at, f"{key}: {exc}") from None
+        return converted
+
+    def parse(number: int, line: str) -> None:
+        nonlocal values
+        if line.startswith("%"):
+            if values is not None:
+                raise LogParseError(path, number, "header line after the first row")
+            key, sep, text = line[1:].partition("=")
+            if sep:
+                if (key := key.strip()) in header:
+                    raise LogParseError(path, number,
+                                        f"header key {key} repeats line {header[key][1]}")
+                header[key] = text.strip(), number
+            return
+        if values is None:
+            values = converted_keys(number)
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise LogParseError(path, number, f"expected {len(columns)} columns, got {len(cells)}")
+        try:
+            for column, (convert, _), cell in zip(columns, kinds, cells):
+                column.append(convert(cell))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
+            raise LogParseError(path, number, str(exc)) from None
+
+    for first, lines in itertools.chain([(2, lines[1:])], batches):
+        k = 0
+        while values is None and k < len(lines):  # the header and the first row, by line
+            if line := lines[k].strip():
+                parse(first + k, line)
+                last = first + k
+            k += 1
+        # Each "\n" between lines is a cell no conversion takes (a text cell
+        # strips to blank), so a line with a cell too many or too few converts
+        # one; the count checks the last line.
+        n, cells = len(lines) - k, "\t\n\t".join(lines[k:]).split("\t")
+        if n and len(cells) == width * n - 1:
+            with contextlib.suppress(ValueError, OverflowError):
+                new = [column(map(convert, cells[j::width]))
+                       for j, (convert, column) in enumerate(kinds)]
+                for column, converted in zip(columns, new):
+                    column.extend(converted)
+                continue
+        for number, line in _non_blank([(first + k, lines[k:])]):
+            parse(number, line)
+    lines = cells = new = None  # the last batch is not held while ``build`` runs
+    if values is None:  # no row: the last line is the last header line
+        values = converted_keys(last)
+    try:
+        return build(values, *columns)
+    except ValueError as exc:
+        if isinstance(exc, RowError):
+            rows = (number for number, line in _non_blank(numbered_batches(path))
+                    if not line.startswith("%"))
+            line = next(itertools.islice(rows, exc.row, None))
+        else:
+            line = header[exc.key][1] if isinstance(exc, HeaderError) else max(
+                at for _, at in header.values())
+        raise LogParseError(path, line, str(exc)) from None
 
 
 class LogReplayError(ValueError):
@@ -377,57 +405,23 @@ def write_log(log: RunLog, path: Path | str) -> Path:
     return write_lines(path, itertools.chain(header, records))
 
 
-def _run_header(v: dict) -> RunHeader:
-    """The header from ``_HEADER``'s converted values, checked by ``ProblemSpec``."""
-    return RunHeader(
+def _run_log(v: dict, evals: array, alpha: array, beta: array) -> RunLog:
+    """The log from ``_HEADER``'s converted values and the record columns."""
+    header = RunHeader(
         function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
         ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
         nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]), i_ref=v["i_ref"],
         refset_version=v["refset_version"], algorithm=v["algorithm"], budget=v["budget"],
     )
+    return RunLog(header, RecordColumns(evals, alpha, beta))
 
 
 def read_log(path: Path | str) -> RunLog:
-    """Parse a ``runlog-v2`` run log.  A missing or other format raises
-    :class:`LogVersionError`, anything else :class:`LogParseError` naming
-    ``path:line``.  Lines are parsed first: a repeated header key, a header
-    line after a record, or a record without 3 parsable columns or with a
-    count beyond int64 fails at its line.  Then :class:`RunHeader` checks the
-    header, at the last header line, and :class:`RunLog` the records, at the
-    line of the first bad row.  ``read_rows`` parses records a batch at a time."""
-    path = Path(path)
-    header: dict[str, tuple[str, int]] = {}
-    run_header: RunHeader | None = None
-    evals, alpha, beta = columns = array("q"), array("d"), array("d")
-
-    def parse(number: int, line: str) -> None:
-        nonlocal run_header
-        if line.startswith("%"):
-            if run_header is not None:
-                raise LogParseError(path, number, "header line after the first record")
-            key, sep, value = line[1:].strip().partition("=")
-            if sep:
-                add_header_key(path, header, key.strip(), value.strip(), number)
-            return
-        if run_header is None:
-            run_header = build_header(path, header, _HEADER, _run_header, number,
-                                      "records start before header keys")
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LogParseError(path, number,
-                                f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}")
-        try:
-            evals.append(int(parts[0]))
-            alpha.append(float(parts[1]))
-            beta.append(float(parts[2]))
-        except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond int64
-            raise LogParseError(path, number, str(exc)) from None
-
-    number = read_rows(_format_body(path, LOG_FORMAT), "%", columns, parse)
-    if run_header is None:
-        run_header = build_header(path, header, _HEADER, _run_header, number)
-    with rows_at_lines(path, "%"):
-        return RunLog(run_header, RecordColumns(evals, alpha, beta))
+    """Parse a ``runlog-v2`` run log, a table of ``eval<TAB>f_alpha<TAB>f_beta``
+    records under ``_HEADER``'s keys, by :func:`read_table`'s rules:
+    :class:`RunHeader` refuses a header at the last header line, and
+    :class:`RunLog` a record at its line."""
+    return read_table(path, LOG_FORMAT, "qdd", _HEADER, _run_log)
 
 
 class Assessment:
@@ -562,28 +556,23 @@ class ExperimentWriter:
             shutil.rmtree(self._staging, ignore_errors=True)
 
 
+def _index_entries(values: dict, files: list[str], versions: list[str]) -> tuple[IndexEntry, ...]:
+    listed = set()
+    for row, name in enumerate(files):
+        if name in (".", "..") or "/" in name:
+            raise RowError(row, f"file {name!r} is not a name in this directory")
+        if name in listed:
+            raise RowError(row, f"{name} is listed twice")
+        listed.add(name)
+    return tuple(map(IndexEntry, files, versions))
+
+
 def read_experiment_index(path: Path | str) -> tuple[IndexEntry, ...]:
     """Parse an ``experiment-index-v2`` index, one ``file<TAB>refset_version``
-    row per listed log.  A missing or other format raises
-    :class:`LogVersionError`; a row without 2 columns, a file that is not a
-    plain name in the index's directory (empty, ``.``, ``..`` or holding a
-    ``/``) and a row that repeats an earlier row's file raise
-    :class:`LogParseError` naming ``path:line``."""
-    path = Path(path)
-    rows: dict[str, tuple[int, IndexEntry]] = {}  # file -> (line, entry)
-    for number, line in _non_blank(_format_body(path, INDEX_FORMAT)):
-        if line.startswith("%"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise LogParseError(path, number, f"expected 2 columns, got {len(parts)}")
-        name = parts[0]
-        if name in ("", ".", "..") or "/" in name:
-            raise LogParseError(path, number, f"file {name!r} is not a name in this directory")
-        if name in rows:
-            raise LogParseError(path, number, f"{name} is already listed on line {rows[name][0]}")
-        rows[name] = number, IndexEntry(*parts)
-    return tuple(entry for _, entry in rows.values())
+    row per listed log, by :func:`read_table`'s rules.  A file that is not a
+    plain name in the index's directory (``.``, ``..`` or holding a ``/``), or
+    that an earlier row lists, is refused at its row's line."""
+    return read_table(path, INDEX_FORMAT, "ss", {}, _index_entries)
 
 
 def _is_run_log(path: Path) -> bool:

@@ -10,8 +10,9 @@ is passed in: ``i_ref`` is computed from the points and bounds when a
 time it is read.  The writer derives the version it stores from the lines
 it writes, so writing a set formats and hashes each point once.
 
-Files are plain text: ``#``-prefixed ``key=value`` header lines followed
-by one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
+Files are ``refset-v2`` tables, read by ``datalog.read_table`` like run
+logs: a ``% format=refset-v2`` line, one ``% key=value`` line per header key,
+then one ``f_alpha<TAB>f_beta`` line per point at 17 significant digits.
 
 A set's points live in two read-only float64 columns (:class:`PointColumns`)
 from the merge to the file and back: the filter, ``i_ref``, the version
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,10 +36,7 @@ import numpy as np
 from bibench import suite
 from bibench.archive import sweep_hypervolume
 from bibench.core import Columns, ObjectiveVector, ProblemSpec, RowError
-from bibench.datalog import (
-    LogParseError, add_header_key, atomic_write, build_header, convert_at, numbered_batches,
-    problem_file, read_rows, rows_at_lines,
-)
+from bibench.datalog import HeaderError, atomic_write, problem_file, read_table
 
 __all__ = [
     "PointColumns",
@@ -54,6 +51,7 @@ __all__ = [
     "write_reference_set",
 ]
 
+REFSET_FORMAT = "refset-v2"
 _VERSION_DIGITS = 16
 
 
@@ -235,24 +233,19 @@ def refset_path(directory: Path | str, function_id: str, dimension: int, instanc
 def write_reference_set(rs: ReferenceSet, path: Path | str) -> Path:
     """Write ``rs`` through ``atomic_write`` in one pass over its points:
     each block of lines goes to the file and to the version hash together.
-    The first header line reserves the version's ``_VERSION_DIGITS``, which
-    are filled in before the file is published; ``rs.version`` is not read."""
-    bounds = "estimated" if rs.bounds_estimated else "analytic"
-    before_version = (f"# function={rs.function_id} instance={rs.instance_id} "
-                      f"dimension={rs.dimension} version=")
-    header = (
-        f"{before_version}{'0' * _VERSION_DIGITS} i_ref={rs.i_ref:.17g}\n"
-        f"# ideal_alpha={rs.ideal.f_alpha:.17g} ideal_beta={rs.ideal.f_beta:.17g} "
-        f"nadir_alpha={rs.nadir.f_alpha:.17g} nadir_beta={rs.nadir.f_beta:.17g} "
-        f"bounds={bounds}\n"
-        "# clipping: hypervolume counts the ROI box only; negative normalized "
-        "coordinates are clamped to 0\n"
-    ).encode("ascii")
+    The version's header line reserves its ``_VERSION_DIGITS``, which are
+    filled in before the file is published; ``rs.version`` is not read."""
+    values = (
+        rs.function_id, rs.instance_id, rs.dimension, "0" * _VERSION_DIGITS, f"{rs.i_ref:.17g}",
+        f"{rs.ideal.f_alpha:.17g}", f"{rs.ideal.f_beta:.17g}", f"{rs.nadir.f_alpha:.17g}",
+        f"{rs.nadir.f_beta:.17g}", "estimated" if rs.bounds_estimated else "analytic",
+    )
+    header = f"% format={REFSET_FORMAT}\n" + "".join(map("% {}={}\n".format, _HEADER, values))
     with atomic_write(path) as f:
-        f.write(header)
+        f.write(header.encode("ascii"))
         version = _hash_lines(rs.points, f.write)
         f.write(b"\n")
-        f.seek(len(before_version))  # ASCII: one byte per character
+        f.seek(header.index("% version=") + len("% version="))  # ASCII: one byte per character
         f.write(version.encode("ascii"))
     return Path(path)
 
@@ -263,14 +256,7 @@ def _bounds_estimated(text: str) -> bool:
     return text == "estimated"
 
 
-def _point(line: str) -> tuple[float, float]:
-    parts = line.split("\t")
-    if len(parts) != 2:
-        raise ValueError(f"expected 2 columns, got {len(parts)}")
-    return float(parts[0]), float(parts[1])
-
-
-# Header keys, each with the conversion of its value.
+# Header keys in file order, each with the conversion of its value.
 _HEADER = {
     "function": str, "instance": int, "dimension": int, "version": str, "i_ref": float,
     "ideal_alpha": float, "ideal_beta": float, "nadir_alpha": float, "nadir_beta": float,
@@ -278,55 +264,29 @@ _HEADER = {
 }
 
 
-def read_reference_set(path: Path | str) -> ReferenceSet:
-    """Parse a reference-set file; every failure raises :class:`LogParseError`
-    naming ``path:line``.
-
-    Lines are parsed first: header keys parse, each given once, ``bounds``
-    is ``analytic`` or ``estimated``, and a point is two numbers.  Then
-    :class:`ReferenceSet` names its first non-finite or out-of-order point's
-    line, and a header ``ProblemSpec`` refuses at the last header line.  The
-    stored version and ``i_ref`` must equal, bit for bit, those the set
-    derives from its points, each at its own header line; a mismatch means
-    the file was edited or corrupted.  ``read_rows`` converts points a batch at
-    a time (``_point`` the rest) into the set's columns.
-    """
-    path = Path(path)
-    header: dict[str, tuple[str, int]] = {}
-    alpha, beta = array("d"), array("d")
-
-    def parse(number: int, line: str) -> None:
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, sep, value = token.partition("=")
-                if sep:
-                    add_header_key(path, header, key, value, number)
-        else:
-            f_alpha, f_beta = convert_at(path, number, "point", _point, line)
-            alpha.append(f_alpha)
-            beta.append(f_beta)
-
-    number = read_rows(numbered_batches(path), "#", (alpha, beta), parse)
-
-    with rows_at_lines(path, "#"):
-        stored, rs = build_header(
-            path, header, _HEADER,
-            lambda v: (v, ReferenceSet(
-                function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
-                points=PointColumns(alpha, beta),
-                ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
-                nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
-                bounds_estimated=v["bounds"],
-            )),
-            number,
-        )
+def _reference_set(v: dict, alpha, beta) -> ReferenceSet:
+    """The set from ``_HEADER``'s converted values and the point columns; a
+    stored version or ``i_ref`` other than the set's raises :class:`HeaderError`."""
+    rs = ReferenceSet(
+        function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
+        points=PointColumns(alpha, beta), ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
+        nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]), bounds_estimated=v["bounds"],
+    )
     for key, derived in (("version", "point content"), ("i_ref", "recomputation")):
-        if stored[key] != getattr(rs, key):
-            raise LogParseError(
-                path, header[key][1],
-                f"stored {key} {stored[key]} does not match {derived} {getattr(rs, key)}",
-            )
+        if v[key] != getattr(rs, key):
+            raise HeaderError(key, f"stored {key} {v[key]} does not match {derived} "
+                                   f"{getattr(rs, key)}")
     return rs
+
+
+def read_reference_set(path: Path | str) -> ReferenceSet:
+    """Parse a ``refset-v2`` reference set, a table of ``f_alpha<TAB>f_beta``
+    points under ``_HEADER``'s keys, by ``datalog.read_table``'s rules.
+    :class:`ReferenceSet` names its first non-finite or out-of-order point's
+    line and refuses a header ``ProblemSpec`` refuses at the last header line.
+    A stored version or ``i_ref`` other than the set derives, bit for bit, is
+    named at its own line: the file was edited or corrupted."""
+    return read_table(path, REFSET_FORMAT, "dd", _HEADER, _reference_set)
 
 
 def load_reference_set(

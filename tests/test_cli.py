@@ -300,7 +300,7 @@ def test_repeated_index_row_names_file_and_line(tmp_path, capsys, command) -> No
         argv += ["--refsets", str(refdir)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "experiment_index.tsv:4: f1_d2_i1.tsv is already listed on line 3" in err
+    assert "experiment_index.tsv:4: f1_d2_i1.tsv is listed twice" in err
     assert not (tmp_path / "r").exists()
 
 
@@ -345,13 +345,17 @@ def test_symlink_in_the_tree_is_rejected(tmp_path, capsys, linked, what) -> None
 
 
 def test_postprocess_reports_log_header_that_fails_problem_spec(tmp_path, capsys) -> None:
-    # The header is checked before the record's width.
+    # Lines are parsed before the header's values are checked, so a record
+    # of the wrong width is named first; before, the header was checked at
+    # the first record.
     _, logs = _tamper_index(tmp_path, lambda text, _: text)
     log = logs / "random" / "f1_d2_i1.tsv"
     header = log.read_text().replace("% dimension=2", "% dimension=-1").splitlines()[:12]
-    log.write_text("\n".join(header + ["1\t0.5"]) + "\n")
-    assert main(["postprocess", "--logs", str(logs), "--out", str(tmp_path / "p")]) == 1
-    assert "f1_d2_i1.tsv:12: dimension must be positive" in capsys.readouterr().err
+    for record, error in (("1\t0.5", ":13: expected 3 columns, got 2"),
+                          ("1\t0.5\t0.5", ":12: dimension must be positive")):
+        log.write_text("\n".join([*header, record]) + "\n")
+        assert main(["postprocess", "--logs", str(logs), "--out", str(tmp_path / "p")]) == 1
+        assert f"f1_d2_i1.tsv{error}" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two(tmp_path) -> None:

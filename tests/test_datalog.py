@@ -8,12 +8,11 @@ import os
 import random
 import re
 import tracemalloc
-from array import array
 from dataclasses import replace
 from unittest import mock
 
 import pytest
-from conftest import record_columns
+from conftest import record_columns, whole_text_table
 from hypothesis import given, settings, strategies as st
 
 from bibench import datalog
@@ -151,9 +150,10 @@ def test_read_reports_line_numbers(tmp_path) -> None:
 
 
 def test_read_requires_header_before_records(tmp_path) -> None:
+    # A missing key is named at the first row, before any later line is read.
     path = tmp_path / "early.tsv"
-    path.write_text("% format=runlog-v2\n1\t0.5\t0.5\n")
-    with pytest.raises(LogParseError, match="records start before header"):
+    path.write_text("% format=runlog-v2\n% function=f1\n1\t0.5\t0.5\n1\t0.5\n")
+    with pytest.raises(LogParseError, match=r"early\.tsv:3: missing header keys: instance, "):
         read_log(path)
 
 
@@ -395,7 +395,7 @@ def test_log_path_layout(tmp_path) -> None:
 def test_run_log_directory_without_index_is_an_error(tmp_path) -> None:
     # Reference sets share the run logs' file names, not their format line.
     _write_experiment(tmp_path)
-    write_lines(tmp_path / "refsets" / "f1_d2_i1.tsv", ["# function=f1 instance=1"])
+    write_lines(tmp_path / "refsets" / "f1_d2_i1.tsv", ["% format=refset-v2", "% function=f1"])
     assert [log.header.instance_id for log in iter_experiment(tmp_path)] == [1, 2]
     with ExperimentWriter(tmp_path) as writer:
         writer.write(RunLog(replace(_header(), algorithm="hillclimber"), record_columns()))
@@ -555,6 +555,10 @@ def test_read_reports_non_ascii_byte_with_line(tmp_path) -> None:
     path.write_text(path.read_text().replace("% algorithm=random", "% algorithm=caf\u00e9"))
     with pytest.raises(LogParseError, match=r"run\.tsv:5: non-ASCII byte"):
         read_log(path)
+    # DEL, byte 127, is ASCII: the byte named is the é after it.
+    path.write_text(path.read_text().replace("% function=f1", "% function=f\x7f1"))
+    with pytest.raises(LogParseError, match=r"run\.tsv:5: non-ASCII byte"):
+        read_log(path)
 
 
 def test_read_reports_bad_header_number_with_line(tmp_path) -> None:
@@ -627,7 +631,7 @@ def test_experiment_index_rejects_repeated_file(tmp_path) -> None:
     path = _write_experiment(tmp_path)
     _append_row(path)
     with pytest.raises(
-        LogParseError, match=r"experiment_index\.tsv:5: f1_d2_i1\.tsv is already listed on line 3"
+        LogParseError, match=r"experiment_index\.tsv:5: f1_d2_i1\.tsv is listed twice$"
     ):
         read_experiment_index(path)
 
@@ -804,10 +808,12 @@ def test_read_log_holds_three_columns_not_an_object_per_record(tmp_path) -> None
     assert _traced_peak(lambda: read_log(path)) < 4_000_000
 
 
-@pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\x0c", b"\x0b", b"\x1e"],
+                         ids=["cr", "crlf", "ff", "vt", "rs"])
 def test_read_log_of_any_line_ends_holds_one_batch(tmp_path, end) -> None:
     # Batches were cut at "\n" only, so a log with "\r" line ends was read as
-    # one batch of the whole file, peaking at 7.1 MB.
+    # one batch of the whole file, peaking at 7.1 MB; then at "\n" and "\r"
+    # only, so one with "\f" or "\v" ends peaked at 19.0 MB.
     log = _long_log(50_000)
     path = write_log(log, tmp_path / "run.tsv")
     path.write_bytes(path.read_bytes().replace(b"\n", end))
@@ -817,7 +823,7 @@ def test_read_log_of_any_line_ends_holds_one_batch(tmp_path, end) -> None:
 
 def test_a_clean_log_is_never_parsed_line_by_line(tmp_path, monkeypatch) -> None:
     # Every batch of records must take the batch path; only the header goes
-    # line by line.  _non_blank feeds read_rows' per-line fallback.
+    # line by line.  _non_blank feeds read_table's per-line fallback.
     log = _long_log(5_000)
     path = write_log(log, tmp_path / "run.tsv")
 
@@ -835,52 +841,7 @@ def _per_line_read_log(path) -> RunLog:
     """The per-line reader that batch parsing replaced, kept as its oracle:
     the whole text split into lines, each record parsed on its own, and a
     row the RunLog refuses named at the line it came from."""
-    from bibench.core import RowError
-    from bibench.datalog import _HEADER, _run_header, add_header_key, build_header
-
-    lines = [(n, line) for n, raw in enumerate(path.read_bytes().decode("ascii").splitlines(), 1)
-             if (line := raw.strip())]
-    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("% format="):
-        raise LogVersionError(f"{path}: missing format declaration on line 1")
-    declared = lines[0][1].partition("=")[2].strip()
-    if declared != datalog.LOG_FORMAT:
-        raise LogVersionError(
-            f"{path}: unsupported format {declared!r}, expected {datalog.LOG_FORMAT}"
-        )
-    header: dict[str, tuple[str, int]] = {}
-    run_header = None
-    evals, alpha, beta, record_lines = array("q"), array("d"), array("d"), []
-    number = 1
-    for number, line in lines[1:]:
-        if line.startswith("%"):
-            if run_header is not None:
-                raise LogParseError(path, number, "header line after the first record")
-            key, sep, value = line[1:].strip().partition("=")
-            if sep:
-                add_header_key(path, header, key.strip(), value.strip(), number)
-            continue
-        if run_header is None:
-            run_header = build_header(
-                path, header, _HEADER, _run_header, number, "records start before header keys"
-            )
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LogParseError(
-                path, number, f"expected 3 columns (eval, f_alpha, f_beta), got {len(parts)}"
-            )
-        try:
-            evals.append(int(parts[0]))
-            alpha.append(float(parts[1]))
-            beta.append(float(parts[2]))
-        except (ValueError, OverflowError) as exc:
-            raise LogParseError(path, number, str(exc)) from None
-        record_lines.append(number)
-    if run_header is None:
-        run_header = build_header(path, header, _HEADER, _run_header, number)
-    try:
-        return RunLog(run_header, RecordColumns(evals, alpha, beta))
-    except RowError as exc:
-        raise LogParseError(path, record_lines[exc.row], str(exc)) from None
+    return whole_text_table(path, datalog.LOG_FORMAT, "qdd", datalog._HEADER, datalog._run_log)
 
 
 def _log_outcome(reader, path):

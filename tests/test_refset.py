@@ -7,13 +7,14 @@ import itertools
 import math
 import random
 import struct
+import subprocess
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import point_columns, record_columns
+from conftest import point_columns, record_columns, whole_text_table
 from hypothesis import example, given, reject, settings, strategies as st
 
 from bibench import datalog, refset
@@ -22,6 +23,7 @@ from bibench.datalog import (
     INDEX_FILENAME,
     ExperimentWriter,
     LogParseError,
+    LogVersionError,
     RunHeader,
     RunLog,
     read_experiment_index,
@@ -298,8 +300,8 @@ def test_read_refuses_neighbours_tied_in_one_objective_at_the_second_line(
     old, new = ("%r\t%r" % p for p in (_POINTS[row], point))
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
-    # Points start on line 4, after three header lines.
-    with pytest.raises(LogParseError, match=rf"rs\.tsv:{4 + row}: reference points must be "
+    # Points start on line 12, after the format line and ten header keys.
+    with pytest.raises(LogParseError, match=rf"rs\.tsv:{12 + row}: reference points must be "
                                             "mutually non-dominated"):
         read_reference_set(path)
 
@@ -337,24 +339,36 @@ def test_read_rejects_tampered_i_ref(tmp_path) -> None:
 
 def test_read_rejects_missing_header(tmp_path) -> None:
     path = tmp_path / "rs.tsv"
-    path.write_text("# function=f1 instance=1\n0.5\t0.5\n")
-    with pytest.raises(ValueError, match="missing header keys"):
+    path.write_text("% format=refset-v2\n% function=f1\n% instance=1\n0.5\t0.5\n")
+    with pytest.raises(ValueError, match=r"rs\.tsv:4: missing header keys: dimension, version, "):
         read_reference_set(path)
+
+
+def test_a_set_in_the_old_layout_is_refused(tmp_path) -> None:
+    # "#" header lines of space-separated keys, without a format line: README
+    # gives the one-line conversion to refset-v2.
+    rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
+    old = dict(**KEY, points=list(rs.points), ideal=rs.ideal, nadir=rs.nadir, i_ref=rs.i_ref,
+               version=rs.version, bounds_estimated=False)
+    _old_write_reference_set(old, tmp_path / "rs.tsv")
+    with pytest.raises(LogVersionError, match=r"rs\.tsv: missing format declaration on line 1$"):
+        read_reference_set(tmp_path / "rs.tsv")
 
 
 @pytest.mark.parametrize(
     ("old", "new", "message"),
     [
-        ("instance=1 ", "instance=one ", r"rs\.tsv:1: instance: invalid literal"),
-        ("bounds=analytic", "bounds=guessed", r"rs\.tsv:2: bounds: expected analytic or estimated"),
-        ("0.75\t0.25", "0.75\tinf", r"rs\.tsv:5: non-finite reference point$"),
-        ("dimension=2", "dimension=0", r"rs\.tsv:2: dimension must be positive"),
-        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n0.25\t0.75", r"rs\.tsv:5: reference points must"),
-        ("instance=1 ", "instance=0 ", r"rs\.tsv:2: instance must be positive"),
-        # A "#" line among the points is no point: the row after it is on line 6.
-        ("0.75\t0.25", "# note\n0.75\tinf", r"rs\.tsv:6: non-finite reference point$"),
-        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n# note\n0.25\t0.75",
-         r"rs\.tsv:6: reference points must"),
+        ("instance=1\n", "instance=one\n", r"rs\.tsv:3: instance: invalid literal"),
+        ("bounds=analytic", "bounds=guessed", r"rs\.tsv:11: bounds: expected analytic or estimated"),
+        ("0.75\t0.25", "0.75\tinf", r"rs\.tsv:13: non-finite reference point$"),
+        # A value ProblemSpec refuses is named at the last header line.
+        ("dimension=2", "dimension=0", r"rs\.tsv:11: dimension must be positive"),
+        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n0.25\t0.75", r"rs\.tsv:13: reference points must"),
+        ("instance=1\n", "instance=0\n", r"rs\.tsv:11: instance must be positive"),
+        # Before, a "#" note among the points was skipped; a "%" line there is refused.
+        ("0.75\t0.25", "% note\n0.75\tinf", r"rs\.tsv:13: header line after the first row$"),
+        ("0.25\t0.75\n0.75\t0.25", "0.75\t0.25\n% note\n0.25\t0.75",
+         r"rs\.tsv:13: header line after the first row$"),
     ],
     ids=["instance", "bounds", "non-finite", "dimension", "order", "instance-zero",
          "non-finite-after-a-note", "order-after-a-note"],
@@ -507,6 +521,8 @@ def _old_merge(sets, *, function_id, instance_id, dimension, ideal, nadir=None) 
 
 
 def _old_write_reference_set(rs: dict, path) -> None:
+    """The writer of the layout before ``refset-v2``: two ``#`` lines of
+    space-separated keys and a note on clipping, then the points."""
     bounds = "estimated" if rs["bounds_estimated"] else "analytic"
     ideal, nadir = rs["ideal"], rs["nadir"]
     header = (
@@ -519,6 +535,16 @@ def _old_write_reference_set(rs: dict, path) -> None:
         "coordinates are clamped to 0",
     )
     write_lines(path, itertools.chain(header, map(_old_line, rs["points"])))
+
+
+def _readme_conversion(path) -> bytes:
+    """The bytes README's one-line ``awk`` conversion gives for the old-layout
+    set at ``path``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    line = next(line for line in readme.splitlines()
+                if line.startswith("awk '") and "refset-v2" in line)
+    return subprocess.run(["awk", line.split("'")[1], str(path)], capture_output=True,
+                          check=True).stdout
 
 
 def _finite_neighbours(values) -> list[float]:
@@ -570,7 +596,7 @@ def test_columns_equal_the_object_path(tmp_path_factory, inputs) -> None:
     }
     assert rs.i_ref.hex() == old["i_ref"].hex()
     path = write_reference_set(rs, directory / "new.tsv")
-    assert path.read_bytes() == (directory / "old.tsv").read_bytes()
+    assert path.read_bytes() == _readme_conversion(directory / "old.tsv")
     assert read_reference_set(path) == rs
 
 
@@ -604,23 +630,21 @@ def test_reference_set_derives_i_ref_and_version(tmp_path) -> None:
     ("old", "new", "message"),
     [
         ("version=eaef2d0a33d4bbd3", "version=0000000000000000",
-         r"rs\.tsv:2: stored version 0000000000000000 does not match point content eaef2d0a33d4bbd3$"),
+         r"rs\.tsv:5: stored version 0000000000000000 does not match point content eaef2d0a33d4bbd3$"),
         ("i_ref=-0.3125", "i_ref=-0.3125000000000001",
-         r"rs\.tsv:3: stored i_ref -0\.3125000000000001 does not match recomputation -0\.3125$"),
+         r"rs\.tsv:6: stored i_ref -0\.3125000000000001 does not match recomputation -0\.3125$"),
         # Before, an i_ref outside [-1, 0] failed at the last header line.
         ("i_ref=-0.3125", "i_ref=0.5",
-         r"rs\.tsv:3: stored i_ref 0\.5 does not match recomputation -0\.3125$"),
+         r"rs\.tsv:6: stored i_ref 0\.5 does not match recomputation -0\.3125$"),
     ],
     ids=["version", "i_ref", "i_ref-out-of-range"],
 )
 def test_stored_version_and_i_ref_fail_at_their_own_lines(tmp_path, old, new, message) -> None:
     rs = merge([point_columns([_ov(0.25, 0.75), _ov(0.75, 0.25)])], **KEY, **UNIT_BOUNDS)
-    lines = write_reference_set(rs, tmp_path / "rs.tsv").read_text().replace(old, new).splitlines()
-    # Version and i_ref move to header lines of their own, 2 and 3.
-    key, version, i_ref = lines[0].rsplit(" ", 2)
-    (tmp_path / "rs.tsv").write_text("\n".join([key, f"# {version}", f"# {i_ref}", *lines[1:]]))
+    path = write_reference_set(rs, tmp_path / "rs.tsv")
+    path.write_text(path.read_text().replace(old, new))
     with pytest.raises(LogParseError, match=message):
-        read_reference_set(tmp_path / "rs.tsv")
+        read_reference_set(path)
 
 
 def _strict_set(n: int) -> ReferenceSet:
@@ -638,8 +662,9 @@ def _strict_set(n: int) -> ReferenceSet:
 def test_one_pass_writer_equals_the_old_writer_across_blocks(tmp_path, n, read) -> None:
     """The writer formats and hashes each point once, 512 points a block;
     sets ending on either side of a block boundary are written byte for byte
-    as the object path wrote them, and the version it fills in is the set's
-    whether ``rs.version`` was read before the write or only after it."""
+    as README's conversion turns the object path's file into, and the version
+    it fills in is the set's whether ``rs.version`` was read before the write
+    or only after it."""
     rs = _strict_set(n)
     if read == "before":
         assert len(rs.version) == 16
@@ -650,8 +675,8 @@ def test_one_pass_writer_equals_the_old_writer_across_blocks(tmp_path, n, read) 
                version=_old_version_of(points), bounds_estimated=False)
     _old_write_reference_set(old, tmp_path / "old.tsv")
     path = write_reference_set(rs, tmp_path / "new.tsv")
-    assert path.read_bytes() == (tmp_path / "old.tsv").read_bytes()
-    stored = path.read_text().split("\n", 1)[0].split(" version=")[1].split(" ")[0]
+    assert path.read_bytes() == _readme_conversion(tmp_path / "old.tsv")
+    stored = path.read_text().split("% version=")[1].split("\n")[0]
     assert stored == version_of(rs.points) == rs.version == old["version"]
     assert read_reference_set(path) == rs
 
@@ -683,65 +708,12 @@ def test_a_reference_set_write_failing_part_way_leaves_the_old_file(
 # -- the reader: columns, line numbers and memory ------------------------------
 
 
-def _whole_text_lines(path) -> list[tuple[int, str]]:
-    """The whole-text line reader the streaming readers replaced, kept as
-    their oracle."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        line = len((exc.object[: exc.start] + b"x").decode("ascii").splitlines())
-        raise LogParseError(path, line, "non-ASCII byte") from None
-    return [
-        (number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())
-    ]
-
-
 def _old_read_reference_set(path) -> ReferenceSet:
-    """The whole-text reader the line-by-line one replaced, kept as its
-    oracle.  Like that reader, it parses every line first, then names the
-    line of the first point ``ReferenceSet`` refuses."""
-    from bibench.core import RowError
-    from bibench.datalog import add_header_key, build_header, convert_at
-    from bibench.refset import _HEADER, _point
-
-    header: dict[str, tuple[str, int]] = {}
-    points, point_lines = [], []
-    lines = _whole_text_lines(path)
-    for number, line in lines:
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, sep, value = token.partition("=")
-                if sep:
-                    add_header_key(path, header, key, value, number)
-        else:
-            points.append(ObjectiveVector(*convert_at(path, number, "point", _point, line)))
-            point_lines.append(number)
-    try:
-        stored, rs = build_header(
-            path, header, _HEADER,
-            lambda v: (v, ReferenceSet(
-                function_id=v["function"], instance_id=v["instance"], dimension=v["dimension"],
-                points=point_columns(points),
-                ideal=ObjectiveVector(v["ideal_alpha"], v["ideal_beta"]),
-                nadir=ObjectiveVector(v["nadir_alpha"], v["nadir_beta"]),
-                bounds_estimated=v["bounds"],
-            )),
-            lines[-1][0] if lines else 1,
-        )
-    except RowError as exc:
-        raise LogParseError(path, point_lines[exc.row], str(exc)) from None
-    if stored["version"] != rs.version:
-        raise LogParseError(
-            path, header["version"][1],
-            f"stored version {stored['version']} does not match point content {rs.version}",
-        )
-    if stored["i_ref"] != rs.i_ref:
-        raise LogParseError(
-            path, header["i_ref"][1],
-            f"stored i_ref {stored['i_ref']!r} does not match recomputation {rs.i_ref!r}",
-        )
-    return rs
+    """The whole-text reader the streaming one replaced, kept as its oracle:
+    every line parsed on its own, then the line of the first point
+    ``ReferenceSet`` refuses named from a line number kept per point."""
+    return whole_text_table(path, refset.REFSET_FORMAT, "dd", refset._HEADER,
+                            refset._reference_set)
 
 
 def _outcome(reader, path):
@@ -755,7 +727,7 @@ def _outcome(reader, path):
 # text, blank space, a comment, and bytes that are not ASCII.
 _SPLICES = st.sampled_from(
     ["\r\n", "\r", "\n", "\n\n", "\x0b", "\x0c", "\x1c", "\x85", " ", "\t", "\n   \n",
-     "\n# note\n", "#", "é", "\xff", "0.5\t0.5\n", "x"]
+     "\n# note\n", "\n% note\n", "\n% k=v\n", "#", "%", "é", "\xff", "0.5\t0.5\n", "x"]
 )
 
 
@@ -836,8 +808,7 @@ def test_every_reader_equals_its_one_batch_twin(tmp_path_factory, reader, chunk,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(datalog, "_READ_CHUNK", chunk)
         streamed = _outcome(reader, path)
-        for module in (datalog, refset):
-            patch.setattr(module, "numbered_batches", _whole_text_numbered_batches)
+        patch.setattr(datalog, "numbered_batches", _whole_text_numbered_batches)
         assert streamed == _outcome(reader, path)
 
 
@@ -846,7 +817,7 @@ def test_every_reader_equals_its_one_batch_twin(tmp_path_factory, reader, chunk,
     [
         (read_log, 12, "% budget=5", "header key budget repeats line 12"),
         (read_log, 12, "% function=f2", "header key function repeats line 2"),
-        (read_reference_set, 3, "# dimension=3", "header key dimension repeats line 1"),
+        (read_reference_set, 11, "% dimension=3", "header key dimension repeats line 4"),
     ],
     ids=["log-budget", "log-function", "refset-dimension"],
 )
@@ -858,6 +829,31 @@ def test_a_header_key_given_twice_is_refused(tmp_path, reader, after, line, mess
     path.write_text("\n".join([*lines[:after], line, *lines[after:]]) + "\n")
     with pytest.raises(LogParseError, match=rf"{path.name}:{after + 1}: {message}$"):
         reader(path)
+
+
+@pytest.mark.parametrize("reader", [read_log, read_reference_set, read_experiment_index])
+def test_every_table_follows_one_rule_set(tmp_path, reader) -> None:
+    # Before, a reference set allowed "#" header lines among its points and
+    # named a missing key at its last point, and an index skipped "%" lines
+    # anywhere and took a key given twice.
+    path = _written_by_each_writer(tmp_path)[reader]
+    lines = path.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if not line.startswith("%"))  # first row
+    key = lines[first - 1][2:].partition("=")[0]  # the last header key, on line `first`
+
+    def refused(edited: list[str], line: int, message: str) -> None:
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(LogParseError, match=rf"{path.name}:{line}: {message}$"):
+            reader(path)
+
+    refused([*lines[:first + 1], "% note=late", *lines[first + 1:]], first + 2,
+            "header line after the first row")
+    refused([*lines[:first], lines[first - 1], *lines[first:]], first + 1,
+            f"header key {key} repeats line {first}")
+    refused([lines[0], "% format=other", *lines[1:]], 2, "header key format repeats line 1")
+    if reader is not read_experiment_index:  # an index requires no key
+        refused([*lines[:first - 1], *lines[first:]], first, f"missing header keys: {key}")
+        refused(lines[:first - 1], first - 1, f"missing header keys: {key}")
 
 
 def _numbered_file(tmp_path, n: int) -> tuple[ReferenceSet, "Path"]:
@@ -924,37 +920,47 @@ def test_crlf_file_reads_equal_to_its_lf_twin(tmp_path) -> None:
 
 def test_blank_and_header_lines_keep_their_meaning(tmp_path) -> None:
     rs, path = _numbered_file(tmp_path, 5)
-    header, points = path.read_text().splitlines()[:3], path.read_text().splitlines()[3:]
-    # Header lines may follow points, blank lines are skipped, and a "#" line
-    # without a key is a comment.
+    lines = path.read_text().splitlines()
+    header, points = lines[:11], lines[11:]
+    # Blank lines are skipped, header keys may come in any order after the
+    # format line, and a "%" line without a key is a comment.
     moved = tmp_path / "moved.tsv"
     moved.write_text("\n".join(
-        ["", header[2], "  ", *points[:2], "# just a note", header[0], "", *points[2:],
-         header[1], "\t", ""]
+        [header[0], "", header[4], "  ", "% just a note", *header[1:4], *header[5:], "",
+         *points[:2], "\t", *points[2:], ""]
     ))
     assert read_reference_set(moved) == rs
+    # Before, header lines could also follow points; now one is refused there,
+    # and a key that only comes after them is missing at the first point.
+    late = tmp_path / "late.tsv"
+    late.write_text("\n".join([*header, *points[:2], "% note=late", *points[2:]]) + "\n")
+    with pytest.raises(LogParseError, match=r"late\.tsv:14: header line after the first row$"):
+        read_reference_set(late)
+    late.write_text("\n".join([*header[:-1], *points[:2], header[-1], *points[2:]]) + "\n")
+    with pytest.raises(LogParseError, match=r"late\.tsv:11: missing header keys: bounds$"):
+        read_reference_set(late)
     # Blank lines still count towards the line number of an error.
     bad = tmp_path / "bad.tsv"
     bad.write_text("\n".join([*header, "", "", points[0], "0.5 0.5", *points[1:]]) + "\n")
-    with pytest.raises(LogParseError, match=r"bad\.tsv:7: point: expected 2 columns, got 1"):
+    with pytest.raises(LogParseError, match=r"bad\.tsv:15: expected 2 columns, got 1$"):
         read_reference_set(bad)
-    # A file without the header reports the missing keys at its last line.
+    # A file without the format line is refused before any key is looked for.
     bare = tmp_path / "bare.tsv"
     bare.write_text("\n".join(points) + "\n\n")
-    with pytest.raises(LogParseError, match=r"bare\.tsv:5: missing header keys"):
+    with pytest.raises(LogVersionError, match=r"bare\.tsv: missing format declaration on line 1$"):
         read_reference_set(bare)
 
 
 @pytest.mark.parametrize(
     ("reader", "drop", "key"),
-    [(read_log, "% budget=100\n", "budget"), (read_reference_set, " dimension=2", "dimension")],
+    [(read_log, "% budget=100\n", "budget"), (read_reference_set, "% dimension=2\n", "dimension")],
     ids=["log", "refset"],
 )
 def test_a_header_only_file_names_a_missing_key_at_its_last_line(tmp_path, reader, drop, key):
-    # No row is read, so the last line is the last header line read_rows passed on.
+    # No row is read, so the last line is the last header line read_table met.
     path = _written_by_each_writer(tmp_path)[reader]
     lines = [line for line in path.read_text().replace(drop, "").splitlines()
-             if line.startswith(("%", "#"))]
+             if line.startswith("%")]
     path.write_text("\n".join([*lines, "", "  "]) + "\n")
     with pytest.raises(LogParseError, match=rf"{path.name}:{len(lines)}: missing header keys: {key}$"):
         reader(path)
@@ -962,14 +968,14 @@ def test_a_header_only_file_names_a_missing_key_at_its_last_line(tmp_path, reade
 
 @pytest.mark.parametrize("tail", ["", "\n  \n"], ids=["no-tail", "blank-tail"])
 @pytest.mark.parametrize("n", [9, 3_000])
-def test_a_missing_reference_set_key_is_named_at_the_last_point(tmp_path, n, tail) -> None:
-    # Points converted a batch at a time reach no per-line parse, so the last
-    # line of the last batch is what read_rows reports; blank lines after it
-    # do not count.
+def test_a_missing_reference_set_key_is_named_at_the_first_point(tmp_path, n, tail) -> None:
+    # Before, the keys were checked after the last point and a missing one was
+    # named there.  Blank lines after the header count towards the line.
     _, path = _numbered_file(tmp_path, n)
-    lines = path.read_text().replace(" dimension=2", "").splitlines()
-    path.write_text("\n".join(lines) + "\n" + tail)
-    with pytest.raises(LogParseError, match=rf"rs\.tsv:{len(lines)}: missing header keys: dimension$"):
+    lines = path.read_text().replace("% dimension=2\n", "").splitlines()
+    path.write_text("\n".join(lines[:10]) + tail + "\n" + "\n".join(lines[10:]) + "\n")
+    first = 11 + tail.count("\n")
+    with pytest.raises(LogParseError, match=rf"rs\.tsv:{first}: missing header keys: dimension$"):
         read_reference_set(path)
 
 

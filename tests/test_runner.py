@@ -617,9 +617,9 @@ def test_tiny_pipeline_tree_digest_is_pinned(tmp_path) -> None:
     """Every byte of a small pipeline: bootstrapped reference sets, both
     baselines' logs and indexes, and the post-processed tables, for f1-f3 at
     dimensions 2 and 10.  Any moved point, objective or format shows here;
-    re-pinned when the indexes became ``experiment-index-v2``, the only files
-    that changed from the tree written before the baselines handed
-    ``evaluate`` lists of floats instead of arrays."""
+    re-pinned when the indexes became ``experiment-index-v2``, and when the
+    reference sets became ``refset-v2``: each time those were the only files
+    that changed."""
     grid = dict(functions=("f1", "f2", "f3"), dimensions=(2, 10), instances=(1,))
     refsets = tmp_path / "tree" / "refsets"
     bootstrap_refsets(refsets, seed=1, budget=1000, **grid)
@@ -629,7 +629,7 @@ def test_tiny_pipeline_tree_digest_is_pinned(tmp_path) -> None:
             budget=500, refset_dir=refsets, **grid,
         ))
     postprocess.process_experiment(tmp_path / "tree" / "logs", tmp_path / "tree" / "tables")
-    assert _tree_digest(tmp_path / "tree") == "3d15c006b62d6220b0b151cde8134cb104116b1e31184db93464f72d648e52a7"
+    assert _tree_digest(tmp_path / "tree") == "1f0242545d252edb79c83f407b35849352ad6985537d2094db0b8657d8aa31d5"
 
 
 # -- the budget guard's blocks against the per-evaluation loop they replaced ------

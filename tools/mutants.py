@@ -2,8 +2,9 @@
 
 Each mutant flips one comparison operator (``<``/``<=``, ``>``/``>=``,
 ``==``/``!=``, ``in``/``not in``, ``is``/``is not``) inside one target, in a
-temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``; the working
-tree is never written.  The named tests
+temporary copy of ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``
+(a test runs README's conversion of old reference sets); the working tree is
+never written.  The named tests
 then run against the mutant in one child ``pytest -x`` process at a time.
 A mutant whose tests all pass survives, and is printed with its line.
 
@@ -101,7 +102,8 @@ def main(argv: list[str] | None = None) -> int:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy / name)
         if run_tests(copy, args.tests) != "passed":
             print("mutants: the unmutated copy fails the tests", file=sys.stderr)
             return 2
